@@ -14,25 +14,74 @@ Block format (per sequence):
     literal bytes
     2-byte LE match offset (1..65535)          -- absent in the final run
     [match length extension bytes]             -- match len = nibble + 4
+
+Match finding.  Every position that has four bytes after it is indexed
+under a 16-bit hash of those bytes, in position order.  At each position
+the parser visits, it tries the ``max_chain`` most recent earlier
+positions with the same hash, nearest first, and keeps the longest match
+(the nearest on a tie).  Because every position is indexed exactly once,
+the hash chains do not depend on the parse: ``_hash_chains`` builds them
+for the whole input at once with numpy, and the parser jumps straight
+from one position that has a candidate to the next.  The output is the
+same, byte for byte, as indexing positions one at a time while parsing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from bisect import bisect_left
+from typing import List, Tuple
+
+import numpy as np
 
 MIN_MATCH = 4
 MAX_OFFSET = 0xFFFF
 _HASH_LEN = 4
+#: bytes compared per step when extending a match; doubles each step
+_EXTEND_WIDTH = 32
 
 
-def _hash4(data: bytes, pos: int) -> int:
-    # FNV-ish mix of 4 bytes; cheap and good enough for chain bucketing.
-    return (
-        (data[pos] * 2654435761)
-        ^ (data[pos + 1] * 40503)
-        ^ (data[pos + 2] * 31)
-        ^ data[pos + 3]
-    ) & 0xFFFF
+def _hash_chains(data: bytes) -> Tuple[List[int], List[int]]:
+    """Index every position ``p <= len(data) - 4`` by a 16-bit hash of
+    ``data[p:p + 4]``, an FNV-ish mix that is cheap and good enough for
+    chain bucketing.
+
+    Returns ``(prev, starts)``: ``prev[p]`` is the nearest earlier
+    position with the same hash (-1 if none), and ``starts`` lists, in
+    order, the positions that have one, the only ones where a match can
+    begin.
+    """
+    m = len(data) - _HASH_LEN + 1
+    b = np.frombuffer(data, dtype=np.uint8).astype(np.uint16)
+    # (b0 * 2654435761 ^ b1 * 40503 ^ b2 * 31 ^ b3) & 0xFFFF, with the
+    # first multiplier cut to its low 16 bits: uint16 arithmetic wraps
+    # modulo 2**16, so the low 16 bits of every term are what they were.
+    h = (b[:m] * 0x79B1) ^ (b[1:m + 1] * 40503) ^ (b[2:m + 2] * 31) ^ b[3:]
+    # A stable sort groups equal hashes with positions ascending, so each
+    # position's predecessor in the sorted order is its chain link.
+    order = h.argsort(kind="stable")
+    hs = h[order]
+    same = hs[1:] == hs[:-1]
+    prev = np.full(m, -1, dtype=np.intp)
+    prev[order[1:][same]] = order[:-1][same]
+    return prev.tolist(), np.flatnonzero(prev >= 0).tolist()
+
+
+def _match_length(data: bytes, a: int, b: int, limit: int) -> int:
+    """Length of the common prefix of ``data[a:]`` and ``data[b:]``,
+    at most ``limit``."""
+    length = 0
+    width = _EXTEND_WIDTH
+    while length < limit:
+        w = min(width, limit - length)
+        diff = int.from_bytes(data[a + length:a + length + w], "big") ^ (
+            int.from_bytes(data[b + length:b + length + w], "big")
+        )
+        if diff:
+            # The highest set bit lies in the first differing byte.
+            return length + w - 1 - ((diff.bit_length() - 1) >> 3)
+        length += w
+        width <<= 1
+    return limit
 
 
 def _write_length(value: int, nibble_max: int, out: bytearray) -> int:
@@ -50,111 +99,120 @@ def _write_length(value: int, nibble_max: int, out: bytearray) -> int:
 def compress(data: bytes, max_chain: int = 16) -> bytes:
     """Compress ``data``; always decompressible by :func:`decompress`.
 
-    ``max_chain`` bounds the match-finder effort (LZ4's speed/ratio knob).
+    ``max_chain`` bounds the match-finder effort (LZ4's speed/ratio knob):
+    how many earlier same-hash positions are tried at each position.
+    0 tries them all.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError(f"expected bytes, got {type(data).__name__}")
+    if max_chain < 0:
+        raise ValueError(f"max_chain must be >= 0, got {max_chain}")
     data = bytes(data)
     n = len(data)
     out = bytearray()
-    chains: Dict[int, List[int]] = {}
-    pos = 0
     literal_start = 0
-
-    def emit_sequence(lit_end: int, match_off: int, match_len: int) -> None:
-        literals = data[literal_start:lit_end]
-        ext = bytearray()
-        lit_nibble = _write_length(len(literals), 15, ext)
-        if match_len >= 0:
-            match_ext = bytearray()
-            match_nibble = _write_length(match_len - MIN_MATCH, 15, match_ext)
-            out.append((lit_nibble << 4) | match_nibble)
-            out.extend(ext)
-            out.extend(literals)
-            out.append(match_off & 0xFF)
-            out.append((match_off >> 8) & 0xFF)
-            out.extend(match_ext)
-        else:
-            out.append(lit_nibble << 4)
-            out.extend(ext)
-            out.extend(literals)
-
-    while pos < n:
-        best_len = 0
-        best_off = 0
-        if pos + _HASH_LEN <= n:
-            bucket = chains.setdefault(_hash4(data, pos), [])
-            for candidate in reversed(bucket[-max_chain:]):
+    if n >= _HASH_LEN:
+        prev, starts = _hash_chains(data)
+        tries = max_chain or n
+        i = 0
+        while i < len(starts):
+            pos = starts[i]
+            limit = n - pos
+            best_len = 0
+            best_off = 0
+            candidate = prev[pos]
+            for _ in range(tries):
                 offset = pos - candidate
                 if offset > MAX_OFFSET:
-                    continue
-                # Extend the match.
-                length = 0
-                limit = n - pos
-                while (
-                    length < limit
-                    and data[candidate + length] == data[pos + length]
-                ):
-                    length += 1
-                if length > best_len:
-                    best_len = length
-                    best_off = offset
-            bucket.append(pos)
-        if best_len >= MIN_MATCH:
-            emit_sequence(pos, best_off, best_len)
-            # Index positions inside the match so later data can reference it.
-            end = pos + best_len
-            for p in range(pos + 1, min(end, n - _HASH_LEN + 1)):
-                chains.setdefault(_hash4(data, p), []).append(p)
-            pos = end
-            literal_start = pos
-        else:
-            pos += 1
+                    break  # the rest of the chain lies further back
+                # Only a candidate that agrees at index best_len can beat
+                # the best match so far.
+                if data[candidate + best_len] == data[pos + best_len]:
+                    length = _match_length(data, candidate, pos, limit)
+                    if length > best_len:
+                        best_len = length
+                        best_off = offset
+                        if best_len == limit:
+                            break
+                candidate = prev[candidate]
+                if candidate < 0:
+                    break
+            if best_len < MIN_MATCH:
+                i += 1
+                continue
+            literals = data[literal_start:pos]
+            ext = bytearray()
+            lit_nibble = _write_length(len(literals), 15, ext)
+            match_ext = bytearray()
+            match_nibble = _write_length(best_len - MIN_MATCH, 15, match_ext)
+            out.append((lit_nibble << 4) | match_nibble)
+            out += ext
+            out += literals
+            out.append(best_off & 0xFF)
+            out.append(best_off >> 8)
+            out += match_ext
+            literal_start = pos + best_len
+            i = bisect_left(starts, literal_start, i + 1)
     if literal_start < n or n == 0:
-        emit_sequence(n, 0, -1)
+        literals = data[literal_start:]
+        ext = bytearray()
+        out.append(_write_length(len(literals), 15, ext) << 4)
+        out += ext
+        out += literals
     return bytes(out)
 
 
+def _read_length(data: bytes, pos: int, value: int) -> Tuple[int, int]:
+    """Inverse of :func:`_write_length`: adds the extension bytes at
+    ``pos`` to a nibble of 15; returns ``(length, next position)``."""
+    if value == 15:
+        while True:
+            if pos >= len(data):
+                raise ValueError("corrupt stream: truncated length")
+            ext = data[pos]
+            pos += 1
+            value += ext
+            if ext != 255:
+                break
+    return value, pos
+
+
 def decompress(blob: bytes) -> bytes:
-    """Inverse of :func:`compress`."""
+    """Inverse of :func:`compress`.
+
+    Raises ``ValueError`` on a stream :func:`compress` cannot have made:
+    a zero offset, an offset before the start of the output, or a
+    sequence cut short.
+    """
     data = bytes(blob)
     out = bytearray()
     pos = 0
     n = len(data)
     while pos < n:
         token = data[pos]
-        pos += 1
-        lit_len = token >> 4
-        match_nibble = token & 0x0F
-        if lit_len == 15:
-            while True:
-                ext = data[pos]
-                pos += 1
-                lit_len += ext
-                if ext != 255:
-                    break
-        out.extend(data[pos:pos + lit_len])
+        lit_len, pos = _read_length(data, pos + 1, token >> 4)
+        if pos + lit_len > n:
+            raise ValueError("corrupt stream: literal run past the end")
+        out += data[pos:pos + lit_len]
         pos += lit_len
         if pos >= n:
             break  # final literal-only sequence
+        if pos + 2 > n:
+            raise ValueError("corrupt stream: truncated offset")
         offset = data[pos] | (data[pos + 1] << 8)
-        pos += 2
         if offset == 0:
             raise ValueError("corrupt stream: zero match offset")
-        match_len = match_nibble
-        if match_len == 15:
-            while True:
-                ext = data[pos]
-                pos += 1
-                match_len += ext
-                if ext != 255:
-                    break
+        match_len, pos = _read_length(data, pos + 2, token & 0x0F)
         match_len += MIN_MATCH
         start = len(out) - offset
         if start < 0:
             raise ValueError("corrupt stream: offset before start")
-        for i in range(match_len):  # byte-wise: overlapping copies are legal
-            out.append(out[start + i])
+        if offset >= match_len:
+            out += out[start:start + match_len]
+        else:
+            # An overlapping copy repeats the last ``offset`` bytes.
+            reps = -(-match_len // offset)
+            out += (out[start:] * reps)[:match_len]
     return bytes(out)
 
 

@@ -6,10 +6,10 @@ per-stage latency breakdown, writing two artifacts at the repo root:
 * ``BENCH_PIPELINE.json`` — per-stage p50/p95/p99 for the frame pipeline
   (intercept / encode / transmit / execute / video_encode / return /
   present), the session's counter/gauge/histogram snapshot, and
-  wall-clock timings for the kernel, serialization and codec hot paths.
-  The simulated-time section is deterministic per seed and carries a
-  sha256 digest; wall-clock numbers live in a separate section that is
-  explicitly excluded from the digest.
+  wall-clock timings for the kernel, serialization, codec and LZ77 hot
+  paths.  The simulated-time section is deterministic per seed and
+  carries a sha256 digest; wall-clock numbers live in a separate section
+  that is explicitly excluded from the digest.
 * ``BENCH_TRACE.json`` — a Chrome trace-event export of the fleet smoke
   run, loadable in Perfetto / ``chrome://tracing``.
 
@@ -27,6 +27,7 @@ from typing import Any, Dict, List
 
 from repro.apps.base import CommandBatchBuilder, SceneState
 from repro.apps.games import GAMES
+from repro.codec.lz77 import compress, decompress
 from repro.codec.pipeline import CommandPipeline, PipelineConfig
 from repro.core.session import run_offload_session
 from repro.devices.profiles import LG_G5, NVIDIA_SHIELD
@@ -145,6 +146,31 @@ def bench_codec(n_frames: int = 60) -> Dict[str, Any]:
     }
 
 
+def bench_lz77(n_frames: int = 60) -> Dict[str, Any]:
+    """LZ77 compress and decompress throughput on what the egress
+    pipeline feeds the compressor: serialized batches after the cache."""
+    pipeline = CommandPipeline(PipelineConfig(compression_enabled=False))
+    payloads = [
+        pipeline.process_frame(batch).payload
+        for batch in _frame_batches(n_frames)
+    ]
+    chain = pipeline.config.compression_max_chain
+    blobs, compress_s = _wall(
+        lambda: [compress(p, max_chain=chain) for p in payloads]
+    )
+    _, decompress_s = _wall(lambda: [decompress(b) for b in blobs])
+    raw = sum(len(p) for p in payloads)
+    return {
+        "frames": len(payloads),
+        "raw_bytes": raw,
+        "compressed_bytes": sum(len(b) for b in blobs),
+        "compress_s": round(compress_s, 4),
+        "decompress_s": round(decompress_s, 4),
+        "compress_mb_per_s": round(raw / compress_s / 1e6, 2),
+        "decompress_mb_per_s": round(raw / decompress_s / 1e6, 2),
+    }
+
+
 # -- macro-benches: simulated-time pipeline breakdown ------------------------
 
 
@@ -220,6 +246,7 @@ def run_profile(
     kernel = bench_kernel(n_processes=100 * scale, n_rounds=25 * scale)
     serialization = bench_serialization(n_frames=30 * scale)
     codec = bench_codec(n_frames=30 * scale)
+    lz77 = bench_lz77(n_frames=30 * scale)
     session_det, session_wall = bench_session(session_ms, seed)
     fleet_det, fleet_wall, categories = bench_fleet(
         fleet_ms, seed, trace_path
@@ -240,6 +267,7 @@ def run_profile(
             "kernel": kernel,
             "serialization": serialization,
             "codec": codec,
+            "lz77": lz77,
             "session_s": round(session_wall, 4),
             "fleet_s": round(fleet_wall, 4),
         },
@@ -286,7 +314,7 @@ def validate_bench(bench: Any) -> List[str]:
     if not isinstance(wall, dict):
         problems.append("missing 'wall_clock' section")
     else:
-        for bench_name in ("kernel", "serialization", "codec"):
+        for bench_name in ("kernel", "serialization", "codec", "lz77"):
             if not isinstance(wall.get(bench_name), dict):
                 problems.append(f"missing wall_clock bench {bench_name!r}")
     return problems
@@ -316,7 +344,9 @@ def format_bench(bench: Dict[str, Any]) -> str:
     lines.append(
         f"kernel: {wall['kernel']['events_per_s']:.0f} events/s   "
         f"serialization: {wall['serialization']['mb_per_s']:.1f} MB/s   "
-        f"codec: {wall['codec']['frames_per_s']:.0f} frames/s"
+        f"codec: {wall['codec']['frames_per_s']:.0f} frames/s   "
+        f"lz77: {wall['lz77']['compress_mb_per_s']:.1f} MB/s compress, "
+        f"{wall['lz77']['decompress_mb_per_s']:.1f} MB/s decompress"
     )
     lines.append(
         f"fleet trace: {len(det['fleet']['span_categories'])} categories, "

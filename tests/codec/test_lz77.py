@@ -1,9 +1,16 @@
-"""LZ77 compressor: round-trip correctness and compression behaviour."""
+"""LZ77 compressor: round-trip correctness, compression behaviour, and
+byte-identity with the reference parser in ``lz77_reference.py``."""
+
+import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codec.lz77 import compress, compression_ratio, decompress
+from repro.codec.lz77 import MAX_OFFSET, compress, compression_ratio, decompress
+from tests.codec.lz77_reference import _hash4, reference_compress
+
+CHAINS = (0, 1, 2, 8, 16, 64)
 
 
 class TestRoundTrip:
@@ -95,6 +102,23 @@ class TestErrors:
         with pytest.raises(TypeError):
             compress("string")  # type: ignore[arg-type]
 
+    def test_negative_max_chain_rejected(self):
+        with pytest.raises(ValueError):
+            compress(b"abcdabcd", max_chain=-1)
+
+    def test_literal_run_past_end(self):
+        # Token promises 5 literals, the stream carries 2.
+        with pytest.raises(ValueError, match="literal run"):
+            decompress(bytes([0x50]) + b"ab")
+
+    def test_truncated_offset(self):
+        with pytest.raises(ValueError, match="truncated offset"):
+            decompress(bytes([0x10]) + b"a" + b"\x01")
+
+    def test_truncated_length(self):
+        with pytest.raises(ValueError, match="truncated length"):
+            decompress(bytes([0xF0]) + b"\xff")
+
     def test_corrupt_zero_offset(self):
         blob = bytearray(compress(b"abcdabcdabcdabcd" * 10))
         # Find a match offset and zero it out.
@@ -155,3 +179,135 @@ def test_property_repetition_roundtrip(chunk, repeats):
 @given(data=st.binary(min_size=200, max_size=2000), chain=st.sampled_from([1, 4, 16, 64]))
 def test_property_chain_parameter_roundtrip(data, chain):
     assert decompress(compress(data, max_chain=chain)) == data
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.binary(min_size=1, max_size=600),
+    cut=st.integers(min_value=0, max_value=10_000),
+    flip=st.integers(min_value=0, max_value=10_000),
+    bit=st.integers(min_value=0, max_value=7),
+)
+def test_property_damaged_stream_raises_only_value_error(data, cut, flip, bit):
+    """A truncated or bit-flipped stream decodes to some bytes or raises
+    ``ValueError``, never another exception."""
+    blob = bytearray(compress(data))
+    blob[flip % len(blob)] ^= 1 << bit
+    for damaged in (bytes(blob), bytes(blob[:cut % len(blob)])):
+        try:
+            decompress(damaged)
+        except ValueError:
+            pass
+
+
+# ---------------------------------------------------------------------------
+# byte-identity with the reference parser
+
+
+def _seeded_corpus():
+    """Random, small-alphabet, periodic and cache-reference-like inputs."""
+    rng = random.Random(20261016)
+    for k in range(48):
+        n = rng.randint(0, 3000)
+        kind = k % 4
+        if kind == 0:
+            yield bytes(rng.randrange(256) for _ in range(n))
+        elif kind == 1:
+            yield bytes(rng.randrange(4) for _ in range(n))
+        elif kind == 2:
+            motif = bytes(rng.randrange(256) for _ in range(rng.randint(1, 24)))
+            yield motif * (n // len(motif) + 1)
+        else:
+            refs = [b"\xca\xfe" + bytes(rng.randrange(256) for _ in range(8))
+                    for _ in range(12)]
+            yield b"".join(rng.choice(refs) for _ in range(n // 10))
+
+
+def _colliding_grams():
+    """Two different 4-byte strings with the same 16-bit chain hash."""
+    rng = random.Random(5)
+    seen = {}
+    while True:
+        gram = bytes(rng.randrange(256) for _ in range(4))
+        other = seen.setdefault(_hash4(gram, 0), gram)
+        if other != gram:
+            return other, gram
+
+
+class TestReferenceIdentity:
+    """The production match finder builds every hash chain up front; the
+    reference indexes one position at a time while parsing.  Their
+    outputs must agree byte for byte, or every wire byte count and
+    session digest downstream would move."""
+
+    def test_seeded_corpus(self):
+        # The sha256 pins the reference parser's output, so the format
+        # holds even if both implementations changed together.
+        h = hashlib.sha256()
+        for data in _seeded_corpus():
+            for chain in CHAINS:
+                out = compress(data, chain)
+                assert out == reference_compress(data, chain)
+                h.update(out)
+        assert h.hexdigest() == (
+            "acc66891b4513d7a25783671dca177451ba3afea6a2fc1261ba35dbf2a2c49b2"
+        )
+
+    def test_hash_collisions_take_chain_slots(self):
+        # Colliding grams share a chain without matching each other, so
+        # they use up max_chain tries the way the reference's buckets do.
+        a, b = _colliding_grams()
+        rng = random.Random(9)
+        for _ in range(20):
+            data = b"".join(
+                rng.choice((a, b)) + bytes([rng.randrange(3)])
+                for _ in range(rng.randint(1, 120))
+            )
+            for chain in CHAINS:
+                assert compress(data, chain) == reference_compress(data, chain)
+
+    def test_offsets_at_and_beyond_window(self):
+        rng = random.Random(3)
+        filler = bytes(rng.randrange(256) for _ in range(MAX_OFFSET + 1))
+        block = bytes(range(64))
+        sizes = {}
+        for gap in (MAX_OFFSET, MAX_OFFSET + 1):  # usable, out of reach
+            data = block + filler[:gap - len(block)] + block
+            for chain in (1, 8):
+                assert compress(data, chain) == reference_compress(data, chain)
+            sizes[gap] = len(compress(data))
+        assert sizes[MAX_OFFSET] < sizes[MAX_OFFSET + 1]
+
+    def test_real_command_batches(self):
+        # What the egress pipeline hands the compressor on a G1 session:
+        # cache references spliced between serialized commands.
+        from repro.apps.base import CommandBatchBuilder, SceneState
+        from repro.apps.games import GAMES
+        from repro.codec.pipeline import CommandPipeline, PipelineConfig
+        from repro.sim.kernel import Simulator
+
+        builder = CommandBatchBuilder(
+            GAMES["G1"], Simulator(seed=4).stream("test.commands")
+        )
+        scene = SceneState()
+        pipeline = CommandPipeline(PipelineConfig(compression_enabled=False))
+        batches = [builder.setup_commands()]
+        for _ in range(40):
+            scene.advance(1.0 / 30.0)
+            batches.append(builder.frame_commands(scene))
+        for batch in batches:
+            raw = pipeline.process_frame(batch).payload
+            assert compress(raw, 8) == reference_compress(raw, 8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=1500),
+        st.lists(st.sampled_from([b"\x00", b"ab", b"abc", b"\xca\xfe"]),
+                 max_size=400).map(b"".join),
+    ),
+    chain=st.sampled_from(CHAINS),
+)
+def test_property_identical_to_reference(data, chain):
+    assert compress(data, chain) == reference_compress(data, chain)

@@ -50,6 +50,10 @@ class TestArtifactSchema:
         assert wall["kernel"]["events_per_s"] > 0
         assert wall["serialization"]["bytes"] > 0
         assert wall["codec"]["frames"] > 0
+        lz77 = wall["lz77"]
+        assert 0 < lz77["compressed_bytes"] < lz77["raw_bytes"]
+        assert lz77["compress_mb_per_s"] > 0
+        assert lz77["decompress_mb_per_s"] > 0
         assert "wall_clock" not in bench["deterministic"]
 
     def test_fleet_trace_loads_and_keeps_categories(self, smoke_bench):
