@@ -12,8 +12,10 @@ Properties cover the layers the ISSUE names:
 
 * ``lz77_roundtrip`` / ``delta_roundtrip`` — codec byte-equality over
   randomized payloads (empty / tiny / repetitive / adversarial);
-* ``cache_lockstep`` — randomized GL command streams through the
-  sender/receiver cache pair;
+* ``cache_lockstep`` — randomized GL command streams (deferred pointers,
+  draws, uniforms) through the egress pipeline: sender/receiver caches in
+  lockstep, raw bytes as serialized, and the payload byte-identical to a
+  serialize-everything reference kept under ``tests/codec``;
 * ``transport_delivery`` — randomized message batches over a lossy link,
   checked against the transport conservation laws;
 * ``replay_coherence`` — interleaved record/evict/delta-serve steps from
@@ -253,34 +255,150 @@ class DeltaRoundTrip(Property):
         return _shrink_hex(case, "deltas")
 
 
+#: uniform values with equal-but-differently-written twins: ``-0.0 ==
+#: 0.0`` and ``1 == 1.0`` key the same cache entry under different reprs
+_LOCKSTEP_UNIFORMS = (0.0, -0.0, 1, 1.0, 0.5, 2)
+_POINTER_SOURCES = ("client", "vbo", "inline")
+
+
+def _pipeline_reference():
+    """The serialize-everything egress oracle kept beside the codec tests
+    (``tests/codec/pipeline_reference.py``)."""
+    import importlib.util
+
+    path = (
+        Path(__file__).resolve().parents[3]
+        / "tests" / "codec" / "pipeline_reference.py"
+    )
+    if not path.is_file():
+        raise FileNotFoundError(
+            f"cache_lockstep needs its reference oracle at {path}"
+        )
+    spec = importlib.util.spec_from_file_location("pipeline_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SerializeEverythingPipeline
+
+
+def _lockstep_frames(ops: List[Any]) -> List[List[Any]]:
+    """Decode a case's ops into per-frame GL command lists.
+
+    An int binds that texture name; ``["ptr", index, source, variant]``
+    sets a vertex pointer whose payload is a client array (deferred to the
+    next draw), a VBO offset (deferred) or inline bytes;
+    ``["draw", first, count]`` draws; ``["uniform", location, value]``
+    sets a float uniform; ``["frame"]`` ends the frame.
+    """
+    from repro.gles import enums as gl
+    from repro.gles.commands import make_command
+    from repro.gles.serialization import ClientArray
+
+    frames: List[List[Any]] = [[]]
+    for op in ops:
+        if isinstance(op, int):
+            frames[-1].append(
+                make_command("glBindTexture", gl.GL_TEXTURE_2D, op)
+            )
+            continue
+        kind = op[0]
+        if kind == "frame":
+            frames.append([])
+        elif kind == "ptr":
+            _, index, source, variant = op
+            data = bytes((variant * 7 + i) % 256 for i in range(96))
+            pointer = {
+                "client": ClientArray(data, array_id=variant),
+                "vbo": 16 * variant,
+                "inline": data[: 12 * (variant + 1)],
+            }[source]
+            frames[-1].append(make_command(
+                "glVertexAttribPointer", index, 3, gl.GL_FLOAT, False, 0,
+                pointer,
+            ))
+        elif kind == "draw":
+            frames[-1].append(
+                make_command("glDrawArrays", gl.GL_TRIANGLES, op[1], op[2])
+            )
+        elif kind == "uniform":
+            frames[-1].append(make_command("glUniform1f", op[1], op[2]))
+        else:
+            raise ValueError(f"unknown cache_lockstep op {op!r}")
+    return frames
+
+
 class CacheLockstep(Property):
-    """Randomized GL streams keep sender/receiver caches in lockstep."""
+    """Randomized GL streams through the egress pipeline keep the
+    sender/receiver caches in lockstep and match a serialize-everything
+    reference byte for byte.
+
+    ``reference`` builds the oracle from a capacity; by default it is
+    ``SerializeEverythingPipeline`` from ``tests/codec``.
+    """
 
     name = "cache_lockstep"
 
+    def __init__(self, reference=None):
+        self.reference = reference
+
     def generate(self, rng: random.Random) -> Dict[str, Any]:
-        return {
-            "capacity": rng.randint(2, 32),
-            # each op is a texture name; a narrow id space forces hits,
-            # a wide one forces evictions
-            "ops": [
-                rng.randint(0, rng.choice([4, 16, 64]))
-                for _ in range(rng.randint(1, 120))
-            ],
-        }
+        # a narrow texture-id space forces hits, a wide one evictions
+        span = rng.choice([4, 16, 64])
+        ops: List[Any] = []
+        for _ in range(rng.randint(1, 120)):
+            roll = rng.random()
+            if roll < 0.3:
+                ops.append(rng.randint(0, span))
+            elif roll < 0.5:
+                ops.append(["ptr", rng.randint(0, 2),
+                            rng.choice(_POINTER_SOURCES), rng.randint(0, 3)])
+            elif roll < 0.7:
+                ops.append(["draw", rng.randint(0, 2), rng.randint(0, 8)])
+            elif roll < 0.9:
+                ops.append(["uniform", rng.randint(0, 3),
+                            rng.choice(_LOCKSTEP_UNIFORMS)])
+            else:
+                ops.append(["frame"])
+        return {"capacity": rng.randint(2, 32), "ops": ops}
 
     def check(self, case: Dict[str, Any]) -> Optional[str]:
-        from repro.codec.command_cache import CachePair
-        from repro.gles import enums as gl
-        from repro.gles.commands import make_command
+        from repro.codec.pipeline import CommandPipeline, PipelineConfig
+        from repro.gles.commands import GLCommand
+        from repro.gles.serialization import (
+            CommandSerializer,
+            serialize_command,
+        )
 
-        pair = CachePair(case["capacity"])
-        for op in case["ops"]:
-            cmd = make_command("glBindTexture", gl.GL_TEXTURE_2D, int(op))
+        capacity = case["capacity"]
+        pipeline = CommandPipeline(PipelineConfig(
+            cache_capacity=capacity, compression_enabled=False,
+        ))
+        if self.reference is None:
+            self.reference = _pipeline_reference()
+        reference = self.reference(capacity)
+        everything = CommandSerializer()
+        pair = pipeline.cache
+        for index, frame in enumerate(_lockstep_frames(case["ops"])):
             try:
-                pair.encode(cmd, b"x" * (8 + int(op) % 5))
+                egress = pipeline.process_frame(frame)
             except RuntimeError as exc:
                 return f"cache pair desynced: {exc}"
+            raw = sum(len(w) for cmd in frame for w in everything.feed(cmd))
+            if egress.raw_bytes != raw:
+                return (
+                    f"frame {index}: raw_bytes {egress.raw_bytes} != "
+                    f"{raw} serialized"
+                )
+            for key, wire in pair.sender.items():
+                if wire != serialize_command(GLCommand(key[0], key[1])):
+                    return (
+                        f"frame {index}: sender entry {key[0]} is not "
+                        "the serialization of its key"
+                    )
+            if egress.payload != reference.process_frame(frame):
+                return (
+                    f"frame {index}: payload differs from the "
+                    "serialize-everything reference"
+                )
         if not pair.verify_consistent():
             return "sender and receiver key order diverged"
         for side, cache in (("sender", pair.sender),

@@ -1,25 +1,25 @@
-"""The command-stream egress pipeline: serialize -> cache -> compress.
+"""The command-stream egress pipeline: resolve -> cache -> compress.
 
 This is the per-frame data path on the user device (§IV-B + §V-A):
-intercepted commands are serialized to wire bytes, repeats are replaced by
-LRU cache references, and the residue is LZ4-compressed.  The pipeline
-reports exact byte counts at each stage so the traffic-reduction experiment
-(C1) can attribute savings to each mechanism, and the ablation benches can
-disable stages independently.
+intercepted commands are resolved (deferred vertex pointers held until
+the draw that reads them), repeats are replaced by LRU cache references,
+only misses are serialized to wire bytes, and the residue is
+LZ4-compressed.  The pipeline reports exact byte counts at each stage so
+the traffic-reduction experiment (C1) can attribute savings to each
+mechanism, and the ablation benches can disable stages independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
-
-import hashlib
+from functools import partial
+from typing import Callable, List, Optional
 
 from repro.codec.command_cache import CachePair
 from repro.codec.fusion import FusionStats, fuse_commands
 from repro.codec.lz77 import compress
 from repro.gles.commands import GLCommand
-from repro.gles.serialization import CommandSerializer
+from repro.gles.serialization import CommandSerializer, serialize_command
 from repro.obs.causal import TRACE_WIRE_BYTES, TraceContext
 from repro.obs.spans import OpenSpan, SpanRecorder
 
@@ -31,16 +31,6 @@ from repro.obs.spans import OpenSpan, SpanRecorder
 # subject to nominal-stream scaling.
 REPLAY_HIT_MARKER = b"\xCA\xFD"
 REPLAY_HEADER_BYTES = 2 + 8 + 8 + 1 + 2
-
-
-def _key_digest(key: Tuple) -> bytes:
-    """Stable 8-byte digest of a cache key for the wire reference.
-
-    ``hash()`` is randomized per process (PYTHONHASHSEED), which made the
-    reference bytes — and every downstream compressed size — differ
-    between runs of the same seed.
-    """
-    return hashlib.blake2b(repr(key).encode(), digest_size=8).digest()
 
 
 @dataclass
@@ -145,30 +135,30 @@ class CommandPipeline:
             commands, fstats = fuse_commands(commands)
             fused_dropped = fstats.dropped
             self.fusion_stats.merge(fstats)
-        wires: List[bytes] = []
-        originals: List[GLCommand] = []
+        resolve = self.serializer.resolve
+        resolved: List[GLCommand] = []
         for cmd in commands:
-            emitted = self.serializer.feed(cmd)
-            wires.extend(emitted)
-            originals.extend([cmd] * len(emitted))
-        raw_bytes = sum(len(w) for w in wires)
+            resolved.extend(resolve(cmd))
 
+        # Each resolved command is keyed by itself and serialized only on
+        # a cache miss; a hit counts the cached wire as raw bytes.
+        raw_bytes = 0
         cache_hits = 0
         batch = bytearray()
-        after_cache = 0
         if self.config.cache_enabled:
-            for cmd, wire in zip(originals, wires):
-                size, hit = self.cache.encode(cmd, wire)
-                after_cache += size
-                if hit:
-                    cache_hits += 1
-                    batch += b"\xCA\xFE" + _key_digest(cmd.key())
-                else:
-                    batch += wire
+            encode = self.cache.encode
+            for cmd in resolved:
+                wire, sent, hit = encode(
+                    cmd.key(), partial(serialize_command, cmd)
+                )
+                raw_bytes += len(wire)
+                cache_hits += hit
+                batch += sent
+            after_cache = len(batch)
         else:
-            for wire in wires:
-                batch += wire
-            after_cache = raw_bytes
+            for cmd in resolved:
+                batch += serialize_command(cmd)
+            raw_bytes = after_cache = len(batch)
 
         if self.config.compression_enabled:
             if self.config.modelled_compression:
@@ -221,7 +211,8 @@ class CommandPipeline:
             # the breakdown attributes it to the encode stage.
             now = self.clock() if self.clock is not None else 0.0
             cost_ms = (
-                len(wires) * self.config.serialize_us_per_command / 1000.0
+                len(resolved) * self.config.serialize_us_per_command
+                / 1000.0
             )
             extra = {"trace_id": trace.trace_id} if trace is not None else {}
             self.spans.add(
@@ -236,7 +227,7 @@ class CommandPipeline:
             raw_bytes=raw_bytes,
             after_cache_bytes=after_cache,
             wire_bytes=wire_bytes,
-            commands=len(wires),
+            commands=len(resolved),
             cache_hits=cache_hits,
             payload=payload,
             fused_dropped=fused_dropped,

@@ -17,6 +17,7 @@ Sits behind the wrapper library on the user device.  Per frame it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.check.digest import command_digest
@@ -122,6 +123,11 @@ class GBoosterClient:
         #: every request stranded on it instead of letting each one ride out
         #: its own watchdog timeout; pruned at presentation.
         self._outstanding: Dict[int, RenderRequest] = {}
+        #: when each node last answered: an ACK on its uplink or a frame
+        #: it rendered delivered on the downlink
+        self._heard_at: Dict[str, float] = {}
+        for name, uplink in self.uplinks.items():
+            uplink.on_ack = partial(self._heard_from, name)
         # Adaptive quality state: current resolution scale and a smoothed
         # completion-latency estimate driving the up/down decisions.
         self.quality_scale = 1.0
@@ -439,21 +445,49 @@ class GBoosterClient:
                 self.sim.now, "client", "node_recovered", node=node_name
             )
 
+    def _heard_from(
+        self, node_name: str, message: Optional[Message] = None
+    ) -> None:
+        self._heard_at[node_name] = self.sim.now
+
     def _watch_for_timeout(self, request: RenderRequest, node, completion: Event) -> None:
         """A frame unanswered past the deadline marks its node failed; its
         stranded work re-dispatches to a surviving node, or the local GPU
-        when none remains — gameplay degrades, never freezes."""
+        when none remains — gameplay degrades, never freezes.
+
+        A frame held up by loss recovery is late because of loss, not
+        because its node died: its request is not yet delivered in order
+        on the uplink, or the downlink holds later frames behind a lost
+        one.  If the node also answered anything during the window, the
+        watchdog waits another window instead of condemning it.  A silent
+        node (crash, outage) answers nothing and holds up no loss
+        recovery, so it fails over when its first window ends, as it
+        always did."""
         timeout = self.config.frame_timeout_ms
+        uplink = self.uplinks[node.name]
+        downlink = request.metadata.get("reply_transport", node.downlink)
 
         def _watchdog():
-            yield timeout
-            # Arrival, not presentation: a frame can sit in the reorder
-            # buffer behind a *different* node's failure — its own node is
-            # healthy and must not be condemned for that.
-            if completion.triggered or request.metadata.get("arrived"):
-                return
-            if request.metadata.get("node") != node.name:
-                return  # already re-dispatched; the new assignment owns it
+            window_start = self.sim.now
+            while True:
+                yield timeout
+                # Arrival, not presentation: a frame can sit in the reorder
+                # buffer behind a *different* node's failure — its own node
+                # is healthy and must not be condemned for that.
+                if completion.triggered or request.metadata.get("arrived"):
+                    return
+                if request.metadata.get("node") != node.name:
+                    return  # already re-dispatched; the new assignment owns it
+                message = request.metadata.get("wire_message")
+                recovering = message is not None and (
+                    not uplink.delivered(message) or downlink.reorder_held()
+                )
+                if (
+                    not recovering
+                    or self._heard_at.get(node.name, -1.0) < window_start
+                ):
+                    break
+                window_start = self.sim.now
             self.mark_failed(node.name, cause="frame_timeout")
             if (
                 request.metadata.get("node") == node.name
@@ -540,6 +574,9 @@ class GBoosterClient:
         request: RenderRequest = message.metadata["request"]
         request.metadata["arrived"] = True
         request.metadata["arrived_at"] = self.sim.now
+        node_name = message.metadata.get("node")
+        if node_name is not None:
+            self._heard_from(node_name)
         self.stats.downlink_bytes += message.size_bytes
         # Demand accounting happened node-side at send time; counting again
         # here would double the offered load the switching policy sees.

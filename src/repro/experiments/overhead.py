@@ -40,11 +40,7 @@ def run_overhead_experiment(
     pipeline = boosted.engine.backend.pipeline
     cache = pipeline.cache.sender
     entries = len(cache)
-    mean_entry = (
-        sum(len(v) for v in cache._entries.values()) / entries
-        if entries
-        else 64.0
-    )
+    mean_entry = cache.byte_size() / entries if entries else 64.0
     breakdown = memory_overhead_mb(
         cache_capacity=config.cache_capacity,
         mean_cached_entry_bytes=mean_entry * app.stream_scale,

@@ -78,11 +78,25 @@ class GLCommand:
         return command_spec(self.name)
 
     def key(self) -> Tuple[str, Tuple[Any, ...]]:
-        """Hashable identity used by the LRU command cache (§V-A)."""
-        return (self.name, _freeze(self.args))
+        """Hashable identity used by the LRU command cache (§V-A).
+
+        A flat argument tuple is its own frozen form, so it is returned
+        as is; only nested values go through :func:`_freeze`.
+        """
+        args = self.args
+        if type(args) is tuple:
+            for value in args:
+                if isinstance(value, _NESTED):
+                    break
+            else:
+                return (self.name, args)
+        return (self.name, _freeze(args))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GLCommand({self.name}, args={self.args!r})"
+
+
+_NESTED = (list, tuple, bytearray)
 
 
 def _freeze(value: Any) -> Any:

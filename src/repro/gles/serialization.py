@@ -239,9 +239,10 @@ class DeferredPointerBuffer:
 class CommandSerializer:
     """Stateful serializer implementing the §IV-B forwarding pipeline.
 
-    ``feed`` consumes intercepted commands and returns zero or more
-    wire-ready byte strings: deferred-pointer commands produce nothing until
-    the next draw call flushes them.
+    ``resolve`` applies the deferred-pointer hold and flush without
+    encoding anything; ``feed`` encodes what ``resolve`` returns.  Either
+    way a deferred-pointer command produces nothing until the next draw
+    call flushes it.
     """
 
     def __init__(self) -> None:
@@ -250,21 +251,29 @@ class CommandSerializer:
         self.bytes_serialized = 0
         self.deferrals = 0
 
-    def feed(self, cmd: GLCommand) -> List[bytes]:
+    def resolve(self, cmd: GLCommand) -> List[GLCommand]:
+        """The commands ``cmd`` releases onto the wire, in order.
+
+        A client-side vertex pointer is held back (an empty list); a draw
+        releases every held pointer, resolved to the bytes it reads, and
+        then itself; any other command releases only itself.
+        """
         spec = command_spec(cmd.name)
-        out: List[bytes] = []
         if cmd.name == "glVertexAttribPointer" and not isinstance(
             cmd.args[5], (bytes, bytearray)
         ):
             self._deferred.hold(cmd)
             self.deferrals += 1
-            return out
-        if spec.is_draw:
-            count = _draw_vertex_count(cmd)
-            for resolved in self._deferred.flush_for_draw(count):
-                out.append(self._emit(resolved))
-        out.append(self._emit(cmd))
-        return out
+            return []
+        if spec.is_draw and self._deferred.pending:
+            flushed = self._deferred.flush_for_draw(_draw_vertex_count(cmd))
+            flushed.append(cmd)
+            return flushed
+        return [cmd]
+
+    def feed(self, cmd: GLCommand) -> List[bytes]:
+        """Wire bytes for every command ``resolve(cmd)`` releases."""
+        return [self._emit(resolved) for resolved in self.resolve(cmd)]
 
     def _emit(self, cmd: GLCommand) -> bytes:
         wire = serialize_command(cmd)

@@ -69,6 +69,9 @@ class Transport:
         self.max_retries = max_retries
         self.stats = TransportStats()
         self.on_deliver: Optional[Callable[[Message], None]] = None
+        #: called with each fresh arrival at the receiving end: the moment
+        #: its ACK goes back to the sender
+        self.on_ack: Optional[Callable[[Message], None]] = None
         self._radio_provider: Optional[Callable[[], WirelessInterface]] = None
         self._link_for_radio: Dict[str, NetworkLink] = {}
         self._next_seq = 0
@@ -216,6 +219,8 @@ class Transport:
         timer = self._rto_timers.pop(seq, None)
         if timer is not None:
             timer.kill()
+        if self.on_ack is not None:
+            self.on_ack(message)
         self._reorder[seq] = message
         if self.protocol_delay_ms > 0:
             self.sim.spawn(
@@ -290,6 +295,12 @@ class Transport:
 
     def in_flight(self) -> int:
         return len(self._unacked)
+
+    def delivered(self, message: Message) -> bool:
+        """Whether ``message``, last sent through this transport, has been
+        delivered in order; until then it, or one sent before it, is still
+        being retransmitted."""
+        return message.metadata.get("seq", self._next_seq) < self._expected_seq
 
     def reorder_held(self) -> int:
         """Messages received but parked awaiting an earlier sequence number."""

@@ -26,7 +26,9 @@ from repro.check.fuzz import (
     save_case,
 )
 from repro.codec.lz77 import decompress
+from repro.gles.serialization import serialize_command
 from repro.net.transport import ReliableUdpTransport
+from tests.codec.pipeline_reference import SerializeEverythingPipeline
 
 pytestmark = pytest.mark.fuzz
 
@@ -42,6 +44,28 @@ class ReorderingTransport(ReliableUdpTransport):
             self.stats.bytes_delivered += message.framed_bytes
             if self.on_deliver is not None:
                 self.on_deliver(message)
+
+
+class OwnerKeyedReference(SerializeEverythingPipeline):
+    """Deliberately wrong oracle: caches each wire under the key of the
+    command that was fed, so a deferred pointer lands under the key of
+    the draw that flushed it."""
+
+    def process_frame(self, commands):
+        batch = bytearray()
+        for cmd in commands:
+            for resolved in self.serializer.resolve(cmd):
+                wire = serialize_command(resolved)
+                key = cmd.key()
+                if key in self._held:
+                    self._held.move_to_end(key)
+                    batch += b"\xCA\xFE" + bytes(8)
+                else:
+                    self._held[key] = key
+                    if len(self._held) > self.capacity:
+                        self._held.popitem(last=False)
+                    batch += wire
+        return bytes(batch)
 
 
 def broken_decompress(blob):
@@ -104,6 +128,15 @@ class TestDeliberateBugs:
         assert "out-of-order" in failure.message
         # Reordering needs at least two messages; minimal repro is tiny.
         assert 2 <= len(failure.case["sizes"]) <= 4
+
+    def test_owner_keyed_cache_is_caught_and_shrunk(self):
+        prop = CacheLockstep(reference=OwnerKeyedReference)
+        outcome = run_property(prop, seed=0, cases=20)
+        assert outcome["failures"], "owner keying went undetected"
+        failure = min(outcome["failures"], key=lambda f: len(f.case["ops"]))
+        assert "serialize-everything reference" in failure.message
+        # a deferred pointer and the draw that flushes it
+        assert len(failure.case["ops"]) <= 3
 
     def test_shrunk_case_still_fails(self):
         prop = Lz77RoundTrip(decompress_fn=broken_decompress)

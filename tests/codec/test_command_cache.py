@@ -7,8 +7,14 @@ from repro.codec.command_cache import (
     CachePair,
     LRUCommandCache,
     REFERENCE_BYTES,
+    REFERENCE_MARKER,
+    key_digest,
 )
 from repro.gles.commands import make_command
+
+
+def unreachable():
+    raise AssertionError("a cache hit must not re-encode the command")
 
 
 class TestLRUCache:
@@ -17,7 +23,7 @@ class TestLRUCache:
         key = ("glFlush", ())
         assert cache.lookup(key) is None
         cache.insert(key, b"wire")
-        assert cache.lookup(key) == b"wire"
+        assert cache.lookup(key).wire == b"wire"
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
 
@@ -28,7 +34,7 @@ class TestLRUCache:
         cache.lookup(("a",))          # refresh a
         cache.insert(("c",), b"3")     # evicts b
         assert cache.lookup(("b",)) is None
-        assert cache.lookup(("a",)) == b"1"
+        assert cache.lookup(("a",)).wire == b"1"
         assert cache.stats.evictions == 1
 
     def test_reinsert_refreshes_without_duplicate(self):
@@ -56,22 +62,28 @@ class TestCachePair:
         pair = CachePair(capacity=16)
         cmd = make_command("glUseProgram", 3)
         wire = b"x" * 50
-        size1, hit1 = pair.encode(cmd, wire)
-        size2, hit2 = pair.encode(cmd, wire)
-        assert (size1, hit1) == (50, False)
-        assert (size2, hit2) == (REFERENCE_BYTES, True)
+        _, sent1, hit1 = pair.encode(cmd.key(), lambda: wire)
+        cached, sent2, hit2 = pair.encode(cmd.key(), unreachable)
+        assert (sent1, hit1) == (wire, False)
+        assert (len(sent2), hit2) == (REFERENCE_BYTES, True)
+        assert sent2[:2] == REFERENCE_MARKER
+        assert cached == wire
 
     def test_pair_stays_consistent(self):
         pair = CachePair(capacity=4)
         cmds = [make_command("glUseProgram", i % 6) for i in range(100)]
         for cmd in cmds:
-            pair.encode(cmd, b"w" * 20)
+            pair.encode(cmd.key(), lambda: b"w" * 20)
             assert pair.verify_consistent()
 
     def test_different_args_are_different_entries(self):
         pair = CachePair(capacity=16)
-        _, hit_a = pair.encode(make_command("glUniform1f", 0, 1.0), b"a")
-        _, hit_b = pair.encode(make_command("glUniform1f", 0, 2.0), b"b")
+        *_, hit_a = pair.encode(
+            make_command("glUniform1f", 0, 1.0).key(), lambda: b"a"
+        )
+        *_, hit_b = pair.encode(
+            make_command("glUniform1f", 0, 2.0).key(), lambda: b"b"
+        )
         assert not hit_a and not hit_b
 
     def test_traffic_saving_on_repetitive_stream(self):
@@ -82,8 +94,8 @@ class TestCachePair:
             for slot in range(8):
                 cmd = make_command("glBindTexture", 0x0DE1, slot)
                 wire = b"y" * 24
-                size, _hit = pair.encode(cmd, wire)
-                total_wire += size
+                _, sent, _hit = pair.encode(cmd.key(), lambda: wire)
+                total_wire += len(sent)
                 total_raw += len(wire)
         assert total_wire < total_raw * 0.5
 
@@ -91,7 +103,7 @@ class TestCachePair:
         pair = CachePair(capacity=8)
         cmd = make_command("glFlush")
         for _ in range(10):
-            pair.encode(cmd, b"z" * 12)
+            pair.encode(cmd.key(), lambda: b"z" * 12)
         assert pair.hit_rate == pytest.approx(0.9)
 
 
@@ -106,7 +118,7 @@ def test_property_pair_never_desyncs(keys, capacity):
     pair = CachePair(capacity=capacity)
     for k in keys:
         cmd = make_command("glUseProgram", k)
-        pair.encode(cmd, bytes(16))
+        pair.encode(cmd.key(), lambda: bytes(16))
     assert pair.verify_consistent()
 
 
@@ -131,7 +143,7 @@ class TestReinsertRefresh:
         cache = LRUCommandCache(capacity=4)
         cache.insert(("k",), b"old")
         cache.insert(("k",), b"new")
-        assert cache.lookup(("k",)) == b"new"
+        assert cache.lookup(("k",)).wire == b"new"
 
     def test_reinsert_refreshes_recency(self):
         cache = LRUCommandCache(capacity=2)
@@ -148,11 +160,11 @@ class TestReinsertRefresh:
         pair = CachePair(capacity=1)
         cmd_a = make_command("glUseProgram", 1)
         cmd_b = make_command("glUseProgram", 2)
-        pair.encode(cmd_a, b"v1" * 8)
-        pair.encode(cmd_b, b"xx" * 8)        # evicts cmd_a on both sides
-        pair.encode(cmd_a, b"v2" * 8)        # re-learned with new bytes
-        assert pair.sender.lookup(cmd_a.key()) == b"v2" * 8
-        assert pair.receiver.lookup(cmd_a.key()) == b"v2" * 8
+        pair.encode(cmd_a.key(), lambda: b"v1" * 8)
+        pair.encode(cmd_b.key(), lambda: b"xx" * 8)  # evicts cmd_a both sides
+        pair.encode(cmd_a.key(), lambda: b"v2" * 8)  # re-learned, new bytes
+        assert pair.sender.lookup(cmd_a.key()).wire == b"v2" * 8
+        assert pair.receiver.lookup(cmd_a.key()).wire == b"v2" * 8
 
 
 @settings(max_examples=100, deadline=None)
@@ -177,7 +189,7 @@ def test_property_lookup_returns_last_inserted_bytes(ops):
         latest[key] = wire
     for key, wire in latest.items():
         if key in cache:
-            assert cache.lookup(key) == wire
+            assert cache.lookup(key).wire == wire
 
 
 class TestStatsAndFootprint:
@@ -206,3 +218,31 @@ class TestStatsAndFootprint:
         cache.insert(("b",), b"bb")
         cache.insert(("c",), b"cccc")      # evicts a
         assert cache.byte_size() == len(b"bb") + len(b"cccc")
+
+
+class TestReferences:
+    def test_hit_sends_the_reference_stored_with_the_entry(self):
+        pair = CachePair(capacity=4)
+        key = make_command("glUseProgram", 5).key()
+        pair.encode(key, lambda: b"w" * 12)
+        wire, sent, hit = pair.encode(key, unreachable)
+        assert hit and wire == b"w" * 12
+        assert sent == REFERENCE_MARKER + key_digest(key)
+
+    @pytest.mark.parametrize("first,second", [(-0.0, 0.0), (1, 1.0)])
+    def test_equal_keys_reference_the_key_the_receiver_holds(
+        self, first, second
+    ):
+        """``-0.0 == 0.0`` and ``1 == 1.0`` share an entry; the reference
+        must name that entry as the receiver holds it, not as the hitting
+        command writes it."""
+        pair = CachePair(capacity=4)
+        held = make_command("glUniform1f", 0, first).key()
+        hitting = make_command("glUniform1f", 0, second).key()
+        assert held == hitting and repr(held) != repr(hitting)
+        pair.encode(held, lambda: b"w")
+        _, sent, hit = pair.encode(hitting, unreachable)
+        assert hit
+        (receiver_key,) = pair.receiver.keys_in_order()
+        assert repr(receiver_key) == repr(held)
+        assert sent == REFERENCE_MARKER + key_digest(receiver_key)

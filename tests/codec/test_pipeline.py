@@ -4,8 +4,11 @@ import pytest
 
 from repro.apps.base import CommandBatchBuilder, SceneState
 from repro.apps.games import GTA_SAN_ANDREAS
+from repro.codec.command_cache import REFERENCE_BYTES
 from repro.codec.pipeline import CommandPipeline, PipelineConfig
-from repro.gles.commands import make_command
+from repro.gles import enums as gl
+from repro.gles.commands import GLCommand, make_command
+from repro.gles.serialization import ClientArray, serialize_command
 from repro.sim.random import RandomStream
 
 
@@ -109,3 +112,41 @@ class TestStages:
         egress = pipeline.process_frame([])
         assert egress.raw_bytes == 0
         assert egress.wire_bytes <= 1
+
+
+class TestKeying:
+    """Every resolved command is cached under its own key.
+
+    A deferred pointer travels with the draw that flushes it, but it is
+    keyed by itself: caching it under the draw's key let the draw "hit"
+    on the pointer's bytes and never travel.
+    """
+
+    @staticmethod
+    def frame():
+        return [
+            make_command(
+                "glVertexAttribPointer", 0, 3, gl.GL_FLOAT, False, 0,
+                ClientArray(bytes(range(120))),
+            ),
+            make_command("glDrawArrays", gl.GL_TRIANGLES, 0, 10),
+        ]
+
+    def test_deferred_pointer_is_keyed_by_itself(self):
+        pipeline = CommandPipeline(PipelineConfig(compression_enabled=False))
+        first = pipeline.process_frame(self.frame())
+        assert first.commands == 2
+        assert first.cache_hits == 0
+        entries = pipeline.cache.sender.items()
+        assert [key[0] for key, _ in entries] == [
+            "glVertexAttribPointer", "glDrawArrays",
+        ]
+        for key, wire in entries:
+            assert wire == serialize_command(GLCommand(key[0], key[1]))
+        assert first.payload == b"".join(wire for _, wire in entries)
+        assert first.raw_bytes == len(first.payload)
+
+        second = pipeline.process_frame(self.frame())
+        assert second.cache_hits == 2
+        assert second.raw_bytes == first.raw_bytes
+        assert second.after_cache_bytes == 2 * REFERENCE_BYTES

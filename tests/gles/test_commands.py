@@ -85,6 +85,21 @@ def test_command_key_freezes_mutable_args():
     hash(key)  # lists converted to tuples
 
 
+def test_flat_args_key_is_the_args_tuple_itself():
+    cmd = make_command("glUniform1f", 3, 0.5)
+    assert cmd.key()[1] is cmd.args
+
+
+def test_nested_args_key_equals_the_frozen_form():
+    nested = make_command("glDeleteBuffers", 2, [1, bytearray(b"ab")])
+    assert nested.key() == ("glDeleteBuffers", (2, (1, b"ab")))
+    flat = make_command("glUniform4f", 0, 1.0, 2.0, 3.0, 4.0)
+    frozen = ("glUniform4f", (0, 1.0, 2.0, 3.0, 4.0))
+    assert flat.key() == frozen
+    assert hash(flat.key()) == hash(frozen)
+    assert repr(flat.key()) == repr(frozen)
+
+
 def test_metadata_not_part_of_identity():
     a = make_command("glClear", 0x4000, metadata={"pixels": 100})
     b = make_command("glClear", 0x4000)

@@ -3,9 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import struct
+
+from repro.codec.command_cache import REFERENCE_MARKER
+from repro.codec.pipeline import REPLAY_HIT_MARKER
 from repro.gles import enums as gl
-from repro.gles.commands import COMMANDS, make_command
+from repro.gles.commands import COMMANDS, ParamType, make_command
 from repro.gles.serialization import (
+    MAGIC,
     ClientArray,
     CommandSerializer,
     DeferredPointerBuffer,
@@ -119,6 +124,67 @@ class TestMalformedWire:
         )
         with pytest.raises(SerializationError):
             serialize_command(cmd)
+
+
+#: a serializable placeholder argument per wire kind
+_PLACEHOLDER = {
+    ParamType.INT: 0,
+    ParamType.FLOAT: 0.0,
+    ParamType.ENUM: 0,
+    ParamType.BOOL: False,
+    ParamType.STRING: "",
+    ParamType.BLOB: b"",
+    ParamType.DEFERRED_POINTER: b"",
+    ParamType.INT_ARRAY: (),
+    ParamType.FLOAT_ARRAY: (),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_every_command_opens_with_magic(name):
+    """No serialized command can be read as a cache reference (CA FE) or
+    a replay hit (CA FD): every one opens with MAGIC (42 47)."""
+    args = [_PLACEHOLDER[p.kind] for p in COMMANDS[name].params]
+    wire = serialize_command(make_command(name, *args))
+    assert wire[:2] == struct.pack("<H", MAGIC) == b"\x42\x47"
+    assert wire[:2] not in (REFERENCE_MARKER, REPLAY_HIT_MARKER)
+
+
+class TestResolve:
+    def test_plain_command_resolves_to_itself(self):
+        cmd = make_command("glUseProgram", 1)
+        assert CommandSerializer().resolve(cmd) == [cmd]
+
+    def test_pointer_held_then_released_before_its_draw(self):
+        ser = CommandSerializer()
+        pointer = make_command(
+            "glVertexAttribPointer", 0, 3, gl.GL_FLOAT, False, 0,
+            ClientArray(bytes(range(120))),
+        )
+        draw = make_command("glDrawArrays", gl.GL_TRIANGLES, 0, 10)
+        assert ser.resolve(pointer) == []
+        released = ser.resolve(draw)
+        assert [c.name for c in released] == [
+            "glVertexAttribPointer", "glDrawArrays",
+        ]
+        assert released[0].args[5] == bytes(range(120))
+        assert released[1] is draw
+        # resolve encodes nothing
+        assert ser.commands_serialized == 0
+        assert ser.deferrals == 1
+
+    def test_feed_encodes_what_resolve_returns(self):
+        stream = [
+            make_command("glVertexAttribPointer", 1, 2, gl.GL_FLOAT, False,
+                         0, 64),
+            make_command("glUseProgram", 2),
+            make_command("glDrawArrays", gl.GL_TRIANGLES, 0, 3),
+        ]
+        resolver, feeder = CommandSerializer(), CommandSerializer()
+        for cmd in stream:
+            assert feeder.feed(cmd) == [
+                serialize_command(c) for c in resolver.resolve(cmd)
+            ]
 
 
 class TestDeferredPointers:

@@ -196,3 +196,19 @@ def test_route_change_mid_stream():
     assert wifi.messages_sent == 1
     assert bt.messages_sent == 1
     assert len(delivered) == 2
+
+
+def test_ack_hook_sees_every_fresh_arrival_and_delivered_tracks_order():
+    sim = Simulator(seed=3)
+    transport, _radio, delivered = build(sim, loss=0.3)
+    acked = []
+    transport.on_ack = acked.append
+    messages = [Message.of_size(500) for _ in range(20)]
+    for msg in messages:
+        transport.send(msg)
+    assert not any(transport.delivered(m) for m in messages)
+    sim.run(until=60_000.0)
+    assert len(acked) == len(messages)
+    assert sorted(m.metadata["seq"] for m in acked) == list(range(20))
+    assert all(transport.delivered(m) for m in messages)
+    assert len(delivered) == len(messages)
