@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from repro.gles import enums as gl
@@ -306,14 +307,11 @@ class CommandBatchBuilder:
         Real vertex buffers are low-entropy: coordinates share exponent
         bytes, UVs repeat, strides align.  Each 4-byte word here carries a
         slowly varying low byte and near-constant upper bytes, giving the
-        LZ compressor the redundancy genuine geometry has.
+        LZ compressor the redundancy genuine geometry has.  The bytes
+        depend on ``seed`` only through a 6-bit base, so each buffer is
+        built once and shared.
         """
-        out = bytearray()
-        base = (seed * 2654435761 + 12345) & 0x3F
-        for i in range(vertices * 5):  # pos3 + uv2, 4 bytes each
-            low = (base + (i % 16) * 3) & 0x3F  # short-period sweep
-            out += bytes((low, (i % 5) * 16, 0x3E, 0x41))
-        return bytes(out)
+        return _vertex_bytes(vertices, (seed * 2654435761 + 12345) & 0x3F)
 
     def _rotation_matrix(self, angle_deg: float) -> Tuple[float, ...]:
         a = math.radians(angle_deg)
@@ -324,3 +322,12 @@ class CommandBatchBuilder:
             0.0, 0.0, 1.0, 0.0,
             0.0, 0.0, 0.0, 1.0,
         )
+
+
+@lru_cache(maxsize=256)
+def _vertex_bytes(vertices: int, base: int) -> bytes:
+    out = bytearray()
+    for i in range(vertices * 5):  # pos3 + uv2, 4 bytes each
+        low = (base + (i % 16) * 3) & 0x3F  # short-period sweep
+        out += bytes((low, (i % 5) * 16, 0x3E, 0x41))
+    return bytes(out)

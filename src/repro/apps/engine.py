@@ -321,26 +321,40 @@ class GameEngine:
         root_span: Optional["OpenSpan"] = None,
         trace: Optional[Any] = None,
     ) -> None:
-        def _watch() -> Generator:
-            yield completion
-            record.presented_at = self.sim.now
-            self.device.surface.attach_back(None)
-            if root_span is not None:
-                root_span.end(response_ms=record.response_time_ms)
-            if trace is not None and self.sim.causal is not None:
-                self.sim.causal.event(
-                    "client", "present", trace=trace,
-                    frame=record.frame_id,
-                    response_ms=round(record.response_time_ms, 4),
-                )
-            if self.sim.telemetry is not None:
-                self.sim.telemetry.observe(
-                    "engine.response_ms", record.response_time_ms,
-                    trace_id=trace.trace_id if trace is not None else None,
-                    genre=self.spec.genre,
-                )
+        """Present ``record`` when ``completion`` fires.
 
-        self.sim.spawn(_watch(), name=f"present.{record.frame_id}")
+        The callback joins the completion's waiters from the queue, one
+        slot after this step: when this step goes on to wait on the same
+        completion (SwapBuffer blocking, the final drain), the frame loop
+        is woken before the presentation, in that order.
+        """
+        self.sim.call_later(
+            0.0, completion.on_trigger, self._present, record, root_span, trace
+        )
+
+    def _present(
+        self,
+        record: FrameRecord,
+        root_span: Optional["OpenSpan"],
+        trace: Optional[Any],
+    ) -> None:
+        sim = self.sim
+        record.presented_at = sim.now
+        self.device.surface.attach_back(None)
+        if root_span is not None:
+            root_span.end(response_ms=record.response_time_ms)
+        if trace is not None and sim.causal is not None:
+            sim.causal.event(
+                "client", "present", trace=trace,
+                frame=record.frame_id,
+                response_ms=round(record.response_time_ms, 4),
+            )
+        if sim.telemetry is not None:
+            sim.telemetry.observe(
+                "engine.response_ms", record.response_time_ms,
+                trace_id=trace.trace_id if trace is not None else None,
+                genre=self.spec.genre,
+            )
 
     # -- session results -------------------------------------------------------------
 

@@ -10,7 +10,7 @@ conservation laws that must hold between any two process steps:
   in flight awaiting (re)transmission, or held for reordering;
 * **transport byte conservation** — bytes delivered never exceed bytes
   offered;
-* **timer hygiene** — no backing timer process outlives its event's
+* **timer hygiene** — no backing timer callback outlives its event's
   trigger or cancellation;
 * **cache lockstep** — sender and receiver command caches agree on keys,
   order, capacity and hit counts, and hits never exceed lookups;
@@ -103,7 +103,7 @@ class InvariantMonitor:
         #: (invariant, message) -> Violation, for occurrence folding
         self._seen: Dict[Tuple[str, str], Violation] = {}
         #: recent TimerEvents registered by the kernel hook; pruned as the
-        #: backing processes die, bounded so long sessions stay cheap
+        #: backing callbacks are spent, bounded so long sessions stay cheap
         self._timers: Deque[TimerEvent] = deque(maxlen=4096)
         self._proc: Optional[Process] = None
         self._finalized = False
@@ -357,7 +357,7 @@ class InvariantMonitor:
 
     def watch_timers(self) -> None:
         """Timer hygiene: hook the kernel so every ``timeout()`` registers
-        its :class:`TimerEvent` here, then assert no backing process ever
+        its :class:`TimerEvent` here, then assert no backing callback ever
         outlives its event's trigger."""
         self.sim.monitor = self
 
@@ -371,7 +371,7 @@ class InvariantMonitor:
                     sample = sample or evt.name
             if leaked:
                 return (
-                    "timer processes outlived their events' triggers",
+                    "timer callbacks outlived their events' triggers",
                     {"leaked": leaked, "sample": sample},
                 )
             return None

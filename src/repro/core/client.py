@@ -462,45 +462,52 @@ class GBoosterClient:
         watchdog waits another window instead of condemning it.  A silent
         node (crash, outage) answers nothing and holds up no loss
         recovery, so it fails over when its first window ends, as it
-        always did."""
-        timeout = self.config.frame_timeout_ms
-        uplink = self.uplinks[node.name]
-        downlink = request.metadata.get("reply_transport", node.downlink)
+        always did.
 
-        def _watchdog():
-            window_start = self.sim.now
-            while True:
-                yield timeout
-                # Arrival, not presentation: a frame can sit in the reorder
-                # buffer behind a *different* node's failure — its own node
-                # is healthy and must not be condemned for that.
-                if completion.triggered or request.metadata.get("arrived"):
-                    return
-                if request.metadata.get("node") != node.name:
-                    return  # already re-dispatched; the new assignment owns it
-                message = request.metadata.get("wire_message")
-                recovering = message is not None and (
-                    not uplink.delivered(message) or downlink.reorder_held()
-                )
-                if (
-                    not recovering
-                    or self._heard_at.get(node.name, -1.0) < window_start
-                ):
-                    break
-                window_start = self.sim.now
-            self.mark_failed(node.name, cause="frame_timeout")
-            if (
-                request.metadata.get("node") == node.name
-                and not completion.triggered
-                and not request.metadata.get("arrived")
-            ):
-                # The node was already marked failed, so mark_failed did not
-                # sweep this request up — rescue it directly.
-                self._redispatch(request)
-
-        self.sim.spawn(
-            _watchdog(), name=f"watchdog.{request.request_id}"
+        The watchdog is one callback per window, re-armed with that
+        window's start time."""
+        self.sim.call_later(
+            self.config.frame_timeout_ms, self._watchdog_expired,
+            request, node, completion, self.sim.now,
         )
+
+    def _watchdog_expired(
+        self,
+        request: RenderRequest,
+        node,
+        completion: Event,
+        window_start: float,
+    ) -> None:
+        # Arrival, not presentation: a frame can sit in the reorder buffer
+        # behind a *different* node's failure — its own node is healthy
+        # and must not be condemned for that.
+        if completion.triggered or request.metadata.get("arrived"):
+            return
+        if request.metadata.get("node") != node.name:
+            return  # already re-dispatched; the new assignment owns it
+        message = request.metadata.get("wire_message")
+        if message is not None and self._heard_at.get(
+            node.name, -1.0
+        ) >= window_start:
+            uplink = self.uplinks[node.name]
+            downlink = request.metadata.get("reply_transport", node.downlink)
+            if not uplink.delivered(message) or downlink.reorder_held():
+                # Held up by loss recovery on a node that answered during
+                # the window: wait another window.
+                self.sim.call_later(
+                    self.config.frame_timeout_ms, self._watchdog_expired,
+                    request, node, completion, self.sim.now,
+                )
+                return
+        self.mark_failed(node.name, cause="frame_timeout")
+        if (
+            request.metadata.get("node") == node.name
+            and not completion.triggered
+            and not request.metadata.get("arrived")
+        ):
+            # The node was already marked failed, so mark_failed did not
+            # sweep this request up — rescue it directly.
+            self._redispatch(request)
 
     def _redispatch(self, request: RenderRequest) -> None:
         """Move a stranded in-flight request off its failed node."""

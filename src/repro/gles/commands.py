@@ -337,13 +337,16 @@ def make_command(
     Argument count must match the spec's arity; kinds are validated at
     serialization time where the wire format needs them.
     """
-    spec = command_spec(name)
-    if len(args) != spec.arity:
+    spec = COMMANDS.get(name)
+    if spec is None or len(args) != len(spec.params):
+        spec = command_spec(name)
         raise TypeError(
             f"{name} expects {spec.arity} arguments "
             f"({', '.join(p.name for p in spec.params)}), got {len(args)}"
         )
-    return GLCommand(name=name, args=tuple(args), metadata=dict(metadata or {}))
+    if metadata is None:
+        return GLCommand(name, args)
+    return GLCommand(name, args, dict(metadata))
 
 
 def state_mutating_names() -> Tuple[str, ...]:

@@ -10,7 +10,7 @@ reliable transports recover from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.net.message import Message
 from repro.sim.kernel import Simulator
@@ -105,12 +105,10 @@ class NetworkLink:
         delay = self.spec.latency_ms
         if self.spec.jitter_ms > 0:
             delay += abs(self.rng.normal(0.0, self.spec.jitter_ms))
+        self.sim.call_later(delay, self._arrive, message)
 
-        def _arrive() -> Generator:
-            yield delay
-            self.delivered += 1
-            self.delivery_log.append((self.sim.now, message.size_bytes))
-            if self.receiver is not None:
-                self.receiver(message)
-
-        self.sim.spawn(_arrive(), name=f"link.{self.spec.name}.arrive")
+    def _arrive(self, message: Message) -> None:
+        self.delivered += 1
+        self.delivery_log.append((self.sim.now, message.size_bytes))
+        if self.receiver is not None:
+            self.receiver(message)

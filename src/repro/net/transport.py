@@ -14,7 +14,7 @@ same reliability, plus the protocol's inherent ACK-delay latency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.net.interface import WirelessInterface
 from repro.net.link import NetworkLink
@@ -24,7 +24,7 @@ from repro.net.message import (
     TCP_IP_HEADER_BYTES,
     UDP_IP_HEADER_BYTES,
 )
-from repro.sim.kernel import Event, Process, Simulator
+from repro.sim.kernel import Event, Simulator, TimerHandle
 
 
 @dataclass
@@ -81,11 +81,11 @@ class Transport:
         #: ever-growing acked-history dict this stays bounded by the loss
         #: window — delivered sequence numbers are pruned on arrival.
         self._unacked: set = set()
-        #: live retransmission-timer process per unacked sequence number,
-        #: killed the moment the ACK arrives so no RTO process outlives
-        #: delivery (they used to keep ``Simulator.run()`` alive for the
-        #: whole exponential-backoff window).
-        self._rto_timers: Dict[int, Process] = {}
+        #: pending retransmission-timer callback per unacked sequence
+        #: number, cancelled the moment the ACK arrives so no RTO timer
+        #: outlives delivery (they used to keep ``Simulator.run()`` alive
+        #: for the whole exponential-backoff window).
+        self._rto_timers: Dict[int, TimerHandle] = {}
 
     # -- wiring -----------------------------------------------------------------
 
@@ -143,13 +143,13 @@ class Transport:
             link = next(iter(self._link_for_radio.values()))
         radio.send(message, link=link)
         seq = message.metadata["seq"]
-        self._rto_timers[seq] = self.sim.spawn(
-            self._retransmit_timer(message, attempt),
-            name=f"{self.name}.rto.{seq}.{attempt}",
+        self._rto_timers[seq] = self.sim.call_later(
+            self.rto_ms * (2 ** min(attempt, 6)),
+            self._on_rto, message, attempt,
         )
 
-    def _retransmit_timer(self, message: Message, attempt: int) -> Generator:
-        yield self.rto_ms * (2 ** min(attempt, 6))
+    def _on_rto(self, message: Message, attempt: int) -> None:
+        """The retransmission timeout for ``message``'s ``attempt`` expired."""
         seq = message.metadata["seq"]
         if seq not in self._unacked:
             self._rto_timers.pop(seq, None)
@@ -214,24 +214,18 @@ class Transport:
         if seq is None or seq < self._expected_seq or seq in self._reorder:
             return  # duplicate from a spurious retransmission
         self._unacked.discard(seq)
-        # The ACK tears the retransmission timer down immediately — no RTO
-        # process survives past delivery to inflate queue lifetime.
+        # The ACK cancels the retransmission timer immediately — no RTO
+        # callback survives past delivery to inflate queue lifetime.
         timer = self._rto_timers.pop(seq, None)
         if timer is not None:
-            timer.kill()
+            timer.cancel()
         if self.on_ack is not None:
             self.on_ack(message)
         self._reorder[seq] = message
         if self.protocol_delay_ms > 0:
-            self.sim.spawn(
-                self._delayed_flush(), name=f"{self.name}.ackdelay"
-            )
+            self.sim.call_later(self.protocol_delay_ms, self._flush_in_order)
         else:
             self._flush_in_order()
-
-    def _delayed_flush(self) -> Generator:
-        yield self.protocol_delay_ms
-        self._flush_in_order()
 
     def _flush_in_order(self) -> None:
         while self._expected_seq in self._reorder:

@@ -13,6 +13,7 @@ from repro.sim.kernel import (
     SimulationError,
     Simulator,
     TimerEvent,
+    TimerHandle,
 )
 from repro.sim.random import RandomStream
 from repro.sim.resources import Gauge, Resource, Store
@@ -29,6 +30,7 @@ __all__ = [
     "Simulator",
     "Store",
     "TimerEvent",
+    "TimerHandle",
     "TraceRecord",
     "Tracer",
 ]

@@ -6,15 +6,22 @@ style of SimPy, kept intentionally small and fully deterministic:
 * :class:`Simulator` owns the event queue and the clock (milliseconds).
 * :class:`Process` wraps a generator; the generator yields *waitables*
   (events, delays, or other processes) and is resumed when they fire.
+* :class:`TimerHandle` is a plain callback scheduled with
+  :meth:`Simulator.call_later` / :meth:`Simulator.call_at` or parked on an
+  event with :meth:`Event.on_trigger`: one-shot "sleep, then do X" work
+  without a generator, a process or a completion event.
 * Ties in the event queue are broken by insertion order, never by object
-  identity, so two runs with the same seed replay identically.
+  identity, so two runs with the same seed replay identically.  Callbacks
+  and process resumptions share one queue and one ``(time, seq)`` order.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import (
+    Any, Callable, Generator, Iterable, List, Optional, Tuple, Union,
+)
 
 from repro.sim.random import RandomStream
 from repro.sim.trace import Tracer
@@ -36,11 +43,56 @@ class Interrupt(Exception):
         self.cause = cause
 
 
+def _fault(value: float) -> str:
+    """What is wrong with a rejected delay."""
+    return "NaN" if value != value else "negative"
+
+
+class TimerHandle:
+    """A callback queued on the simulator; ``cancel()`` abandons it.
+
+    It sits on the same heap as process resumptions and takes its place in
+    the ``(time, seq)`` order when it is scheduled.  A cancelled callback
+    is discarded by the run loop without advancing the clock.  ``alive`` is
+    true until the callback runs or is cancelled.
+    """
+
+    __slots__ = ("fn", "args", "alive")
+
+    #: queue entries carry a resume generation; a callback has only one
+    _gen = 0
+
+    def __init__(self, fn: Callable[..., Any], args: Tuple[Any, ...]):
+        self.fn = fn
+        self.args = args
+        self.alive = True
+
+    def cancel(self) -> None:
+        """Never run the callback; drops its references at once."""
+        self.alive = False
+        self.fn = None
+        self.args = ()
+
+    def _fire(self, _value: Any = None) -> None:
+        # Drop the references before the call, so a spent handle pins
+        # nothing (a timeout's handle would otherwise keep a cycle).
+        fn, args = self.fn, self.args
+        self.alive = False
+        self.fn = None
+        self.args = ()
+        fn(*args)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "pending" if self.alive else "done"
+        return f"<TimerHandle {self.fn!r} {state}>"
+
+
 class Event:
     """A one-shot occurrence that processes can wait on.
 
     An event is *triggered* at most once with an optional value.  Processes
-    waiting on it are resumed at the trigger time, in the order they started
+    waiting on it are resumed at the trigger time, and callbacks parked on
+    it with :meth:`on_trigger` run then, all in the order they started
     waiting.
     """
 
@@ -49,7 +101,7 @@ class Event:
         self.name = name
         self.triggered = False
         self.value: Any = None
-        self._waiters: List["Process"] = []
+        self._waiters: List[Union["Process", TimerHandle]] = []
 
     def trigger(self, value: Any = None) -> "Event":
         """Fire the event, waking all waiters at the current time."""
@@ -72,16 +124,28 @@ class Event:
         if proc in self._waiters:
             self._waiters.remove(proc)
 
+    def on_trigger(self, fn: Callable[..., Any], *args: Any) -> TimerHandle:
+        """Run ``fn(*args)`` once this event triggers.
+
+        The callback is woken exactly as a waiting process would be: queued
+        at the trigger time, after the waiters that joined before it (at
+        once, if the event has already fired).  It reads the value from
+        ``event.value``.  ``cancel()`` on the returned handle drops it.
+        """
+        handle = TimerHandle(fn, args)
+        self.add_waiter(handle)
+        return handle
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self.triggered else "pending"
         return f"<Event {self.name!r} {state}>"
 
 
 class TimerEvent(Event):
-    """The event :meth:`Simulator.timeout` returns, backed by a timer process.
+    """The event :meth:`Simulator.timeout` returns, backed by a callback.
 
-    Triggering it early (externally, before the delay expires) kills the
-    backing ``_timer`` process, so a satisfied timeout never keeps
+    Triggering it early (externally, before the delay expires) cancels the
+    backing ``_timer`` callback, so a satisfied timeout never keeps
     :meth:`Simulator.run` alive for the rest of its delay — the same leak
     class the transport's RTO timers had before they became cancellable.
     ``cancel`` abandons a pending timer outright without triggering it,
@@ -90,27 +154,31 @@ class TimerEvent(Event):
 
     def __init__(self, sim: "Simulator", name: str = ""):
         super().__init__(sim, name=name)
-        #: the process sleeping out the delay; killed on early trigger
-        self._timer: Optional["Process"] = None
-        self._firing = False
+        #: the callback waiting out the delay; cancelled on early trigger
+        self._timer: Optional[TimerHandle] = None
 
     @property
-    def timer(self) -> Optional["Process"]:
-        """Handle on the backing timer process (for tests and reapers)."""
+    def timer(self) -> Optional[TimerHandle]:
+        """Handle on the backing timer callback (for tests and reapers)."""
         return self._timer
 
     def trigger(self, value: Any = None) -> "Event":
         super().trigger(value)
-        if not self._firing and self._timer is not None:
-            # Externally triggered: the timer is still sleeping out the
-            # delay — reap it so the queue can drain now.
-            self._timer.kill()
+        if self._timer is not None:
+            # Externally triggered: the timer is still waiting out the
+            # delay — cancel it so the queue can drain now.  (When the
+            # timer itself fires, its handle is already spent.)
+            self._timer.cancel()
         return self
 
     def cancel(self) -> None:
         """Abandon the pending timer without ever triggering the event."""
         if not self.triggered and self._timer is not None:
-            self._timer.kill()
+            self._timer.cancel()
+
+    def _expire(self, value: Any) -> None:
+        if not self.triggered:
+            self.trigger(value)
 
 
 class CompositeEvent(Event):
@@ -157,14 +225,16 @@ class Process:
     * ``None`` — yield control and resume immediately (same timestamp).
 
     When the generator returns, the process's completion event fires with the
-    returned value.
+    returned value.  That event is created on first access of :attr:`done`
+    (already triggered, if the process has finished by then).
     """
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         self.sim = sim
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self.done = Event(sim, name=f"{self.name}.done")
+        self._done: Optional[Event] = None
+        self._result: Any = None
         self.alive = True
         self._waiting_on: Optional[Event] = None
         self._pending_interrupt: Optional[Interrupt] = None
@@ -177,10 +247,26 @@ class Process:
         self._gen = 0
 
     @property
+    def done(self) -> Event:
+        """The completion event; fires with the generator's return value."""
+        done = self._done
+        if done is None:
+            done = self._done = Event(self.sim, name=f"{self.name}.done")
+            if not self.alive:
+                done.trigger(self._result)
+        return done
+
+    @property
     def result(self) -> Any:
-        if not self.done.triggered:
+        if self.alive:
             raise SimulationError(f"process {self.name!r} has not finished")
-        return self.done.value
+        return self._result
+
+    def _finish(self, value: Any) -> None:
+        self.alive = False
+        self._result = value
+        if self._done is not None:
+            self._done.trigger(value)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
@@ -214,11 +300,14 @@ class Process:
         self._gen += 1
         self._pending_interrupt = None
         self.gen.close()
-        if not self.done.triggered:
-            self.done.trigger(None)
+        self._finish(None)
 
     def _step(self, value: Any) -> None:
-        """Advance the generator by one yield."""
+        """Advance the generator by one yield.
+
+        The two common yields — a float sleep and a plain :class:`Event` —
+        are queued inline; everything else goes through :meth:`_wait_on`.
+        """
         self._waiting_on = None
         try:
             if self._pending_interrupt is not None:
@@ -228,25 +317,45 @@ class Process:
             else:
                 target = self.gen.send(value)
         except StopIteration as stop:
-            self.alive = False
-            self.done.trigger(stop.value)
+            self._finish(stop.value)
             return
         except Interrupt:
             # Interrupt escaped the generator: treat as a clean cancel.
-            self.alive = False
-            self.done.trigger(None)
+            self._finish(None)
             return
-        self._wait_on(target)
+        cls = target.__class__
+        if cls is float:
+            if not target >= 0.0:
+                self._bad_delay(target)
+            sim = self.sim
+            heappush(
+                sim._queue,
+                (sim.now + target, next(sim._counter), self, self._gen, None),
+            )
+        elif cls is Event:
+            self._waiting_on = target
+            if target.triggered:
+                sim = self.sim
+                heappush(sim._queue, (
+                    sim.now, next(sim._counter), self, self._gen, target.value
+                ))
+            else:
+                target._waiters.append(self)
+        else:
+            self._wait_on(target)
+
+    def _bad_delay(self, target: float) -> None:
+        raise SimulationError(
+            f"process {self.name!r} yielded {_fault(target)} delay {target}"
+        )
 
     def _wait_on(self, target: Any) -> None:
         sim = self.sim
         if target is None:
             sim._schedule_resume(self, None)
         elif isinstance(target, (int, float)):
-            if target < 0:
-                raise SimulationError(
-                    f"process {self.name!r} yielded negative delay {target}"
-                )
+            if not target >= 0:
+                self._bad_delay(target)
             sim._schedule_resume(self, None, delay=float(target))
         elif isinstance(target, Event):
             self._waiting_on = target
@@ -306,7 +415,10 @@ class Simulator:
         #: optional repro.obs.flight.FlightRecorder; alert/violation/
         #: replan triggers freeze postmortem bundles here when armed
         self.flight: Optional[Any] = None
-        self._queue: List[Tuple[float, int, Process, int, Any]] = []
+        #: ``(time, seq, process or callback, resume generation, value)``
+        self._queue: List[
+            Tuple[float, int, Union[Process, TimerHandle], int, Any]
+        ] = []
         self._counter = itertools.count()
         self._message_seq = itertools.count(1)
         self._streams: dict = {}
@@ -363,10 +475,7 @@ class Simulator:
         round trip — so processes anchored to a shared epoch wake at
         bit-identical times regardless of the current clock value.
         """
-        if when < self.now:
-            raise SimulationError(
-                f"spawn_at({when}) is in the past (now={self.now})"
-            )
+        self._check_when("spawn_at", when)
         proc = Process(self, gen, name=name)
         self._processes.append(proc)
         if len(self._processes) > 8192:
@@ -384,21 +493,14 @@ class Simulator:
         """An event that fires ``delay`` ms from now.
 
         The returned :class:`TimerEvent` is cancellable: triggering it
-        early (externally) or calling ``cancel()`` kills the backing timer
-        process immediately, so :meth:`run` is never held open by a timeout
-        that already served its purpose.
+        early (externally) or calling ``cancel()`` cancels the backing timer
+        callback immediately, so :meth:`run` is never held open by a
+        timeout that already served its purpose.
         """
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"{_fault(delay)} timeout {delay}")
         evt = TimerEvent(self, name=name or f"timeout@{self.now + delay:.3f}")
-
-        def _fire() -> Generator:
-            yield delay
-            if not evt.triggered:
-                evt._firing = True
-                evt.trigger(value)
-
-        evt._timer = self.spawn(_fire(), name=f"_timer.{evt.name}")
+        evt._timer = self.call_later(delay, evt._expire, value)
         if self.monitor is not None:
             self.monitor.note_timer(evt)
         return evt
@@ -473,10 +575,10 @@ class Simulator:
 
         Abandons still-pending composite events (their watchers would
         otherwise wait forever on sources that never fire), closes the
-        generators of all remaining live processes, and clears the event
-        queue.  After teardown the simulator holds no live coroutines, so
-        a shard worker can discard thousands of finished kernels without
-        leaking suspended generator frames.
+        generators of all remaining live processes, cancels every queued
+        callback and clears the event queue.  After teardown the simulator
+        holds no live coroutines, so a shard worker can discard thousands
+        of finished kernels without leaking suspended generator frames.
         """
         for composite in self._composites:
             if not composite.triggered:
@@ -486,20 +588,53 @@ class Simulator:
             if proc.alive:
                 proc.kill()
         self._processes = []
+        for entry in self._queue:
+            if entry[2].__class__ is TimerHandle:
+                entry[2].cancel()
         self._queue.clear()
 
-    def call_at(self, when: float, fn: Callable[[], None], name: str = "") -> None:
-        """Run a plain callable at absolute time ``when``."""
-        if when < self.now:
-            raise SimulationError(f"call_at({when}) is in the past (now={self.now})")
+    def call_later(
+        self, delay: float, fn: Callable[..., Any], *args: Any
+    ) -> TimerHandle:
+        """Run ``fn(*args)`` ``delay`` ms from now; returns a cancellable
+        handle.
 
-        def _caller() -> Generator:
-            yield when - self.now
-            fn()
+        This is the primitive for one-shot "sleep, then do X" work: no
+        generator, process or completion event is created.  The callback
+        takes its place in the queue's ``(time, seq)`` order now, at
+        scheduling time.
+        """
+        if not delay >= 0:
+            raise SimulationError(
+                f"call_later with {_fault(delay)} delay {delay}"
+            )
+        handle = TimerHandle(fn, args)
+        heappush(
+            self._queue,
+            (self.now + float(delay), next(self._counter), handle, 0, None),
+        )
+        return handle
 
-        self.spawn(_caller(), name=name or f"_call_at@{when:.3f}")
+    def call_at(
+        self, when: float, fn: Callable[[], None], name: str = ""
+    ) -> TimerHandle:
+        """Run a plain callable at absolute time ``when``.
+
+        ``name`` is accepted for call sites that label their callbacks;
+        the kernel does not keep it.
+        """
+        self._check_when("call_at", when)
+        return self.call_later(when - self.now, fn)
 
     # -- scheduling internals ------------------------------------------------
+
+    def _check_when(self, entry: str, when: float) -> None:
+        if when != when:
+            raise SimulationError(f"{entry}({when}): time is NaN")
+        if when < self.now:
+            raise SimulationError(
+                f"{entry}({when}) is in the past (now={self.now})"
+            )
 
     def _schedule_resume(
         self,
@@ -509,10 +644,14 @@ class Simulator:
         at: Optional[float] = None,
     ) -> None:
         when = self.now + delay if at is None else at
-        heapq.heappush(
-            self._queue,
-            (when, next(self._counter), proc, proc._gen, value),
+        heappush(
+            self._queue, (when, next(self._counter), proc, proc._gen, value)
         )
+
+    @staticmethod
+    def _check_limit(entry: str, limit: Optional[float]) -> None:
+        if limit is not None and limit != limit:
+            raise SimulationError(f"{entry}: time limit is NaN")
 
     # -- running --------------------------------------------------------------
 
@@ -521,22 +660,28 @@ class Simulator:
 
         Returns the final simulation time.
         """
-        while self._queue:
-            when, _order, proc, gen, value = self._queue[0]
+        self._check_limit("run", until)
+        queue = self._queue
+        while queue:
+            when, _order, proc, gen, value = queue[0]
             if not proc.alive or gen != proc._gen:
-                # Stale resumption of a killed process (e.g. a cancelled
-                # retransmission timer) or of an interrupted delay sleep:
-                # discard without touching the clock.
-                heapq.heappop(self._queue)
+                # Stale resumption of a killed process or a cancelled
+                # callback (e.g. an ACKed retransmission timer), or of an
+                # interrupted delay sleep: discard without touching the
+                # clock.
+                heappop(queue)
                 continue
             if until is not None and when > until:
                 self.now = max(self.now, until)
                 return self.now
-            heapq.heappop(self._queue)
+            heappop(queue)
             if when < self.now - 1e-9:
                 raise SimulationError("event queue went backwards in time")
             self.now = when
-            proc._step(value)
+            if proc.__class__ is TimerHandle:
+                proc._fire(value)
+            else:
+                proc._step(value)
         if until is not None:
             self.now = max(self.now, until)
         return self.now
@@ -548,18 +693,23 @@ class Simulator:
         diluted by background processes (thermal loops, samplers) that
         would otherwise keep the queue alive forever.
         """
-        while self._queue and not event.triggered:
-            when, _order, proc, gen, value = heapq.heappop(self._queue)
+        self._check_limit("run_until_event", limit)
+        queue = self._queue
+        while queue and not event.triggered:
+            when, _order, proc, gen, value = heappop(queue)
             if not proc.alive or gen != proc._gen:
                 continue
             if when > limit:
-                heapq.heappush(self._queue, (when, _order, proc, gen, value))
+                heappush(queue, (when, _order, proc, gen, value))
                 self.now = max(self.now, limit)
                 break
             if when < self.now - 1e-9:
                 raise SimulationError("event queue went backwards in time")
             self.now = when
-            proc._step(value)
+            if proc.__class__ is TimerHandle:
+                proc._fire(value)
+            else:
+                proc._step(value)
         return event.value if event.triggered else None
 
     def run_until_process(self, proc: Process, limit: float = 1e12) -> Any:

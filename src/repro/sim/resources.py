@@ -7,6 +7,7 @@ consumer processes, with optional capacity limits.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Any, Deque, Generator, List, Optional, Tuple
 
@@ -19,7 +20,8 @@ class Store:
     ``put`` is immediate unless the store is full (then the producer's
     yielded event fires once space frees); ``get`` yields an event that fires
     when an item is available.  Ordering is strictly FIFO for both items and
-    waiters.
+    waiters.  An accepted ``put`` returns one shared, already-triggered
+    event; only a blocked putter gets an event of its own.
     """
 
     def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = ""):
@@ -31,6 +33,9 @@ class Store:
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
         self._putters: Deque[Tuple[Event, Any]] = deque()
+        self._put_name = f"{self.name}.put"
+        self._get_name = f"{self.name}.get"
+        self._accepted = Event(sim, name=self._put_name).trigger(None)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -41,17 +46,15 @@ class Store:
 
     def put(self, item: Any) -> Event:
         """Returns an event that fires once the item has been accepted."""
-        evt = self.sim.event(name=f"{self.name}.put")
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.trigger(item)
-            evt.trigger(None)
-        elif not self.full:
+            self._getters.popleft().trigger(item)
+            return self._accepted
+        if not self.full:
             self.items.append(item)
-            evt.trigger(None)
-        else:
-            self._putters.append((evt, item))
+            return self._accepted
+        evt = Event(self.sim, name=self._put_name)
+        self._putters.append((evt, item))
         return evt
 
     def try_put(self, item: Any) -> bool:
@@ -66,7 +69,7 @@ class Store:
 
     def get(self) -> Event:
         """Returns an event whose value is the next item."""
-        evt = self.sim.event(name=f"{self.name}.get")
+        evt = Event(self.sim, name=self._get_name)
         if self.items:
             item = self.items.popleft()
             evt.trigger(item)
@@ -120,6 +123,7 @@ class PriorityStore:
         self._heap: List[Tuple[float, int, Any]] = []
         self._counter = 0
         self._getters: Deque[Event] = deque()
+        self._get_name = f"{self.name}.get"
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -128,16 +132,12 @@ class PriorityStore:
         if self._getters:
             self._getters.popleft().trigger(item)
             return
-        import heapq
-
         heapq.heappush(self._heap, (priority, self._counter, item))
         self._counter += 1
 
     def get(self) -> Event:
-        evt = self.sim.event(name=f"{self.name}.get")
+        evt = Event(self.sim, name=self._get_name)
         if self._heap:
-            import heapq
-
             _prio, _seq, item = heapq.heappop(self._heap)
             evt.trigger(item)
         else:
@@ -165,9 +165,10 @@ class Resource:
         self.name = name or "resource"
         self.in_use = 0
         self._waiters: Deque[Event] = deque()
+        self._acquire_name = f"{self.name}.acquire"
 
     def acquire(self) -> Event:
-        evt = self.sim.event(name=f"{self.name}.acquire")
+        evt = Event(self.sim, name=self._acquire_name)
         if self.in_use < self.capacity:
             self.in_use += 1
             evt.trigger(None)

@@ -142,6 +142,29 @@ class TestCommandBatchBuilder:
         payload = builder._vertex_payload(256, seed=5)
         assert compression_ratio(payload) < 0.35
 
+    @pytest.mark.parametrize("vertices", [48, 1024])
+    def test_vertex_payload_memo_matches_the_loop(self, vertices):
+        """The memo is keyed on (vertices, base); every one of the 64 bases
+        must give exactly the bytes the per-call loop built."""
+
+        def reference(seed):
+            out = bytearray()
+            base = (seed * 2654435761 + 12345) & 0x3F
+            for i in range(vertices * 5):
+                low = (base + (i % 16) * 3) & 0x3F
+                out += bytes((low, (i % 5) * 16, 0x3E, 0x41))
+            return bytes(out)
+
+        builder = self.make()
+        bases = set()
+        # The multiplier is odd, so seeds 0..63 hit every 6-bit base; the
+        # second lap re-reads each base from the memo.
+        for seed in range(128):
+            bases.add((seed * 2654435761 + 12345) & 0x3F)
+            payload = builder._vertex_payload(vertices, seed=seed)
+            assert payload == reference(seed)
+        assert len(bases) == 64
+
     def test_texture_payload_is_compressible(self):
         from repro.codec.lz77 import compression_ratio
 

@@ -14,6 +14,7 @@ from repro.core.session import run_offload_session
 from repro.devices.profiles import DELL_OPTIPLEX_9010, LG_NEXUS_5, NVIDIA_SHIELD
 from repro.faults import FaultSchedule
 from repro.metrics.fps import fps_timeline
+from repro.sim.kernel import TimerHandle
 
 pytestmark = pytest.mark.slow
 
@@ -138,7 +139,9 @@ def test_acceptance_scenario_crash_plus_lossy_link(failure_config):
     # drained and no retransmission timer survived the session.
     sim = result.engine.sim
     assert not any(
-        p.alive and ".rto." in p.name for p in sim._processes
+        isinstance(entry[2], TimerHandle) and entry[2].alive
+        and getattr(entry[2].fn, "__name__", "") == "_on_rto"
+        for entry in sim._queue
     )
 
 

@@ -6,7 +6,7 @@ from repro.net.interface import WIFI_80211N, WirelessInterface
 from repro.net.link import LinkSpec, NetworkLink
 from repro.net.message import Message
 from repro.net.transport import ReliableUdpTransport, TcpTransport
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, TimerHandle
 
 
 def build(sim, loss=0.0, transport_cls=ReliableUdpTransport, rto_ms=30.0):
@@ -102,20 +102,28 @@ def test_bytes_accounting_includes_arq_header():
     assert transport.stats.bytes_offered > 1000
 
 
+def live_rto_timers(sim):
+    return [
+        entry for entry in sim._queue
+        if isinstance(entry[2], TimerHandle) and entry[2].alive
+        and getattr(entry[2].fn, "__name__", "") == "_on_rto"
+    ]
+
+
 def test_rto_timer_cancelled_on_ack():
-    """ACKed messages tear their RTO processes down: the queue drains at
+    """ACKed messages cancel their RTO callbacks: the queue drains at
     delivery time, not after the exponential-backoff window."""
     sim = Simulator()
     transport, _radio, delivered = build(sim, rto_ms=30.0)
     transport.send(Message.of_size(1000, kind="x"))
+    timers = list(transport._rto_timers.values())
+    assert len(timers) == 1 and timers[0].alive
     sim.run()  # no `until`: terminates only when the queue truly drains
     assert len(delivered) == 1
     # Delivery takes ~1 ms link latency + tx time; far below the 30 ms RTO.
     assert sim.now < 30.0
     assert transport._rto_timers == {}
-    assert not any(
-        p.alive and ".rto." in p.name for p in sim._processes
-    )
+    assert not timers[0].alive
 
 
 def test_queue_drains_after_last_delivery_under_loss():
@@ -128,9 +136,7 @@ def test_queue_drains_after_last_delivery_under_loss():
     assert len(delivered) == 30
     assert transport.in_flight() == 0
     assert transport._rto_timers == {}
-    assert not any(
-        p.alive and ".rto." in p.name for p in sim._processes
-    )
+    assert live_rto_timers(sim) == []
 
 
 def test_resend_does_not_compound_header_overhead():

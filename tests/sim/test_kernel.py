@@ -474,19 +474,17 @@ class TestCancellableTimeouts:
 
     def test_no_residual_timer_processes_after_run(self):
         sim = Simulator()
+        timers = []
 
         def proc():
             evt = sim.timeout(30_000.0)
+            timers.append(evt.timer)
             sim.call_at(2.0, lambda: evt.trigger())
             yield evt
 
         sim.spawn(proc())
-        sim.run()
-        leftovers = [
-            p for p in sim._processes
-            if p.alive and p.name.startswith("_timer")
-        ]
-        assert leftovers == []
+        assert sim.run() == 2.0
+        assert [t.alive for t in timers] == [False]
 
 
 class TestSpuriousWakeups:
