@@ -25,19 +25,40 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.gles.commands import GLCommand
 
-def command_digest(commands: Iterable) -> str:
-    """Stable content digest of one frame's command sequence.
+#: argument types whose ``repr`` is a function of equality *and* type, so
+#: ``(name, args, arg types)`` pins a command's digest fragment exactly.
+#: ``float`` is left out (``0.0 == -0.0``), as are nested and mutable
+#: values; ``bool`` is safe only because the key carries the types
+#: (``1 == True`` but ``repr`` tells them apart).
+_MEMO_ARG_TYPES = frozenset((int, bool, str, bytes, type(None)))
+
+#: entries at which a :class:`DigestLog` memo starts over, so a stream of
+#: ever-new commands cannot grow it without bound
+MEMO_LIMIT = 4096
+
+
+def command_fragment(cmd) -> bytes:
+    """The bytes one command contributes to a digest.
 
     Keys commands by ``cmd.key()`` (name + frozen args — floats included
     verbatim, so any numeric drift between runs shows up), falling back to
     ``repr`` for foreign objects in tests.
     """
+    key = cmd.key() if hasattr(cmd, "key") else cmd
+    return repr(key).encode("utf-8") + b"\x00"
+
+
+def command_digest(commands: Iterable) -> str:
+    """Stable content digest of one frame's command sequence.
+
+    The unmemoized reference: blake2b over each command's
+    :func:`command_fragment`, in order.
+    """
     h = hashlib.blake2b(digest_size=16)
     for cmd in commands:
-        key = cmd.key() if hasattr(cmd, "key") else cmd
-        h.update(repr(key).encode("utf-8"))
-        h.update(b"\x00")
+        h.update(command_fragment(cmd))
     return h.hexdigest()
 
 
@@ -58,9 +79,7 @@ class IntervalDigest:
 
     def update(self, cmd) -> "IntervalDigest":
         """Feed one command (or a raw key, for foreign test objects)."""
-        key = cmd.key() if hasattr(cmd, "key") else cmd
-        self._h.update(repr(key).encode("utf-8"))
-        self._h.update(b"\x00")
+        self._h.update(command_fragment(cmd))
         self.count += 1
         return self
 
@@ -80,25 +99,56 @@ class IntervalDigest:
 
 
 class DigestLog:
-    """Issue-side and execution-side digests for one session."""
+    """Issue-side and execution-side digests for one session.
+
+    Both sides digest the same few dozen distinct commands frame after
+    frame, so the log memoizes each command's :func:`command_fragment`.
+    The memo key is ``(name, args, arg types)``; only a :class:`GLCommand`
+    with a ``str`` name and flat arguments all of :data:`_MEMO_ARG_TYPES`
+    uses it, and any other command is fragmented directly.  Digests equal
+    :func:`command_digest`.
+    """
 
     def __init__(self) -> None:
         #: frame_id -> digest recorded by the engine at issue time
         self.issued: Dict[int, str] = {}
         #: frame_id -> [(site, digest)] recorded at each execution
         self.executed: Dict[int, List[Tuple[str, str]]] = {}
+        self._memo: Dict[Tuple, bytes] = {}
+
+    def digest(self, commands: Iterable) -> str:
+        """:func:`command_digest` of ``commands``, through the memo."""
+        memo = self._memo
+        safe = _MEMO_ARG_TYPES.issuperset
+        parts = []
+        for cmd in commands:
+            if type(cmd) is GLCommand:
+                name, args = cmd.name, cmd.args
+                if type(name) is str and type(args) is tuple:
+                    types = tuple(map(type, args))
+                    if safe(types):
+                        key = (name, args, types)
+                        fragment = memo.get(key)
+                        if fragment is None:
+                            if len(memo) >= MEMO_LIMIT:
+                                memo.clear()
+                            fragment = memo[key] = command_fragment(cmd)
+                        parts.append(fragment)
+                        continue
+            parts.append(command_fragment(cmd))
+        return hashlib.blake2b(b"".join(parts), digest_size=16).hexdigest()
 
     # -- recording -----------------------------------------------------------
 
     def record_issue(self, frame_id: int, commands: Iterable) -> str:
-        digest = command_digest(commands)
+        digest = self.digest(commands)
         self.issued[frame_id] = digest
         return digest
 
     def record_execution(
         self, frame_id: int, commands: Iterable, site: str = ""
     ) -> str:
-        digest = command_digest(commands)
+        digest = self.digest(commands)
         self.executed.setdefault(frame_id, []).append((site, digest))
         return digest
 

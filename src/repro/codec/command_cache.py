@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Any, Callable, NamedTuple, Optional, Tuple
 
 #: Marker that opens a cache reference on the wire.  Every serialized
 #: command opens with the serializer's ``MAGIC`` ("GB") instead, so a
@@ -98,7 +98,11 @@ class LRUCommandCache:
             self._entries.move_to_end(key)
             self.stats.refreshes += 1
             return
-        self._entries[key] = CacheEntry(wire, reference)
+        self._add(key, CacheEntry(wire, reference))
+
+    def _add(self, key: Tuple, entry: CacheEntry) -> None:
+        """Insert a key known to be absent, evicting the oldest if full."""
+        self._entries[key] = entry
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
@@ -131,28 +135,38 @@ class CachePair:
         self.receiver = LRUCommandCache(capacity)
 
     def encode(
-        self, key: Tuple, encoder: Callable[[], bytes]
+        self, key: Tuple, encoder: Callable[..., bytes], *args: Any
     ) -> Tuple[bytes, bytes, bool]:
         """Returns ``(wire, sent, hit)`` for the command keyed ``key``.
 
         ``wire`` is the command's full serialization — the cached bytes on
-        a hit, ``encoder()`` on a miss, the only case that calls it.
+        a hit, ``encoder(*args)`` on a miss, the only case that calls it.
         ``sent`` is what travels: the entry's reference on a hit, ``wire``
-        on a miss.
+        on a miss.  Each side's entries are probed once: the same stats
+        and recency updates as ``lookup`` then ``insert``.
         """
-        entry = self.sender.lookup(key)
+        sender = self.sender
+        entry = sender._entries.get(key)
         if entry is not None:
+            sender._entries.move_to_end(key)
+            sender.stats.hits += 1
             # Receiver must refresh recency identically.
-            if self.receiver.lookup(key) is None:
+            receiver = self.receiver
+            try:
+                receiver._entries.move_to_end(key)
+            except KeyError:
+                receiver.stats.misses += 1
                 raise RuntimeError(
                     "cache desync: sender hit but receiver miss for "
                     f"{key[0]}"
-                )
+                ) from None
+            receiver.stats.hits += 1
             return entry.wire, entry.reference, True
-        wire = encoder()
-        reference = REFERENCE_MARKER + key_digest(key)
-        self.sender.insert(key, wire, reference)
-        self.receiver.insert(key, wire, reference)
+        sender.stats.misses += 1
+        wire = encoder(*args)
+        entry = CacheEntry(wire, REFERENCE_MARKER + key_digest(key))
+        sender._add(key, entry)
+        self.receiver.insert(key, wire, entry.reference)
         return wire, wire, False
 
     def verify_consistent(self) -> bool:

@@ -12,7 +12,6 @@ mechanism, and the ablation benches can disable stages independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, List, Optional
 
 from repro.codec.command_cache import CachePair
@@ -148,9 +147,7 @@ class CommandPipeline:
         if self.config.cache_enabled:
             encode = self.cache.encode
             for cmd in resolved:
-                wire, sent, hit = encode(
-                    cmd.key(), partial(serialize_command, cmd)
-                )
+                wire, sent, hit = encode(cmd.key(), serialize_command, cmd)
                 raw_bytes += len(wire)
                 cache_hits += hit
                 batch += sent

@@ -101,7 +101,14 @@ _NESTED = (list, tuple, bytearray)
 
 def _freeze(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
+        for v in value:
+            if isinstance(v, _NESTED):
+                return tuple(
+                    _freeze(v) if isinstance(v, _NESTED) else v for v in value
+                )
+        # Flat: a plain tuple is already frozen; anything else (a list, a
+        # named tuple) becomes the plain tuple of its items.
+        return value if type(value) is tuple else tuple(value)
     if isinstance(value, bytearray):
         return bytes(value)
     return value

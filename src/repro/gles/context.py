@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.gles import enums as gl
-from repro.gles.commands import GLCommand, command_spec
+from repro.gles.commands import COMMANDS, GLCommand, command_spec
 
 
 class GLError(Exception):
@@ -93,6 +93,17 @@ MAX_VERTEX_ATTRIBS = 16
 MAX_TEXTURE_UNITS = 8
 
 
+def _op_table(cls: type) -> Dict[str, Callable[..., Any]]:
+    """Registered command name -> ``cls``'s ``_op_`` handler, resolved
+    through the MRO so a subclass override wins."""
+    table = {}
+    for name in COMMANDS:
+        handler = getattr(cls, "_op_" + name, None)
+        if handler is not None:
+            table[name] = handler
+    return table
+
+
 class GLContext:
     """A replayable ES 2.0 state machine.
 
@@ -100,6 +111,14 @@ class GLContext:
     :class:`GLError`, otherwise the error is latched for ``glGetError`` as a
     real driver does.
     """
+
+    #: command name -> ``_op_`` handler; each subclass gets its own table
+    #: when it is defined, and GLContext's is set below the class
+    _op_handlers: Dict[str, Callable[..., Any]]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._op_handlers = _op_table(cls)
 
     def __init__(self, name: str = "ctx", strict: bool = False):
         self.name = name
@@ -178,10 +197,10 @@ class GLContext:
 
     def execute(self, cmd: GLCommand) -> Any:
         """Apply one command to the state machine; returns any query value."""
-        spec = command_spec(cmd.name)  # validates the name
-        handler = getattr(self, "_op_" + cmd.name, None)
+        handler = self._op_handlers.get(cmd.name)
         if handler is not None:
-            return handler(*cmd.args)
+            return handler(self, *cmd.args)
+        spec = command_spec(cmd.name)  # validates the name
         # Entry points with no state effect beyond validation (glFlush,
         # glValidateProgram, hints, ...) are accepted as no-ops.
         if spec.mutates_state:
@@ -913,3 +932,6 @@ class GLContext:
             self.depth_func, self.depth_mask, self.color_mask,
             self.cull_face_mode, self.line_width)
         return h.hexdigest()
+
+
+GLContext._op_handlers = _op_table(GLContext)

@@ -258,14 +258,14 @@ class CommandSerializer:
         releases every held pointer, resolved to the bytes it reads, and
         then itself; any other command releases only itself.
         """
-        spec = command_spec(cmd.name)
-        if cmd.name == "glVertexAttribPointer" and not isinstance(
+        name = cmd.name
+        if name == "glVertexAttribPointer" and not isinstance(
             cmd.args[5], (bytes, bytearray)
         ):
             self._deferred.hold(cmd)
             self.deferrals += 1
             return []
-        if spec.is_draw and self._deferred.pending:
+        if command_spec(name).is_draw and self._deferred.pending:
             flushed = self._deferred.flush_for_draw(_draw_vertex_count(cmd))
             flushed.append(cmd)
             return flushed

@@ -70,24 +70,31 @@ class MulticastGroup:
         self.unicast_equivalent_bytes += message.size_bytes * len(self._members)
 
         # The radio transmits once; on completion, fan out over member links.
-        members = list(self._members.values())
+        return radio.send(message, link=_FanOut(list(self._members.values())))
 
-        class _FanOut:
-            def deliver(_self, msg: Message, via=None) -> None:
-                for member in members:
-                    clone = Message(
-                        size_bytes=msg.size_bytes,
-                        payload=msg.payload,
-                        kind=msg.kind,
-                        message_id=msg.message_id,
-                        created_at=msg.created_at,
-                        metadata={
-                            k: v
-                            for k, v in msg.metadata.items()
-                            if not k.startswith("_")
-                        },
-                    )
-                    clone.metadata["mcast_member"] = member.name
-                    member.link.deliver(clone)
 
-        return radio.send(message, link=_FanOut())
+class _FanOut:
+    """The link a multicast transmission completes on: delivers one clone
+    of the message over each member's own link, in join order."""
+
+    __slots__ = ("members",)
+
+    def __init__(self, members: List[_Member]):
+        self.members = members
+
+    def deliver(self, msg: Message, via=None) -> None:
+        for member in self.members:
+            clone = Message(
+                size_bytes=msg.size_bytes,
+                payload=msg.payload,
+                kind=msg.kind,
+                message_id=msg.message_id,
+                created_at=msg.created_at,
+                metadata={
+                    k: v
+                    for k, v in msg.metadata.items()
+                    if not k.startswith("_")
+                },
+            )
+            clone.metadata["mcast_member"] = member.name
+            member.link.deliver(clone)

@@ -30,8 +30,9 @@ layers did to them at that moment*.  This module closes that gap:
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 #: bytes the trace context occupies in the codec wire header per frame
 TRACE_WIRE_BYTES = 8
@@ -124,10 +125,13 @@ class CausalLog:
         self.sim = sim
         self.session_id = session_id
         self.capacity = capacity
-        self._events: List[CausalEvent] = []
+        self._events: Deque[CausalEvent] = deque()
         self._by_trace: Dict[str, List[CausalEvent]] = {}
-        #: frame-stamp history ``(at_ms, trace_id)``, for window witnesses
+        #: frame-stamp history ``(at_ms, trace_id)``, for window witnesses;
+        #: entries before ``_stamps_head`` are evicted and compacted away
+        #: in one slice once they number ``capacity``
         self._stamps: List[Tuple[float, str]] = []
+        self._stamps_head = 0
         self.dropped = 0
         #: the most recently stamped frame context; session-scoped events
         #: (radio switches, replans) attach to the frame in flight when one
@@ -142,8 +146,11 @@ class CausalLog:
         trace = TraceContext.derive(self.sim.seed, self.session_id, frame)
         self.last_trace = trace
         self._stamps.append((self.sim.now, trace.trace_id))
-        if len(self._stamps) > self.capacity:
-            del self._stamps[0]
+        if len(self._stamps) - self._stamps_head > self.capacity:
+            self._stamps_head += 1
+            if self._stamps_head >= self.capacity:
+                del self._stamps[: self._stamps_head]
+                self._stamps_head = 0
         return trace
 
     def session_trace(self, session: str) -> TraceContext:
@@ -179,11 +186,13 @@ class CausalLog:
         if trace_id:
             self._by_trace.setdefault(trace_id, []).append(rec)
         if len(self._events) > self.capacity:
-            old = self._events.pop(0)
+            old = self._events.popleft()
             self.dropped += 1
             if old.trace_id:
+                # The log's oldest event is also its trace's oldest, and
+                # one frame's trace holds a handful of events.
                 index = self._by_trace[old.trace_id]
-                index.remove(old)
+                del index[0]
                 if not index:
                     del self._by_trace[old.trace_id]
         return rec
@@ -201,14 +210,15 @@ class CausalLog:
         when the window closed — is the deterministic stand-in their
         breach exemplars point at.  ``""`` when nothing is stamped yet.
         """
-        lo, hi = 0, len(self._stamps)
+        head = self._stamps_head
+        lo, hi = head, len(self._stamps)
         while lo < hi:
             mid = (lo + hi) // 2
             if self._stamps[mid][0] <= upto_ms:
                 lo = mid + 1
             else:
                 hi = mid
-        return self._stamps[lo - 1][1] if lo else ""
+        return self._stamps[lo - 1][1] if lo > head else ""
 
     def trace_of(self, trace_id: str) -> List[CausalEvent]:
         """Every event of one frame's causal trace, in time order."""

@@ -20,11 +20,15 @@ single attribute load per feed point.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.anomaly import ResidualDriftDetector
 from repro.obs.slo import Alert, SloSpec, SloTracker
 from repro.obs.timeseries import DEFAULT_WINDOW_MS, TimeSeries, TimeSeriesBank
+
+#: label value types whose ``str`` (what names a series) is a function of
+#: equality and type; ``observe`` memoizes series lookups only for these
+_MEMO_LABEL_TYPES = frozenset((str, int, bool, type(None)))
 
 
 def default_session_slos(
@@ -134,6 +138,10 @@ class TelemetryHub:
         self.window_ms = window_ms
         self.bank = TimeSeriesBank(window_ms=window_ms)
         self.trackers: Dict[str, SloTracker] = {}
+        #: series name -> its threshold-mode trackers, in arming order
+        self._threshold: Dict[str, List[SloTracker]] = {}
+        #: (name, agg, label items, label types) -> series, for ``observe``
+        self._series_memo: Dict[Tuple, TimeSeries] = {}
         self.alerts: List[Alert] = []
         self.drift = drift_detector or ResidualDriftDetector()
         self._evaluated_upto = -1       # newest window already evaluated
@@ -151,6 +159,8 @@ class TelemetryHub:
             raise ValueError(f"slo {spec.name!r} already armed")
         tracker = SloTracker(spec)
         self.trackers[spec.name] = tracker
+        if spec.mode == "threshold":
+            self._threshold.setdefault(spec.series, []).append(tracker)
         return tracker
 
     def window_of(self, t_ms: float) -> int:
@@ -173,19 +183,26 @@ class TelemetryHub:
         exemplar reservoirs: a later breach alert points at the concrete
         frames that burned the budget.
         """
-        now = self.sim.now
-        series = self.bank.series(name, agg=agg, **labels)
-        w = series.record(now, value)
+        values = tuple(labels.values())
+        types = tuple(map(type, values))
+        if _MEMO_LABEL_TYPES.issuperset(types):
+            # The types keep ``True`` and ``1`` apart: equal as dict keys,
+            # yet ``series_key`` names them differently.
+            key = (name, agg, tuple(labels), values, types)
+            series = self._series_memo.get(key)
+            if series is None:
+                series = self._series_memo[key] = self.bank.series(
+                    name, agg=agg, **labels
+                )
+        else:
+            series = self.bank.series(name, agg=agg, **labels)
+        w = series.record(self.sim.now, value)
         if w > self._watermark:
             self._watermark = w
             self._evaluate_pending(upto_exclusive=w)
-        for tracker in self.trackers.values():
-            spec = tracker.spec
-            if spec.mode != "threshold" or spec.series != name:
-                continue
-            if not _labels_match(spec.labels, labels):
-                continue
-            tracker.observe(w, value, trace_id=trace_id)
+        for tracker in self._threshold.get(name, ()):
+            if _labels_match(tracker.spec.labels, labels):
+                tracker.observe(w, value, trace_id=trace_id)
 
     def track_residual(self, residual: float) -> None:
         """Feed one prediction residual (RLS innovation) from the policy."""

@@ -1,7 +1,11 @@
 """Frame digests: stable content hashing and issue/execute bookkeeping."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.check import DigestLog, command_digest
-from repro.gles.commands import make_command
+from repro.check import digest as digest_module
+from repro.gles.commands import GLCommand, make_command
 
 
 def frame(n_draws=3, tex=4):
@@ -126,3 +130,111 @@ class TestIntervalDigest:
         from repro.check import IntervalDigest
 
         assert IntervalDigest().hexdigest() == command_digest([])
+
+
+class _Foreign:
+    """A non-command object with a ``key()``, as tests digest."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def key(self):
+        return ("foreign", self.value)
+
+
+# Values that compare (and hash) equal yet print differently — exactly
+# what a value-keyed memo would conflate.
+_SCALARS = st.one_of(
+    st.sampled_from([0, 1, True, False, 1.0, 0.0, -0.0, float("nan"), None]),
+    st.integers(-2, 2),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["a", "1", "True"]),
+    st.sampled_from([b"a", b"1", b""]),
+)
+_ARGS = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3).map(tuple),
+    st.lists(_SCALARS, max_size=3),
+    st.tuples(st.tuples(_SCALARS), _SCALARS),
+    st.binary(max_size=3).map(bytearray),
+    st.builds(_Foreign, _SCALARS),
+)
+_COMMANDS = st.one_of(
+    st.builds(
+        GLCommand,
+        name=st.sampled_from(["glUniform1i", "glDepthMask", "glEnable"]),
+        args=st.lists(_ARGS, max_size=3).map(tuple),
+    ),
+    # a list of args is not the flat tuple the memo requires
+    st.builds(
+        GLCommand,
+        name=st.just("glEnable"),
+        args=st.lists(_SCALARS, max_size=2),
+    ),
+    st.builds(_Foreign, _SCALARS),
+    st.tuples(st.just("glFlush"), _SCALARS),
+)
+
+
+class TestDigestLogMemo:
+    """``DigestLog`` memoizes per-command fragments; its digests must equal
+    the unmemoized ``command_digest`` on every stream."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(_COMMANDS, max_size=6), min_size=1, max_size=8))
+    def test_memoized_digests_equal_reference(self, frames):
+        log = DigestLog()
+        for fid, cmds in enumerate(frames):
+            expected = command_digest(cmds)
+            assert log.record_issue(fid, cmds) == expected
+            assert log.record_execution(fid, cmds, site="s") == expected
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (1, True, 1.0),
+            (0, False, 0.0, -0.0),
+            ("1", b"1", 1),
+            (None, 0, False),
+        ],
+    )
+    def test_equal_values_of_different_types_digest_apart(self, values):
+        log = DigestLog()
+        digests = []
+        for value in values * 2:            # second pass hits the memo
+            cmds = [GLCommand("glUniform1i", (3, value))]
+            digest = log.digest(cmds)
+            assert digest == command_digest(cmds)
+            digests.append(digest)
+        assert len(set(digests)) == len(values)
+
+    @pytest.mark.parametrize(
+        "issued, executed", [(False, 0), (0, False), (0.0, -0.0), (1, 1.0)]
+    )
+    def test_a_type_swap_in_execution_is_a_fidelity_mismatch(
+        self, issued, executed
+    ):
+        def batch(value):
+            return [
+                make_command("glBindTexture", 0x0DE1, 4),
+                GLCommand("glDepthMask", (value,)),
+                make_command("glDrawArrays", 4, 0, 36),
+            ]
+
+        log = DigestLog()
+        for fid in range(3):                # warm the memo on the issued form
+            log.record_issue(fid, batch(issued))
+            log.record_execution(fid, batch(issued), site="shield")
+        log.record_issue(3, batch(issued))
+        log.record_execution(3, batch(executed), site="shield")
+        (bad,) = log.fidelity_mismatches()
+        assert bad["frame_id"] == 3
+        assert bad["executed"] == command_digest(batch(executed))
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(digest_module, "MEMO_LIMIT", 8)
+        log = DigestLog()
+        for i in range(50):
+            cmds = [GLCommand("glUniform1i", (i, i % 3))]
+            assert log.digest(cmds) == command_digest(cmds)
+            assert len(log._memo) <= 8

@@ -246,3 +246,50 @@ class TestReferences:
         (receiver_key,) = pair.receiver.keys_in_order()
         assert repr(receiver_key) == repr(held)
         assert sent == REFERENCE_MARKER + key_digest(receiver_key)
+
+
+def _reference_encode(pair, key, encoder, *args):
+    """``CachePair.encode`` written as the ``lookup`` / ``insert`` loop it
+    is specified by."""
+    entry = pair.sender.lookup(key)
+    if entry is not None:
+        if pair.receiver.lookup(key) is None:
+            raise RuntimeError("cache desync")
+        return entry.wire, entry.reference, True
+    wire = encoder(*args)
+    reference = REFERENCE_MARKER + key_digest(key)
+    pair.sender.insert(key, wire, reference)
+    pair.receiver.insert(key, wire, reference)
+    return wire, wire, False
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    keys=st.lists(st.integers(min_value=0, max_value=20), min_size=1,
+                  max_size=300),
+    capacity=st.integers(min_value=1, max_value=12),
+)
+def test_property_encode_matches_reference_loop(keys, capacity):
+    """One probe per side: same results, stats and LRU order as the
+    lookup-then-insert reference on any key stream."""
+    pair, ref = CachePair(capacity), CachePair(capacity)
+    for k in keys:
+        key = ("glUseProgram", (k,))
+        expected = _reference_encode(ref, key, bytes, k)
+        assert pair.encode(key, bytes, k) == expected
+    sides = ((pair.sender, ref.sender), (pair.receiver, ref.receiver))
+    for side, ref_side in sides:
+        assert side.stats == ref_side.stats
+        assert side.keys_in_order() == ref_side.keys_in_order()
+        assert side.items() == ref_side.items()
+
+
+def test_encode_desync_raises_and_counts_the_receiver_miss():
+    pair = CachePair(capacity=4)
+    key = ("glUseProgram", (1,))
+    pair.encode(key, bytes, 3)
+    pair.receiver._entries.clear()
+    with pytest.raises(RuntimeError, match="cache desync"):
+        pair.encode(key, unreachable)
+    assert pair.receiver.stats.misses == 1
+    assert pair.sender.stats.hits == 1

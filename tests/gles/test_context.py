@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gles import enums as gl
-from repro.gles.commands import make_command
+from repro.gles.commands import GLCommand, make_command
 from repro.gles.context import GLContext, GLError
 
 
@@ -289,3 +289,40 @@ class TestStateDigest:
         ctx.execute(make_command("glDrawArrays", gl.GL_TRIANGLES, 0, 30))
         ctx.execute(make_command("glFlush"))
         assert ctx.state_digest() == before
+
+
+class TestDispatch:
+    """``execute`` dispatches through a per-class handler table."""
+
+    def test_subclass_override_is_honoured(self):
+        class Recording(GLContext):
+            def __init__(self):
+                super().__init__()
+                self.enabled = []
+
+            def _op_glEnable(self, cap):
+                self.enabled.append(cap)
+                super()._op_glEnable(cap)
+
+        base = GLContext()
+        base.execute(make_command("glEnable", gl.GL_BLEND))
+        ctx = Recording()
+        ctx.execute(make_command("glEnable", gl.GL_BLEND))
+        assert ctx.enabled == [gl.GL_BLEND]
+        assert ctx.capabilities[gl.GL_BLEND] is True
+        assert base.capabilities[gl.GL_BLEND] is True
+
+    def test_unknown_name_raises_key_error(self):
+        with pytest.raises(KeyError, match="glNotAThing"):
+            GLContext().execute(GLCommand("glNotAThing", ()))
+
+    def test_unmodelled_mutating_command_raises(self):
+        class Unmodelled(GLContext):
+            _op_glEnable = None
+
+        with pytest.raises(NotImplementedError, match="glEnable"):
+            Unmodelled().execute(make_command("glEnable", gl.GL_BLEND))
+
+    def test_stateless_command_without_handler_is_a_no_op(self):
+        ctx = GLContext()
+        assert ctx.execute(make_command("glValidateProgram", 0)) is None

@@ -90,3 +90,51 @@ def test_unbound_radio_raises():
     group.join("n", link)
     with pytest.raises(RuntimeError):
         group.send(Message.of_size(10))
+
+
+def test_fan_out_clones_keep_metadata_and_member_order():
+    sim = Simulator()
+    radio = WirelessInterface(sim, WIFI_80211N)
+    group = MulticastGroup(sim)
+    group.bind_radio(lambda: radio)
+    arrivals = []
+    for name in ("b", "a", "c"):
+        group.join(name, NetworkLink(
+            sim, LinkSpec(name=name, latency_ms=1.0, jitter_ms=0.0),
+            receiver=arrivals.append,
+        ))
+    msg = Message.of_size(2_000, kind="state", frame_id=9, _private=object())
+    group.send(msg)
+    sim.run(until=1_000.0)
+    # Equal latencies: arrivals keep the order the links were handed the
+    # clones in, which is join order.
+    assert [m.metadata["mcast_member"] for m in arrivals] == ["b", "a", "c"]
+    public = {k: v for k, v in msg.metadata.items() if not k.startswith("_")}
+    assert public["frame_id"] == 9 and "_private" in msg.metadata
+    for clone in arrivals:
+        assert clone is not msg
+        assert clone.metadata == {
+            **public, "mcast_member": clone.metadata["mcast_member"],
+        }
+        assert (clone.size_bytes, clone.kind, clone.message_id) == (
+            msg.size_bytes, msg.kind, msg.message_id,
+        )
+
+
+def test_sends_deliver_through_one_fan_out_type():
+    sim = Simulator()
+    group, radio, _ = build_group(sim, 2)
+    fan_outs = []
+    send = radio.send
+
+    def recording_send(message, link=None):
+        fan_outs.append(link)
+        return send(message, link=link)
+
+    radio.send = recording_send
+    group.send(Message.of_size(100))
+    group.send(Message.of_size(100))
+    sim.run(until=1_000.0)
+    assert len(fan_outs) == 2
+    assert fan_outs[0] is not fan_outs[1]
+    assert type(fan_outs[0]) is type(fan_outs[1])

@@ -179,3 +179,56 @@ class TestSessionExemplarDeterminism:
         assert dumps[0] == dumps[1] == dumps[2]
         first = json.loads(dumps[0])
         assert first[0]["exemplars"], "traced session produced no exemplars"
+
+
+class TestCausalLogEvictionAtCapacity:
+    """The ring evicts in O(1); what it retains must not change.
+
+    A list-backed model of the log (evict with ``pop(0)``, drop the
+    oldest stamp with ``del [0]``) is driven alongside the real log past
+    its capacity many times over.
+    """
+
+    CAPACITY = 4
+
+    def _drive(self, steps):
+        sim = Simulator(seed=3)
+        log = CausalLog(sim, session_id="s", capacity=self.CAPACITY)
+        events, stamps, dropped = [], [], 0
+        traces = []
+        for step in range(steps):
+            sim.now = float(step * 5)
+            if step % 3 == 1:
+                trace = log.frame_trace(step)
+                traces.append(trace)
+                stamps.append((sim.now, trace.trace_id))
+                if len(stamps) > self.CAPACITY:
+                    del stamps[0]
+            # Mix the frame in flight (trace=None; no trace at all before
+            # the first stamp), the newest trace and the one before it.
+            if step % 4 == 0 or not traces:
+                trace = None
+            else:
+                newest, before = traces[-1], traces[max(0, len(traces) - 2)]
+                trace = newest if step % 2 else before
+            rec = log.event("net", f"e{step}", trace=trace, step=step)
+            events.append(rec)
+            if len(events) > self.CAPACITY:
+                events.pop(0)
+                dropped += 1
+            yield log, events, stamps, dropped, traces
+
+    def test_retained_events_dropped_witness_and_traces_match(self):
+        for log, events, stamps, dropped, traces in self._drive(40):
+            assert len(log) == len(events)
+            assert log.dropped == dropped
+            assert log.summary()["events"] == len(events)
+            for trace in traces:
+                expected = [e for e in events if e.trace_id == trace.trace_id]
+                assert log.trace_of(trace.trace_id) == expected
+            traced = {e.trace_id for e in events} - {""}
+            assert log.trace_ids() == sorted(traced)
+            for probe in range(-5, 5 * 41, 5):
+                older = [tid for at, tid in stamps if at <= probe]
+                expected = older[-1] if older else ""
+                assert log.witness(float(probe)) == expected

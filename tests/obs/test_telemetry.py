@@ -191,3 +191,46 @@ class TestAlertsAndReport:
         assert list(report["slos"]) == ["fps", "lat"]
         assert report["windows_evaluated"] == 1
         assert report == hub.report()
+
+
+class TestObserveMemo:
+    """``observe`` memoizes its series lookup; the memo must name the
+    same series ``series_key`` would and keep the bank's agg check."""
+
+    def test_true_and_one_are_distinct_series(self):
+        hub = TelemetryHub(FakeClock())
+        for _ in range(2):                  # second round hits the memo
+            hub.observe("x", 1.0, flag=True)
+            hub.observe("x", 2.0, flag=1)
+            hub.observe("x", 3.0, flag="1")
+        keys = [s.key for s in hub.bank.matching("x")]
+        assert keys == ["x{flag=1}", "x{flag=True}"]
+        assert hub.bank.get("x", flag=True).observations == 2
+        assert hub.bank.get("x", flag=1).observations == 4
+
+    def test_float_labels_bypass_the_memo(self):
+        hub = TelemetryHub(FakeClock())
+        hub.observe("x", 1.0, level=0.0)
+        hub.observe("x", 1.0, level=-0.0)
+        assert [s.key for s in hub.bank.matching("x")] == [
+            "x{level=-0.0}", "x{level=0.0}",
+        ]
+
+    def test_agg_mismatch_raises_after_a_memo_hit(self):
+        hub = TelemetryHub(FakeClock())
+        hub.observe("x", 1.0, agg="sum", link="wifi")
+        hub.observe("x", 1.0, agg="sum", link="wifi")
+        with pytest.raises(ValueError):
+            hub.observe("x", 1.0, agg="max", link="wifi")
+
+    def test_threshold_trackers_see_only_their_series_and_labels(self):
+        hub = TelemetryHub(FakeClock())
+        a = hub.add_slo(latency_slo(name="a"))
+        b = hub.add_slo(latency_slo(name="b", labels={"device": "shield"}))
+        w = hub.add_slo(fps_slo(name="w", series="frame_response_ms"))
+        other = hub.add_slo(latency_slo(name="o", series="other"))
+        hub.observe("frame_response_ms", 10.0, device="shield")
+        hub.observe("frame_response_ms", 90.0, device="minix")
+        assert (a.good, a.bad) == (1, 1)
+        assert (b.good, b.bad) == (1, 0)
+        assert (w.good + w.bad, other.good + other.bad) == (0, 0)
