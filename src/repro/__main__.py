@@ -12,38 +12,26 @@ Commands:
 * ``adaptive``        — discovery + cloud-fallback demo
 * ``chaos``           — fault-injection sweep (loss bursts, outages, crashes)
 * ``fleet``           — fleet-scaling sweep (sessions over a device pool)
-* ``profile``         — pipeline-stage percentiles + hot-path wall-clock
-                        benches; writes BENCH_PIPELINE.json and a Chrome
-                        trace (BENCH_TRACE.json)
 * ``fuzz``            — seeded property fuzzing over codecs, caches,
                         transports, chaos sessions and fleet arrivals;
                         shrinks failures to minimal reproductions
-* ``slo``             — telemetry-armed scenarios (clean session, loss
-                        burst, fleet overload) with burn-rate SLO
-                        evaluation; writes BENCH_SLO.json and diffs it
-                        against the committed baseline
-* ``replay``          — record-once / replay-many bench: a cold session
-                        records intervals into the fleet store, a warm
-                        session is delta-served from it; writes
-                        BENCH_REPLAY.json and diffs it against the
-                        committed baseline
-* ``capacity``        — capacity-planning sweep: fleet sizes × arrival
-                        curves × genre mixes reduced to SLO-attainment
-                        frontier curves; writes BENCH_CAPACITY.json and
-                        diffs it against the committed baseline
-* ``planner``         — auto-boost planner bench: genre-mix matrix where
-                        every static policy loses to probe-and-commit,
-                        measured fusion byte reduction, and a drift-
-                        triggered replan drill; writes BENCH_PLANNER.json
-                        and diffs it against the committed baseline
 
 Each prints the same rows the corresponding benchmark asserts on.
+
+The gated experiments — ``profile`` (pipeline-stage percentiles),
+``slo`` (burn-rate SLO scenarios), ``replay`` (record once, replay
+many), ``capacity`` (SLO-attainment frontier), ``planner`` (plan chooser
+vs static policies) and ``postmortem`` (causal flight bundle) — each
+write a ``BENCH_*.json`` artifact and all go through one gate
+(:mod:`repro.experiments.gate`): with ``--smoke`` they rerun for
+byte-identity and diff against ``benchmarks/baselines/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 
 def _cmd_quickstart(args: argparse.Namespace) -> None:
@@ -232,7 +220,7 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> None:
     )
 
     if args.smoke:
-        # CI gate (fleet-parallel-smoke): one 64-session point at the
+        # CI gate: one 64-session point at the
         # requested worker count, diffed byte-for-byte against the same
         # point pushed through a single worker.
         point, report = run_sharded_fleet_point(
@@ -293,38 +281,6 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> None:
         raise SystemExit("fleet sweep tripped runtime invariants")
 
 
-def _cmd_profile(args: argparse.Namespace) -> None:
-    from repro.experiments.profiling import (
-        format_bench,
-        run_profile,
-        validate_bench,
-        write_bench,
-    )
-
-    bench = run_profile(
-        seed=args.seed, smoke=args.smoke, trace_path=args.trace_out,
-    )
-    problems = validate_bench(bench)
-    write_bench(args.out, bench)
-    print(format_bench(bench))
-    print(f"wrote {args.out} and {args.trace_out}")
-    if problems:
-        raise SystemExit(
-            "profile: benchmark schema drift:\n  " + "\n  ".join(problems)
-        )
-    if args.smoke:
-        # CI gate: same seed must reproduce the simulated-time section.
-        again = run_profile(
-            seed=args.seed, smoke=True, trace_path=args.trace_out,
-        )
-        if (
-            again["deterministic"]["digest"]
-            != bench["deterministic"]["digest"]
-        ):
-            raise SystemExit("profile smoke: same seed, different digest")
-        print("profile smoke: ok")
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> None:
     from repro.check.fuzz import format_summary, run_fuzz
 
@@ -343,272 +299,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> None:
         if again["digest"] != summary["digest"]:
             raise SystemExit("fuzz smoke: same seed, different digest")
         print("fuzz smoke: ok")
-
-
-def _cmd_slo(args: argparse.Namespace) -> None:
-    import json
-    import os
-
-    from repro.experiments.slo import (
-        diff_against_baseline,
-        format_bench,
-        load_bench,
-        run_slo_bench,
-        validate_bench,
-        write_bench,
-    )
-
-    bench = run_slo_bench(
-        seed=args.seed, smoke=args.smoke, workers=args.workers
-    )
-    problems = validate_bench(bench)
-    write_bench(args.out, bench)
-    print(format_bench(bench))
-    print(f"wrote {args.out}")
-    if problems:
-        raise SystemExit(
-            "slo: benchmark schema drift:\n  " + "\n  ".join(problems)
-        )
-    if args.smoke:
-        # CI gate 1: the artifact must be a pure function of the seed —
-        # not just the digest, the whole serialized file.  The rerun is
-        # always serial, so with --workers > 1 this doubles as the
-        # parallel-equals-serial byte-identity check.
-        again = run_slo_bench(seed=args.seed, smoke=True, workers=1)
-        if json.dumps(again, sort_keys=True) != json.dumps(
-            bench, sort_keys=True
-        ):
-            raise SystemExit("slo smoke: same seed, different artifact")
-    if args.baseline and os.path.exists(args.baseline):
-        regressions, skip = diff_against_baseline(
-            bench, load_bench(args.baseline)
-        )
-        if skip is not None:
-            print(f"baseline diff skipped: {skip}")
-        elif regressions:
-            raise SystemExit(
-                "slo: performance regression vs "
-                f"{args.baseline}:\n  " + "\n  ".join(regressions)
-            )
-        else:
-            print(f"baseline diff vs {args.baseline}: ok")
-    elif args.baseline:
-        print(f"no baseline at {args.baseline} — diff skipped")
-    if args.smoke:
-        print("slo smoke: ok")
-
-
-def _cmd_replay(args: argparse.Namespace) -> None:
-    import json
-    import os
-
-    from repro.experiments.replay import (
-        diff_against_baseline,
-        format_bench,
-        load_bench,
-        run_replay_bench,
-        validate_bench,
-        write_bench,
-    )
-
-    bench = run_replay_bench(seed=args.seed, smoke=args.smoke)
-    problems = validate_bench(bench)
-    write_bench(args.out, bench)
-    print(format_bench(bench))
-    print(f"wrote {args.out}")
-    if problems:
-        raise SystemExit(
-            "replay: acceptance gate failed:\n  " + "\n  ".join(problems)
-        )
-    if args.smoke:
-        # CI gate 1: the artifact must be a pure function of the seed —
-        # the whole serialized file, not just the digest.
-        again = run_replay_bench(seed=args.seed, smoke=True)
-        if json.dumps(again, sort_keys=True) != json.dumps(
-            bench, sort_keys=True
-        ):
-            raise SystemExit("replay smoke: same seed, different artifact")
-    if args.baseline and os.path.exists(args.baseline):
-        regressions, skip = diff_against_baseline(
-            bench, load_bench(args.baseline)
-        )
-        if skip is not None:
-            print(f"baseline diff skipped: {skip}")
-        elif regressions:
-            raise SystemExit(
-                "replay: performance regression vs "
-                f"{args.baseline}:\n  " + "\n  ".join(regressions)
-            )
-        else:
-            print(f"baseline diff vs {args.baseline}: ok")
-    elif args.baseline:
-        print(f"no baseline at {args.baseline} — diff skipped")
-    if args.smoke:
-        print("replay smoke: ok")
-
-
-def _cmd_capacity(args: argparse.Namespace) -> None:
-    import json
-    import os
-
-    from repro.experiments.capacity import (
-        diff_against_baseline,
-        format_bench,
-        load_bench,
-        run_capacity_bench,
-        validate_bench,
-        write_bench,
-    )
-
-    bench = run_capacity_bench(
-        seed=args.seed, smoke=args.smoke, workers=args.workers
-    )
-    problems = validate_bench(bench)
-    write_bench(args.out, bench)
-    print(format_bench(bench))
-    print(f"wrote {args.out}")
-    if problems:
-        raise SystemExit(
-            "capacity: acceptance gate failed:\n  " + "\n  ".join(problems)
-        )
-    if args.smoke:
-        # CI gate 1: the artifact must be a pure function of the seed —
-        # the whole serialized file, not just the digest.  The rerun is
-        # always serial, so with --workers > 1 this doubles as the
-        # parallel-equals-serial byte-identity check.
-        again = run_capacity_bench(seed=args.seed, smoke=True, workers=1)
-        if json.dumps(again, sort_keys=True) != json.dumps(
-            bench, sort_keys=True
-        ):
-            raise SystemExit("capacity smoke: same seed, different artifact")
-    if args.baseline and os.path.exists(args.baseline):
-        regressions, skip = diff_against_baseline(
-            bench, load_bench(args.baseline)
-        )
-        if skip is not None:
-            print(f"baseline diff skipped: {skip}")
-        elif regressions:
-            raise SystemExit(
-                "capacity: regression vs "
-                f"{args.baseline}:\n  " + "\n  ".join(regressions)
-            )
-        else:
-            print(f"baseline diff vs {args.baseline}: ok")
-    elif args.baseline:
-        print(f"no baseline at {args.baseline} — diff skipped")
-    if args.smoke:
-        print("capacity smoke: ok")
-
-
-def _cmd_planner(args: argparse.Namespace) -> None:
-    import json
-    import os
-
-    from repro.experiments.planner import (
-        diff_against_baseline,
-        format_bench,
-        load_bench,
-        run_planner_bench,
-        validate_bench,
-        write_bench,
-    )
-
-    bench = run_planner_bench(
-        seed=args.seed, smoke=args.smoke, workers=args.workers
-    )
-    problems = validate_bench(bench)
-    write_bench(args.out, bench)
-    print(format_bench(bench))
-    print(f"wrote {args.out}")
-    if problems:
-        raise SystemExit(
-            "planner: acceptance gate failed:\n  " + "\n  ".join(problems)
-        )
-    if args.smoke:
-        # CI gate 1: the artifact must be a pure function of the seed —
-        # the whole serialized file, not just the digest.  The rerun is
-        # always serial, so with --workers > 1 this doubles as the
-        # parallel-equals-serial byte-identity check.
-        again = run_planner_bench(seed=args.seed, smoke=True, workers=1)
-        if json.dumps(again, sort_keys=True) != json.dumps(
-            bench, sort_keys=True
-        ):
-            raise SystemExit("planner smoke: same seed, different artifact")
-    if args.baseline and os.path.exists(args.baseline):
-        regressions, skip = diff_against_baseline(
-            bench, load_bench(args.baseline)
-        )
-        if skip is not None:
-            print(f"baseline diff skipped: {skip}")
-        elif regressions:
-            raise SystemExit(
-                "planner: regression vs "
-                f"{args.baseline}:\n  " + "\n  ".join(regressions)
-            )
-        else:
-            print(f"baseline diff vs {args.baseline}: ok")
-    elif args.baseline:
-        print(f"no baseline at {args.baseline} — diff skipped")
-    if args.smoke:
-        print("planner smoke: ok")
-
-
-def _cmd_postmortem(args: argparse.Namespace) -> None:
-    import json
-    import os
-
-    from repro.experiments.postmortem import (
-        diff_against_baseline,
-        format_bench,
-        load_bench,
-        run_postmortem_bench,
-        validate_bench,
-        write_bench,
-        write_bundle,
-        write_chrome,
-    )
-
-    bench = run_postmortem_bench(
-        seed=args.seed, smoke=args.smoke, workers=args.workers
-    )
-    problems = validate_bench(bench)
-    write_bench(args.out, bench)
-    write_bundle(args.bundle_out, bench)
-    write_chrome(args.trace_out, bench)
-    print(format_bench(bench))
-    print(f"wrote {args.out}, {args.bundle_out}, {args.trace_out}")
-    if problems:
-        raise SystemExit(
-            "postmortem: acceptance gate failed:\n  " + "\n  ".join(problems)
-        )
-    if args.smoke:
-        # CI gate 1: the artifact must be a pure function of the seed —
-        # the whole serialized file, not just the digest.  The rerun is
-        # always serial, so with --workers > 1 this doubles as the
-        # parallel-equals-serial byte-identity check (the frozen flight
-        # bundle rides inside the digest, so bundle bytes are gated too).
-        again = run_postmortem_bench(seed=args.seed, smoke=True, workers=1)
-        if json.dumps(again, sort_keys=True) != json.dumps(
-            bench, sort_keys=True
-        ):
-            raise SystemExit("postmortem smoke: same seed, different artifact")
-    if args.baseline and os.path.exists(args.baseline):
-        regressions, skip = diff_against_baseline(
-            bench, load_bench(args.baseline)
-        )
-        if skip is not None:
-            print(f"baseline diff skipped: {skip}")
-        elif regressions:
-            raise SystemExit(
-                "postmortem: regression vs "
-                f"{args.baseline}:\n  " + "\n  ".join(regressions)
-            )
-        else:
-            print(f"baseline diff vs {args.baseline}: ok")
-    elif args.baseline:
-        print(f"no baseline at {args.baseline} — diff skipped")
-    if args.smoke:
-        print("postmortem smoke: ok")
 
 
 def main(argv=None) -> int:
@@ -632,13 +322,7 @@ def main(argv=None) -> int:
         "adaptive": _cmd_adaptive,
         "chaos": _cmd_chaos,
         "fleet": _cmd_fleet,
-        "profile": _cmd_profile,
         "fuzz": _cmd_fuzz,
-        "slo": _cmd_slo,
-        "replay": _cmd_replay,
-        "capacity": _cmd_capacity,
-        "planner": _cmd_planner,
-        "postmortem": _cmd_postmortem,
     }
     for name in commands:
         p = sub.add_parser(name)
@@ -679,90 +363,6 @@ def main(argv=None) -> int:
             p.add_argument("--window", type=float, default=1.0,
                            help="barrier window in simulated seconds for "
                                 "--workers runs (default 1.0)")
-        if name == "profile":
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--out", default="BENCH_PIPELINE.json",
-                           help="benchmark artifact path")
-            p.add_argument("--trace-out", default="BENCH_TRACE.json",
-                           help="Chrome trace-event export path")
-            p.add_argument("--smoke", action="store_true",
-                           help="CI gate: short run + schema validation "
-                                "+ same-seed digest check")
-        if name == "slo":
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--out", default="BENCH_SLO.json",
-                           help="SLO benchmark artifact path")
-            p.add_argument("--baseline",
-                           default="benchmarks/baselines/BENCH_SLO.json",
-                           help="committed baseline to diff against "
-                                "(empty string disables the gate)")
-            p.add_argument("--smoke", action="store_true",
-                           help="CI gate: short run + schema validation + "
-                                "same-seed byte-identity + baseline diff")
-            p.add_argument("--workers", type=int, default=1,
-                           help="fan the independent scenarios across N "
-                                "processes (artifact stays byte-identical "
-                                "for any N)")
-        if name == "replay":
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--out", default="BENCH_REPLAY.json",
-                           help="replay benchmark artifact path")
-            p.add_argument("--baseline",
-                           default="benchmarks/baselines/BENCH_REPLAY.json",
-                           help="committed baseline to diff against "
-                                "(empty string disables the gate)")
-            p.add_argument("--smoke", action="store_true",
-                           help="CI gate: short run + acceptance gates + "
-                                "same-seed byte-identity + baseline diff")
-        if name == "capacity":
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--out", default="BENCH_CAPACITY.json",
-                           help="capacity benchmark artifact path")
-            p.add_argument("--baseline",
-                           default="benchmarks/baselines/"
-                                   "BENCH_CAPACITY.json",
-                           help="committed baseline to diff against "
-                                "(empty string disables the gate)")
-            p.add_argument("--smoke", action="store_true",
-                           help="CI gate: reduced grid + acceptance gates "
-                                "+ same-seed byte-identity + baseline diff")
-            p.add_argument("--workers", type=int, default=1,
-                           help="fan grid points across N processes "
-                                "(artifact stays byte-identical for any N)")
-        if name == "planner":
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--out", default="BENCH_PLANNER.json",
-                           help="planner benchmark artifact path")
-            p.add_argument("--baseline",
-                           default="benchmarks/baselines/"
-                                   "BENCH_PLANNER.json",
-                           help="committed baseline to diff against "
-                                "(empty string disables the gate)")
-            p.add_argument("--smoke", action="store_true",
-                           help="CI gate: short probes + acceptance gates "
-                                "+ same-seed byte-identity + baseline diff")
-            p.add_argument("--workers", type=int, default=1,
-                           help="fan matrix cells across N processes "
-                                "(artifact stays byte-identical for any N)")
-        if name == "postmortem":
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--out", default="BENCH_POSTMORTEM.json",
-                           help="postmortem benchmark artifact path")
-            p.add_argument("--bundle-out", default="POSTMORTEM_BUNDLE.json",
-                           help="frozen flight-bundle artifact path")
-            p.add_argument("--trace-out", default="POSTMORTEM_TRACE.json",
-                           help="merged Chrome trace (flow events) path")
-            p.add_argument("--baseline",
-                           default="benchmarks/baselines/"
-                                   "BENCH_POSTMORTEM.json",
-                           help="committed baseline to diff against "
-                                "(empty string disables the gate)")
-            p.add_argument("--smoke", action="store_true",
-                           help="CI gate: short run + acceptance gates "
-                                "+ same-seed byte-identity + baseline diff")
-            p.add_argument("--workers", type=int, default=1,
-                           help="fan the scenarios across N processes "
-                                "(artifact stays byte-identical for any N)")
         if name == "fuzz":
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--rounds", type=int, default=1,
@@ -773,6 +373,25 @@ def main(argv=None) -> int:
             p.add_argument("--smoke", action="store_true",
                            help="CI gate: reduced case budget + same-seed "
                                 "digest check")
+    from repro.experiments.gate import bench_specs, gate
+
+    for spec in bench_specs():
+        p = sub.add_parser(spec.name)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=spec.artifact,
+                       help="benchmark artifact path")
+        for flag, default, _writer in spec.side_files:
+            p.add_argument(flag, default=default, help="side artifact path")
+        p.add_argument("--smoke", action="store_true",
+                       help="CI gate: short run + acceptance gates + "
+                            "same-seed byte-identity + diff against "
+                            f"{spec.baseline}")
+        p.set_defaults(workers=1)
+        if spec.parallel:
+            p.add_argument("--workers", type=int, default=1,
+                           help="fan independent jobs across N processes "
+                                "(artifact stays byte-identical for any N)")
+        commands[spec.name] = partial(gate, spec)
     args = parser.parse_args(argv)
     commands[args.command](args)
     return 0

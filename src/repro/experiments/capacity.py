@@ -21,19 +21,20 @@ attainment is reported but never gates.
 Every point runs its own kernel, so the grid fans across processes via
 :func:`~repro.sim.shard.run_parallel_jobs`; results return in job order
 and arrival schedules are per-session-seeded, making the artifact
-byte-identical for any ``--workers`` count.  The CI capacity-smoke job
-asserts exactly that, then diffs ``BENCH_CAPACITY.json`` against the
-committed baseline.
+byte-identical for any ``--workers`` count.  The CI smoke gate
+(:data:`SPEC`) asserts exactly that, then diffs ``BENCH_CAPACITY.json``
+against the committed baseline.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.apps.games import GAMES
 from repro.experiments.fleet import make_fleet_pool
+from repro.experiments.gate import BenchSpec
 from repro.fleet import (
     ArrivalCurve,
     FleetConfig,
@@ -50,9 +51,6 @@ from repro.sim.kernel import Simulator
 
 #: artifact schema identifier, bumped on incompatible changes
 BENCH_CAPACITY_SCHEMA = "repro.bench_capacity/1"
-
-#: the committed baseline the CI gate diffs against
-DEFAULT_BASELINE = "benchmarks/baselines/BENCH_CAPACITY.json"
 
 #: a frame is good when it responds within this budget (the headline SLO)
 DEFAULT_FRAME_BUDGET_MS = 250.0
@@ -380,21 +378,34 @@ def run_capacity_bench(
 # -- validation --------------------------------------------------------------
 
 
-def validate_bench(bench: Any) -> List[str]:
-    """Schema + semantic gate for BENCH_CAPACITY.json; empty == valid."""
-    problems: List[str] = []
-    if not isinstance(bench, dict):
-        return [f"top level must be an object, got {type(bench).__name__}"]
-    if bench.get("schema") != BENCH_CAPACITY_SCHEMA:
-        problems.append(f"'schema' must be {BENCH_CAPACITY_SCHEMA!r}")
-    det = bench.get("deterministic")
-    if not isinstance(det, dict):
-        return problems + ["missing 'deterministic' section"]
-    if not isinstance(det.get("digest"), str):
-        problems.append("missing 'deterministic.digest'")
+#: keys the checks and the regression diff read from each record
+POINT_KEYS = ("devices", "curve", "mix", "sessions", "service_attainment")
+FRONTIER_KEYS = ("devices", "curve", "mix", "sustained")
+
+
+def _missing_keys(
+    records: Any, keys: Sequence[str], what: str
+) -> List[str]:
+    if not isinstance(records, list):
+        return [f"'{what}' must be a list"]
+    return [
+        f"{what}[{i}] missing {key!r}"
+        for i, record in enumerate(records)
+        for key in keys
+        if not isinstance(record, dict) or key not in record
+    ]
+
+
+def _checks(det: Dict[str, Any]) -> List[str]:
+    """Semantic gate for BENCH_CAPACITY's deterministic section."""
     points = det.get("points")
     if not isinstance(points, list) or not points:
-        return problems + ["missing or empty 'points'"]
+        return ["missing or empty 'points'"]
+    problems = _missing_keys(points, POINT_KEYS, "points") + _missing_keys(
+        det.get("frontier"), FRONTIER_KEYS, "frontier"
+    )
+    if problems:
+        return problems
     devices = {p["devices"] for p in points}
     curves = {p["curve"] for p in points}
     if not det.get("smoke"):
@@ -450,8 +461,7 @@ def validate_bench(bench: Any) -> List[str]:
                     f"envelope attainment rises with load "
                     f"({low['sessions']}->{high['sessions']})"
                 )
-    frontier = det.get("frontier")
-    if not isinstance(frontier, list) or len(frontier) != len(groups):
+    if len(det["frontier"]) != len(groups):
         problems.append(
             "frontier must carry one entry per (devices, curve, mix) group"
         )
@@ -461,27 +471,8 @@ def validate_bench(bench: Any) -> List[str]:
 # -- the regression gate -----------------------------------------------------
 
 
-def diff_against_baseline(
-    current: Dict[str, Any], baseline: Dict[str, Any]
-) -> Tuple[List[str], Optional[str]]:
-    """Compare an artifact against the committed baseline.
-
-    Returns ``(regressions, skip_reason)``; a non-``None`` skip reason
-    means the artifacts are not comparable and the gate should be
-    skipped, not failed.
-    """
-    cur = current.get("deterministic", {})
-    base = baseline.get("deterministic", {})
-    if baseline.get("schema") != current.get("schema"):
-        return [], "baseline schema differs — regenerate the baseline"
-    if (cur.get("seed"), cur.get("smoke")) != (
-        base.get("seed"), base.get("smoke")
-    ):
-        return [], (
-            f"baseline is seed={base.get('seed')} smoke={base.get('smoke')}, "
-            f"run is seed={cur.get('seed')} smoke={cur.get('smoke')} — "
-            "not comparable"
-        )
+def _regressions(cur: Dict[str, Any], base: Dict[str, Any]) -> List[str]:
+    """Per-point attainment drops and frontier falls against a baseline."""
     regressions: List[str] = []
 
     def keyed(det: Dict[str, Any]) -> Dict[Tuple, Dict[str, Any]]:
@@ -517,21 +508,10 @@ def diff_against_baseline(
                 f"sustained load fell {f['sustained']} -> "
                 f"{match['sustained']}"
             )
-    return regressions, None
+    return regressions
 
 
 # -- output ------------------------------------------------------------------
-
-
-def write_bench(path: str, bench: Dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bench, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bench(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def format_bench(bench: Dict[str, Any]) -> str:
@@ -554,3 +534,14 @@ def format_bench(bench: Dict[str, Any]) -> str:
         f"digest {det['digest'][:16]}…"
     )
     return "\n".join(lines)
+
+
+SPEC = BenchSpec(
+    name="capacity",
+    schema=BENCH_CAPACITY_SCHEMA,
+    artifact="BENCH_CAPACITY.json",
+    run=run_capacity_bench,
+    checks=_checks,
+    regressions=_regressions,
+    format=format_bench,
+)

@@ -23,11 +23,10 @@ and any ``--workers`` count:
    to a backend that is healthy *under the degraded context*, and the
    post-replan residual must return to band.
 
-The harness doubles as the CI perf-regression gate (``planner-smoke``):
-``diff_against_baseline`` compares the planner's per-cell scores and the
-fused byte reduction against the committed baseline
-(``benchmarks/baselines/BENCH_PLANNER.json``) and fails the build on a
->10% regression.
+The harness doubles as a CI perf-regression gate: :data:`SPEC` compares
+the planner's per-cell scores and the fused bytes per frame against the
+committed baseline (``benchmarks/baselines/BENCH_PLANNER.json``) and
+fails the build on a >10% regression or any digest drift.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from repro.apps.games import GAMES
 from repro.codec.pipeline import CommandPipeline, PipelineConfig
 from repro.core.config import GBoosterConfig
 from repro.devices.profiles import SERVICE_DEVICES, USER_DEVICES
+from repro.experiments.gate import BenchSpec
 from repro.net.wan import WAN_BROADBAND, WAN_CONGESTED, WAN_FIBER
 from repro.plan import (
     BACKENDS,
@@ -54,9 +54,6 @@ from repro.sim.shard import run_parallel_jobs
 
 #: artifact schema identifier, bumped on incompatible changes
 BENCH_PLANNER_SCHEMA = "repro.bench_planner/1"
-
-#: the committed baseline the CI gate diffs against
-DEFAULT_BASELINE = "benchmarks/baselines/BENCH_PLANNER.json"
 
 #: per-metric growth tolerated over the baseline before the gate fails
 REGRESSION_TOLERANCE = 0.10
@@ -346,19 +343,15 @@ def run_planner_bench(
     return {"schema": BENCH_PLANNER_SCHEMA, "deterministic": bench}
 
 
-def validate_bench(bench: Any) -> List[str]:
-    """Schema + acceptance gates for BENCH_PLANNER.json; empty == valid."""
-    problems: List[str] = []
-    if not isinstance(bench, dict):
-        return [f"top level must be an object, got {type(bench).__name__}"]
-    if bench.get("schema") != BENCH_PLANNER_SCHEMA:
-        problems.append(f"'schema' must be {BENCH_PLANNER_SCHEMA!r}")
-    det = bench.get("deterministic")
-    if not isinstance(det, dict):
-        return problems + ["missing 'deterministic' section"]
-    if not isinstance(det.get("digest"), str):
-        problems.append("missing 'deterministic.digest'")
+def _planner_score(cell: Any) -> Any:
+    if not isinstance(cell, dict):
+        return None
+    return cell.get("policies", {}).get("planner", {}).get("score")
 
+
+def _checks(det: Dict[str, Any]) -> List[str]:
+    """Acceptance gates for BENCH_PLANNER's deterministic section."""
+    problems: List[str] = []
     matrix = det.get("matrix")
     if not isinstance(matrix, dict):
         problems.append("missing 'matrix' section")
@@ -377,8 +370,14 @@ def validate_bench(bench: Any) -> List[str]:
                     f"matrix: static policy {policy} matched {hits} cells — "
                     "not dominated by the planner"
                 )
-        for cell in matrix.get("cells", []):
-            if cell.get("committed") not in BACKENDS:
+        for i, cell in enumerate(matrix.get("cells", [])):
+            if not isinstance(_planner_score(cell), (int, float)) or (
+                "name" not in cell
+            ):
+                problems.append(
+                    f"matrix: cell {i} lacks a name or a planner score"
+                )
+            elif cell.get("committed") not in BACKENDS:
                 problems.append(
                     f"matrix: cell {cell.get('name')} committed to unknown "
                     f"backend {cell.get('committed')!r}"
@@ -388,7 +387,15 @@ def validate_bench(bench: Any) -> List[str]:
     if not isinstance(fusion, list) or not fusion:
         problems.append("missing 'fusion' section")
     else:
-        for point in fusion:
+        for i, point in enumerate(fusion):
+            fused = point.get("fused_bytes_per_frame") if isinstance(
+                point, dict
+            ) else None
+            if not isinstance(fused, (int, float)) or "game" not in point:
+                problems.append(
+                    f"fusion: point {i} lacks a game or fused bytes per frame"
+                )
+                continue
             if point.get("byte_reduction", 0.0) <= 0.0:
                 problems.append(
                     f"fusion: {point.get('game')} saw no measured byte "
@@ -420,27 +427,8 @@ def validate_bench(bench: Any) -> List[str]:
 # -- the regression gate -----------------------------------------------------
 
 
-def diff_against_baseline(
-    current: Dict[str, Any], baseline: Dict[str, Any]
-) -> Tuple[List[str], Optional[str]]:
-    """Compare an artifact against the committed baseline.
-
-    Returns ``(regressions, skip_reason)``; a non-``None`` skip reason
-    means the artifacts are not comparable and the gate should be
-    skipped, not failed.
-    """
-    cur = current.get("deterministic", {})
-    base = baseline.get("deterministic", {})
-    if baseline.get("schema") != current.get("schema"):
-        return [], "baseline schema differs — regenerate the baseline"
-    if (cur.get("seed"), cur.get("smoke")) != (
-        base.get("seed"), base.get("smoke")
-    ):
-        return [], (
-            f"baseline is seed={base.get('seed')} smoke={base.get('smoke')}, "
-            f"run is seed={cur.get('seed')} smoke={cur.get('smoke')} — "
-            "not comparable"
-        )
+def _regressions(cur: Dict[str, Any], base: Dict[str, Any]) -> List[str]:
+    """Planner-score and fused-byte growth beyond tolerance."""
     regressions: List[str] = []
     base_cells = {
         c["name"]: c for c in base.get("matrix", {}).get("cells", [])
@@ -471,21 +459,10 @@ def diff_against_baseline(
                 f"{point['fused_bytes_per_frame']} "
                 f"(>{REGRESSION_TOLERANCE:.0%} over baseline)"
             )
-    return regressions, None
+    return regressions
 
 
 # -- output ------------------------------------------------------------------
-
-
-def write_bench(path: str, bench: Dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bench, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bench(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def format_bench(bench: Dict[str, Any]) -> str:
@@ -540,3 +517,14 @@ def format_bench(bench: Dict[str, Any]) -> str:
     )
     lines.append(f"digest: {det['digest'][:16]}…")
     return "\n".join(lines)
+
+
+SPEC = BenchSpec(
+    name="planner",
+    schema=BENCH_PLANNER_SCHEMA,
+    artifact="BENCH_PLANNER.json",
+    run=run_planner_bench,
+    checks=_checks,
+    regressions=_regressions,
+    format=format_bench,
+)

@@ -20,33 +20,31 @@ artifact is byte-identical across same-seed runs and worker counts:
    sorted ``(shard, session)`` order, proving the fleet-level view is a
    pure function of shard contents.
 
-The harness doubles as the CI gate (``postmortem-smoke``):
-``diff_against_baseline`` compares the artifact digest — which covers
-the frozen bundle byte-for-byte — against the committed baseline
-(``benchmarks/baselines/BENCH_POSTMORTEM.json``).
+The harness doubles as a CI gate: :data:`SPEC` compares the artifact
+digest — which covers the frozen bundle byte-for-byte — against the
+committed baseline (``benchmarks/baselines/BENCH_POSTMORTEM.json``) and
+calls out a drifted bundle digest explicitly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.apps.games import GAMES
 from repro.core.config import GBoosterConfig
 from repro.core.session import run_offload_session
 from repro.devices.profiles import LG_NEXUS_5, NVIDIA_SHIELD
+from repro.experiments.gate import BenchSpec, write_chrome, write_json
 from repro.faults.schedule import FaultSchedule
 from repro.metrics.spans import pipeline_breakdown
-from repro.obs.export import merged_chrome_trace, validate_chrome_trace
+from repro.obs.export import merged_chrome_trace
 from repro.obs.flight import validate_bundle
 from repro.obs.merge import causal_bank, merge_causal_banks, merge_exemplars
 
 #: artifact schema identifier, bumped on incompatible changes
 BENCH_POSTMORTEM_SCHEMA = "repro.bench_postmortem/1"
-
-#: the committed baseline the CI gate diffs against
-DEFAULT_BASELINE = "benchmarks/baselines/BENCH_POSTMORTEM.json"
 
 #: the triggering frame's causal trace must span at least this many
 #: distinct components (client, net, server + a decision layer)
@@ -295,19 +293,9 @@ def run_postmortem_bench(
     }
 
 
-def validate_bench(bench: Any) -> List[str]:
-    """Schema + acceptance gate for BENCH_POSTMORTEM.json; [] == valid."""
+def _checks(det: Dict[str, Any]) -> List[str]:
+    """Acceptance gates for BENCH_POSTMORTEM's deterministic section."""
     problems: List[str] = []
-    if not isinstance(bench, dict):
-        return [f"top level must be an object, got {type(bench).__name__}"]
-    if bench.get("schema") != BENCH_POSTMORTEM_SCHEMA:
-        problems.append(f"'schema' must be {BENCH_POSTMORTEM_SCHEMA!r}")
-    det = bench.get("deterministic")
-    if not isinstance(det, dict):
-        return problems + ["missing 'deterministic' section"]
-    if not isinstance(det.get("digest"), str):
-        problems.append("missing 'deterministic.digest'")
-
     incident = det.get("incident")
     if not isinstance(incident, dict):
         problems.append("missing scenario 'incident'")
@@ -381,72 +369,25 @@ def validate_bench(bench: Any) -> List[str]:
 # -- the regression gate -----------------------------------------------------
 
 
-def diff_against_baseline(
-    current: Dict[str, Any], baseline: Dict[str, Any]
-) -> Tuple[List[str], Optional[str]]:
-    """Compare an artifact against the committed baseline.
+def _regressions(cur: Dict[str, Any], base: Dict[str, Any]) -> List[str]:
+    """Name a drifted flight bundle; the gate's digest rule does the rest.
 
     The deterministic digest covers the frozen bundle byte-for-byte, so
-    digest equality is the whole gate; on mismatch the diff names which
-    section moved so the failure is debuggable.  Returns
-    ``(regressions, skip_reason)``; a non-``None`` skip reason means the
-    artifacts are not comparable and the gate should be skipped.
+    digest equality is the whole gate; this hook only makes the most
+    likely cause of a drift explicit.
     """
-    cur = current.get("deterministic", {})
-    base = baseline.get("deterministic", {})
-    if baseline.get("schema") != current.get("schema"):
-        return [], "baseline schema differs — regenerate the baseline"
-    if (cur.get("seed"), cur.get("smoke")) != (
-        base.get("seed"), base.get("smoke")
-    ):
-        return [], (
-            f"baseline is seed={base.get('seed')} smoke={base.get('smoke')}, "
-            f"run is seed={cur.get('seed')} smoke={cur.get('smoke')} — "
-            "not comparable"
-        )
-    if cur.get("digest") == base.get("digest"):
-        return [], None
-    regressions = ["artifact digest drifted from the committed baseline"]
-    for section in ("incident", "control", "shards"):
-        if json.dumps(cur.get(section), sort_keys=True) != json.dumps(
-            base.get(section), sort_keys=True
-        ):
-            regressions.append(f"section {section!r} differs from baseline")
     cur_bundle = (cur.get("incident") or {}).get("bundle") or {}
     base_bundle = (base.get("incident") or {}).get("bundle") or {}
-    if cur_bundle.get("digest") != base_bundle.get("digest"):
-        regressions.append(
-            "flight bundle digest drifted: "
-            f"{base_bundle.get('digest', '')[:16]} -> "
-            f"{cur_bundle.get('digest', '')[:16]}"
-        )
-    return regressions, None
+    if cur_bundle.get("digest") == base_bundle.get("digest"):
+        return []
+    return [
+        "flight bundle digest drifted: "
+        f"{base_bundle.get('digest', '')[:16]} -> "
+        f"{cur_bundle.get('digest', '')[:16]}"
+    ]
 
 
 # -- output ------------------------------------------------------------------
-
-
-def write_bench(path: str, bench: Dict[str, Any]) -> None:
-    """Write the digest-gated artifact (without the chrome trace)."""
-    slim = {k: bench[k] for k in bench if k != "chrome"}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(slim, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def write_chrome(path: str, bench: Dict[str, Any]) -> None:
-    """Write the merged Chrome trace, validating the schema first."""
-    chrome = bench.get("chrome")
-    if chrome is None:
-        raise ValueError("bench carries no chrome trace")
-    issues = validate_chrome_trace(chrome)
-    if issues:
-        raise ValueError(
-            "chrome trace schema drift: " + "; ".join(issues[:5])
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chrome, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def write_bundle(path: str, bench: Dict[str, Any]) -> None:
@@ -456,14 +397,7 @@ def write_bundle(path: str, bench: Dict[str, Any]) -> None:
     )
     if bundle is None:
         raise ValueError("bench carries no flight bundle")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bundle, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bench(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    write_json(path, bundle)
 
 
 def format_bench(bench: Dict[str, Any]) -> str:
@@ -512,3 +446,18 @@ def format_bench(bench: Dict[str, Any]) -> str:
         f"digest: {det.get('digest', '')[:16]}…",
     ]
     return "\n".join(lines)
+
+
+SPEC = BenchSpec(
+    name="postmortem",
+    schema=BENCH_POSTMORTEM_SCHEMA,
+    artifact="BENCH_POSTMORTEM.json",
+    run=run_postmortem_bench,
+    checks=_checks,
+    regressions=_regressions,
+    format=format_bench,
+    side_files=(
+        ("--bundle-out", "POSTMORTEM_BUNDLE.json", write_bundle),
+        ("--trace-out", "POSTMORTEM_TRACE.json", write_chrome),
+    ),
+)

@@ -20,29 +20,26 @@ artifact is byte-identical across same-seed runs:
    hub serves one cold + N warm sessions of the same title; warm
    sessions must be cheaper per frame and drop nothing.
 
-The harness doubles as the CI perf-regression gate
-(``replay-smoke``): ``diff_against_baseline`` compares warm-session
-uplink bytes/frame and server execute-time/frame against the committed
-baseline (``benchmarks/baselines/BENCH_REPLAY.json``) and fails the
-build on a >10% regression.
+The harness doubles as a CI perf-regression gate: :data:`SPEC` compares
+warm-session uplink bytes/frame and server execute-time/frame against
+the committed baseline (``benchmarks/baselines/BENCH_REPLAY.json``) and
+fails the build on a >10% regression or any digest drift.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from repro.apps.games import GAMES
 from repro.core.config import GBoosterConfig
 from repro.core.session import run_offload_session
 from repro.devices.profiles import LG_G5, NVIDIA_SHIELD
+from repro.experiments.gate import BenchSpec
 
 #: artifact schema identifier, bumped on incompatible changes
 BENCH_REPLAY_SCHEMA = "repro.bench_replay/1"
-
-#: the committed baseline the CI gate diffs against
-DEFAULT_BASELINE = "benchmarks/baselines/BENCH_REPLAY.json"
 
 #: acceptance floor: warm / cold per-frame cost ratios (uplink bytes and
 #: server execute time) must both clear this factor
@@ -268,19 +265,9 @@ def run_replay_bench(seed: int = 0, smoke: bool = False) -> Dict[str, Any]:
     return {"schema": BENCH_REPLAY_SCHEMA, "deterministic": bench}
 
 
-def validate_bench(bench: Any) -> List[str]:
-    """Schema + acceptance gate for BENCH_REPLAY.json; empty == valid."""
+def _checks(det: Dict[str, Any]) -> List[str]:
+    """Acceptance gates for BENCH_REPLAY's deterministic section."""
     problems: List[str] = []
-    if not isinstance(bench, dict):
-        return [f"top level must be an object, got {type(bench).__name__}"]
-    if bench.get("schema") != BENCH_REPLAY_SCHEMA:
-        problems.append(f"'schema' must be {BENCH_REPLAY_SCHEMA!r}")
-    det = bench.get("deterministic")
-    if not isinstance(det, dict):
-        return problems + ["missing 'deterministic' section"]
-    if not isinstance(det.get("digest"), str):
-        problems.append("missing 'deterministic.digest'")
-
     pair = det.get("pair")
     if not isinstance(pair, dict):
         problems.append("missing 'pair' section")
@@ -347,27 +334,8 @@ def validate_bench(bench: Any) -> List[str]:
 # -- the regression gate -----------------------------------------------------
 
 
-def diff_against_baseline(
-    current: Dict[str, Any], baseline: Dict[str, Any]
-) -> Tuple[List[str], Optional[str]]:
-    """Compare an artifact against the committed baseline.
-
-    Returns ``(regressions, skip_reason)``; a non-``None`` skip reason
-    means the artifacts are not comparable and the gate should be
-    skipped, not failed.
-    """
-    cur = current.get("deterministic", {})
-    base = baseline.get("deterministic", {})
-    if baseline.get("schema") != current.get("schema"):
-        return [], "baseline schema differs — regenerate the baseline"
-    if (cur.get("seed"), cur.get("smoke")) != (
-        base.get("seed"), base.get("smoke")
-    ):
-        return [], (
-            f"baseline is seed={base.get('seed')} smoke={base.get('smoke')}, "
-            f"run is seed={cur.get('seed')} smoke={cur.get('smoke')} — "
-            "not comparable"
-        )
+def _regressions(cur: Dict[str, Any], base: Dict[str, Any]) -> List[str]:
+    """Warm-session cost growth beyond tolerance over the baseline."""
     regressions: List[str] = []
     for metric in ("uplink_bytes_per_frame", "server_replay_ms_per_frame"):
         cur_v = cur.get("pair", {}).get("warm", {}).get(metric)
@@ -379,21 +347,10 @@ def diff_against_baseline(
                 f"warm {metric} regressed {base_v} -> {cur_v} "
                 f"(>{REGRESSION_TOLERANCE:.0%} over baseline)"
             )
-    return regressions, None
+    return regressions
 
 
 # -- output ------------------------------------------------------------------
-
-
-def write_bench(path: str, bench: Dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bench, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bench(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def format_bench(bench: Dict[str, Any]) -> str:
@@ -435,3 +392,16 @@ def format_bench(bench: Dict[str, Any]) -> str:
     )
     lines.append(f"digest: {det['digest'][:16]}…")
     return "\n".join(lines)
+
+
+SPEC = BenchSpec(
+    name="replay",
+    schema=BENCH_REPLAY_SCHEMA,
+    artifact="BENCH_REPLAY.json",
+    run=lambda seed, smoke, workers: run_replay_bench(seed, smoke),
+    checks=_checks,
+    regressions=_regressions,
+    format=format_bench,
+    parallel=False,
+    regression_label="performance regression",
+)

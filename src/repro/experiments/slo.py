@@ -8,24 +8,25 @@ per-frame critical-path attribution, all in simulated time so the
 artifact is byte-identical across same-seed runs (it carries a sha256
 digest over itself).
 
-The harness doubles as the CI perf-regression gate:
-``diff_against_baseline`` compares the artifact against the committed
-baseline (``benchmarks/baselines/BENCH_SLO.json``) and reports
-regressions — frame p99 latency beyond the tolerance, SLO attainment
-drops, newly breached objectives — which fail the build.
+The harness doubles as the CI perf-regression gate: :data:`SPEC` runs
+it through :func:`repro.experiments.gate.gate`, which diffs the artifact
+against the committed baseline (``benchmarks/baselines/BENCH_SLO.json``)
+and fails on regressions — frame p99 latency beyond the tolerance, SLO
+attainment drops, newly breached objectives — or digest drift.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.apps.games import GAMES
 from repro.core.config import GBoosterConfig
 from repro.core.session import run_offload_session
 from repro.devices.profiles import LG_NEXUS_5, NVIDIA_SHIELD
 from repro.experiments.fleet import run_fleet_point
+from repro.experiments.gate import BenchSpec
 from repro.faults.schedule import FaultSchedule
 from repro.metrics.spans import dominant_stage, pipeline_critical_path
 from repro.obs.telemetry import TelemetryHub, default_fleet_slos
@@ -33,9 +34,6 @@ from repro.sim.kernel import Simulator
 
 #: artifact schema identifier, bumped on incompatible changes
 BENCH_SLO_SCHEMA = "repro.bench_slo/1"
-
-#: the committed baseline the CI gate diffs against
-DEFAULT_BASELINE = "benchmarks/baselines/BENCH_SLO.json"
 
 #: objectives the artifact must always evaluate (acceptance-gated)
 REQUIRED_SESSION_SLOS = (
@@ -169,18 +167,9 @@ def run_slo_bench(
     return {"schema": BENCH_SLO_SCHEMA, "deterministic": bench}
 
 
-def validate_bench(bench: Any) -> List[str]:
-    """Schema + semantic gate for BENCH_SLO.json; empty list == valid."""
+def _checks(det: Dict[str, Any]) -> List[str]:
+    """Semantic gate for BENCH_SLO's deterministic section."""
     problems: List[str] = []
-    if not isinstance(bench, dict):
-        return [f"top level must be an object, got {type(bench).__name__}"]
-    if bench.get("schema") != BENCH_SLO_SCHEMA:
-        problems.append(f"'schema' must be {BENCH_SLO_SCHEMA!r}")
-    det = bench.get("deterministic")
-    if not isinstance(det, dict):
-        return problems + ["missing 'deterministic' section"]
-    if not isinstance(det.get("digest"), str):
-        problems.append("missing 'deterministic.digest'")
     for scenario, required in (
         ("session", REQUIRED_SESSION_SLOS),
         ("faulted_session", REQUIRED_SESSION_SLOS),
@@ -215,27 +204,8 @@ def validate_bench(bench: Any) -> List[str]:
 # -- the regression gate -----------------------------------------------------
 
 
-def diff_against_baseline(
-    current: Dict[str, Any], baseline: Dict[str, Any]
-) -> Tuple[List[str], Optional[str]]:
-    """Compare an artifact against the committed baseline.
-
-    Returns ``(regressions, skip_reason)``; a non-``None`` skip reason
-    means the artifacts are not comparable (seed or scale mismatch) and
-    the gate should be skipped, not failed.
-    """
-    cur = current.get("deterministic", {})
-    base = baseline.get("deterministic", {})
-    if baseline.get("schema") != current.get("schema"):
-        return [], "baseline schema differs — regenerate the baseline"
-    if (cur.get("seed"), cur.get("smoke")) != (
-        base.get("seed"), base.get("smoke")
-    ):
-        return [], (
-            f"baseline is seed={base.get('seed')} smoke={base.get('smoke')}, "
-            f"run is seed={cur.get('seed')} smoke={cur.get('smoke')} — "
-            "not comparable"
-        )
+def _regressions(cur: Dict[str, Any], base: Dict[str, Any]) -> List[str]:
+    """Tolerance breaches of a run against a comparable baseline."""
     regressions: List[str] = []
     for scenario in ("session", "faulted_session"):
         cur_p99 = cur.get(scenario, {}).get("frame_response", {}).get("p99")
@@ -269,21 +239,10 @@ def diff_against_baseline(
                     f"{scenario}: SLO {name} newly breached "
                     f"(was {base_slos[name].get('state')})"
                 )
-    return regressions, None
+    return regressions
 
 
 # -- output ------------------------------------------------------------------
-
-
-def write_bench(path: str, bench: Dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bench, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bench(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def format_bench(bench: Dict[str, Any]) -> str:
@@ -314,3 +273,16 @@ def format_bench(bench: Dict[str, Any]) -> str:
         )
     lines.append(f"digest: {det['digest'][:16]}…")
     return "\n".join(lines)
+
+
+SPEC = BenchSpec(
+    name="slo",
+    schema=BENCH_SLO_SCHEMA,
+    artifact="BENCH_SLO.json",
+    run=run_slo_bench,
+    checks=_checks,
+    regressions=_regressions,
+    format=format_bench,
+    problem_label="benchmark schema drift",
+    regression_label="performance regression",
+)

@@ -374,12 +374,21 @@ def write_chrome_trace(
 ) -> Dict[str, Any]:
     """Export, validate, and write a trace file; returns the trace object.
 
-    Raises ``ValueError`` on schema drift so callers (the CLI smoke gate)
-    fail loudly instead of uploading a broken artifact.
+    Raises ``ValueError`` on schema drift (:func:`save_chrome_trace`).
     """
     trace = chrome_trace(
         spans, metadata=metadata, series=series, alerts=alerts, flows=flows
     )
+    save_chrome_trace(path, trace)
+    return trace
+
+
+def save_chrome_trace(path: str, trace: Dict[str, Any]) -> None:
+    """Validate and write an already-rendered trace object.
+
+    Raises ``ValueError`` on schema drift so callers (the CLI smoke gate)
+    fail loudly instead of uploading a broken artifact.
+    """
     problems = validate_chrome_trace(trace)
     if problems:
         raise ValueError(
@@ -388,4 +397,3 @@ def write_chrome_trace(
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(trace, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    return trace

@@ -22,20 +22,20 @@ def digest(deterministic: dict) -> str:
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_same_seed_same_bench_digest(seed):
-    first, _ = bench_session(2_000.0, seed)
-    second, _ = bench_session(2_000.0, seed)
+    first = bench_session(2_000.0, seed)
+    second = bench_session(2_000.0, seed)
     assert first == second
     assert digest(first) == digest(second)
 
 
 def test_different_seeds_differ():
-    a, _ = bench_session(2_000.0, 0)
-    b, _ = bench_session(2_000.0, 1)
+    a = bench_session(2_000.0, 0)
+    b = bench_session(2_000.0, 1)
     assert digest(a) != digest(b)
 
 
 def test_bench_carries_the_full_observable_surface():
-    det, _ = bench_session(2_000.0, 0)
+    det = bench_session(2_000.0, 0)
     for key in ("pipeline_stages", "metrics", "span_count",
                 "frames_presented", "median_fps"):
         assert key in det

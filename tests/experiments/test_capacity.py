@@ -9,14 +9,13 @@ from repro.experiments.capacity import (
     BENCH_CAPACITY_SCHEMA,
     GENRE_MIXES,
     GENRE_TITLES,
+    SPEC,
     compute_frontier,
-    diff_against_baseline,
     format_bench,
     mix_app_indices,
     run_capacity_bench,
     run_capacity_point,
     standard_curves,
-    validate_bench,
 )
 from repro.experiments.fleet_shard import (
     plan_fleet_shards,
@@ -108,7 +107,7 @@ class TestSmokeBench:
         return run_capacity_bench(seed=0, smoke=True, workers=1)
 
     def test_artifact_validates(self, bench):
-        assert validate_bench(bench) == []
+        assert SPEC.validate(bench) == []
         assert bench["schema"] == BENCH_CAPACITY_SCHEMA
 
     def test_worker_count_is_transport_only(self, bench):
@@ -194,21 +193,21 @@ class TestValidationGate:
             ordered[0]["service_attainment"] + 0.5
         )
         assert any(
-            "attainment rises" in p for p in validate_bench(bench)
+            "attainment rises" in p for p in SPEC.validate(bench)
         )
 
     def test_unreconciled_point_is_flagged(self):
         bench = run_capacity_bench(seed=0, smoke=True, workers=1)
         bench["deterministic"]["points"][0]["reconciled"] = False
         assert any(
-            "does not reconcile" in p for p in validate_bench(bench)
+            "does not reconcile" in p for p in SPEC.validate(bench)
         )
 
     def test_baseline_diff_skips_on_seed_mismatch(self):
         bench = run_capacity_bench(seed=0, smoke=True, workers=1)
         other = json.loads(json.dumps(bench))
         other["deterministic"]["seed"] = 9
-        regressions, skip = diff_against_baseline(bench, other)
+        regressions, skip = SPEC.diff(bench, other)
         assert regressions == [] and skip is not None
 
     def test_baseline_diff_catches_frontier_regression(self):
@@ -218,7 +217,7 @@ class TestValidationGate:
             entry["sustained"] = 0
         for p in worse["deterministic"]["points"]:
             p["service_attainment"] = 0.0
-        regressions, skip = diff_against_baseline(worse, bench)
+        regressions, skip = SPEC.diff(worse, bench)
         assert skip is None
         assert any("sustained load fell" in r for r in regressions)
         assert any("attainment fell" in r for r in regressions)

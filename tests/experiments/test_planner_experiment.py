@@ -6,14 +6,13 @@ import pytest
 
 from repro.experiments.planner import (
     MATRIX_CELLS,
+    SPEC,
     STATIC_POLICIES,
-    diff_against_baseline,
     format_bench,
     run_drift_drill,
     run_fusion_point,
     run_matrix_cell,
     run_planner_bench,
-    validate_bench,
 )
 
 
@@ -89,20 +88,20 @@ class TestDrill:
 
 class TestHarness:
     def test_validate_accepts_the_real_artifact(self, bench):
-        assert validate_bench(bench) == []
+        assert SPEC.validate(bench) == []
 
     def test_validate_rejects_garbage(self):
-        assert validate_bench([]) != []
-        assert validate_bench({"schema": "nope"}) != []
+        assert SPEC.validate([]) != []
+        assert SPEC.validate({"schema": "nope"}) != []
 
     def test_validate_catches_a_dominated_planner(self, bench):
         broken = json.loads(json.dumps(bench))
         att = broken["deterministic"]["matrix"]["attainment"]
         att["always_wifi"] = att["planner"]
-        assert any("always_wifi" in p for p in validate_bench(broken))
+        assert any("always_wifi" in p for p in SPEC.validate(broken))
 
     def test_baseline_diff_self_is_clean(self, bench):
-        regressions, skip = diff_against_baseline(bench, bench)
+        regressions, skip = SPEC.diff(bench, bench)
         assert skip is None
         assert regressions == []
 
@@ -110,14 +109,14 @@ class TestHarness:
         worse = json.loads(json.dumps(bench))
         cell = worse["deterministic"]["matrix"]["cells"][0]
         cell["policies"]["planner"]["score"] *= 1.5
-        regressions, skip = diff_against_baseline(worse, bench)
+        regressions, skip = SPEC.diff(worse, bench)
         assert skip is None
         assert any(cell["name"] in r for r in regressions)
 
     def test_baseline_diff_skips_incomparable_runs(self, bench):
         other = json.loads(json.dumps(bench))
         other["deterministic"]["seed"] = 999
-        _, skip = diff_against_baseline(bench, other)
+        _, skip = SPEC.diff(bench, other)
         assert skip is not None
 
     def test_format_bench_renders(self, bench):

@@ -9,17 +9,15 @@ from repro.experiments.postmortem import (
     BENCH_POSTMORTEM_SCHEMA,
     DECISION_COMPONENTS,
     MIN_TRACE_COMPONENTS,
-    diff_against_baseline,
+    SPEC,
     format_bench,
     run_postmortem_bench,
     run_postmortem_control,
     run_postmortem_incident,
     run_postmortem_shards,
-    validate_bench,
-    write_bench,
     write_bundle,
-    write_chrome,
 )
+from repro.experiments.gate import write_artifact, write_chrome
 from repro.obs.export import validate_chrome_trace
 from repro.obs.flight import validate_bundle
 
@@ -105,7 +103,7 @@ class TestBenchArtifact:
 
     def test_schema_and_acceptance_gates(self, bench):
         assert bench["schema"] == BENCH_POSTMORTEM_SCHEMA
-        assert validate_bench(bench) == []
+        assert SPEC.validate(bench) == []
 
     def test_worker_count_does_not_change_the_bytes(self, bench):
         again = run_postmortem_bench(seed=0, smoke=True, workers=2)
@@ -117,12 +115,12 @@ class TestBenchArtifact:
         bench_path = tmp_path / "bench.json"
         bundle_path = tmp_path / "bundle.json"
         trace_path = tmp_path / "trace.json"
-        write_bench(str(bench_path), bench)
+        write_artifact(str(bench_path), bench)
         write_bundle(str(bundle_path), bench)
         write_chrome(str(trace_path), bench)
         written = json.loads(bench_path.read_text())
         assert "chrome" not in written     # digest-gated file stays slim
-        assert validate_bench(written) == []
+        assert SPEC.validate(written) == []
         bundle = json.loads(bundle_path.read_text())
         assert validate_bundle(bundle) == []
         assert validate_chrome_trace(json.loads(trace_path.read_text())) == []
@@ -141,7 +139,7 @@ class TestBenchArtifact:
         broken = copy.deepcopy(bench)
         broken["deterministic"]["incident"]["bundle"] = None
         assert any(
-            "froze no flight bundle" in p for p in validate_bench(broken)
+            "froze no flight bundle" in p for p in SPEC.validate(broken)
         )
 
     def test_validate_flags_unexplained_alert(self, bench):
@@ -149,13 +147,13 @@ class TestBenchArtifact:
         audit = broken["deterministic"]["incident"]["alert_audit"]
         audit["alerts_with_exemplars"] = audit["alerts"] - 1
         assert any(
-            "no exemplar trace ids" in p for p in validate_bench(broken)
+            "no exemplar trace ids" in p for p in SPEC.validate(broken)
         )
 
     def test_validate_flags_noisy_control(self, bench):
         broken = copy.deepcopy(bench)
         broken["deterministic"]["control"]["flight"]["bundles"] = 1
-        assert any("healthy run" in p for p in validate_bench(broken))
+        assert any("healthy run" in p for p in SPEC.validate(broken))
 
 
 class TestRegressionGate:
@@ -164,27 +162,27 @@ class TestRegressionGate:
         return run_postmortem_bench(seed=0, smoke=True)
 
     def test_identical_artifacts_pass(self, bench):
-        regressions, skip = diff_against_baseline(bench, bench)
+        regressions, skip = SPEC.diff(bench, bench)
         assert regressions == [] and skip is None
 
     def test_seed_mismatch_skips_not_fails(self, bench):
         other = copy.deepcopy(bench)
         other["deterministic"]["seed"] = 99
-        regressions, skip = diff_against_baseline(bench, other)
+        regressions, skip = SPEC.diff(bench, other)
         assert regressions == []
         assert skip is not None and "seed" in skip
 
     def test_schema_mismatch_skips(self, bench):
         other = copy.deepcopy(bench)
         other["schema"] = "repro.bench_postmortem/0"
-        _, skip = diff_against_baseline(bench, other)
+        _, skip = SPEC.diff(bench, other)
         assert skip is not None and "schema" in skip
 
     def test_digest_drift_names_the_moved_section(self, bench):
         drifted = copy.deepcopy(bench)
         drifted["deterministic"]["control"]["median_fps"] += 1.0
         drifted["deterministic"]["digest"] = "0" * 64
-        regressions, skip = diff_against_baseline(drifted, bench)
+        regressions, skip = SPEC.diff(drifted, bench)
         assert skip is None
         assert any("digest drifted" in r for r in regressions)
         assert any("'control'" in r for r in regressions)
@@ -194,5 +192,5 @@ class TestRegressionGate:
         drifted = copy.deepcopy(bench)
         drifted["deterministic"]["incident"]["bundle"]["digest"] = "f" * 64
         drifted["deterministic"]["digest"] = "0" * 64
-        regressions, _ = diff_against_baseline(drifted, bench)
+        regressions, _ = SPEC.diff(drifted, bench)
         assert any("flight bundle digest drifted" in r for r in regressions)

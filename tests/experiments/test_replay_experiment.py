@@ -8,9 +8,8 @@ import pytest
 from repro.experiments.replay import (
     BENCH_REPLAY_SCHEMA,
     MIN_SPEEDUP,
-    diff_against_baseline,
+    SPEC,
     run_replay_pair,
-    validate_bench,
 )
 
 
@@ -111,50 +110,50 @@ def make_bench(seed=0, smoke=True):
 
 class TestValidateBench:
     def test_accepts_well_formed_artifact(self):
-        assert validate_bench(make_bench()) == []
+        assert SPEC.validate(make_bench()) == []
 
     def test_rejects_non_dict(self):
-        assert validate_bench([]) != []
+        assert SPEC.validate([]) != []
 
     def test_rejects_wrong_schema(self):
         bench = make_bench()
         bench["schema"] = "repro.bench_replay/0"
-        assert any("schema" in p for p in validate_bench(bench))
+        assert any("schema" in p for p in SPEC.validate(bench))
 
     def test_rejects_speedup_below_floor(self):
         bench = make_bench()
         bench["deterministic"]["pair"]["speedup"][
             "uplink_bytes_per_frame"
         ] = MIN_SPEEDUP - 0.5
-        assert any("uplink_bytes_per_frame" in p for p in validate_bench(bench))
+        assert any("uplink_bytes_per_frame" in p for p in SPEC.validate(bench))
 
     def test_rejects_fidelity_breakage(self):
         bench = make_bench()
         bench["deterministic"]["pair"]["warm"]["fidelity_mismatches"] = 2
-        assert any("fidelity" in p for p in validate_bench(bench))
+        assert any("fidelity" in p for p in SPEC.validate(bench))
 
     def test_rejects_missed_demotion(self):
         bench = make_bench()
         bench["deterministic"]["divergence"]["warm"]["replay"][
             "demotions"
         ] = 0
-        assert any("demoted" in p for p in validate_bench(bench))
+        assert any("demoted" in p for p in SPEC.validate(bench))
 
     def test_rejects_stream_divergence(self):
         bench = make_bench()
         bench["deterministic"]["pair"]["stream_prefix_equal"] = False
-        assert any("diverge" in p for p in validate_bench(bench))
+        assert any("diverge" in p for p in SPEC.validate(bench))
 
     def test_rejects_fleet_frame_loss(self):
         bench = make_bench()
         bench["deterministic"]["fleet"]["with_replay"]["frames_lost"] = 3
-        assert any("lost frames" in p for p in validate_bench(bench))
+        assert any("lost frames" in p for p in SPEC.validate(bench))
 
 
 class TestBaselineDiff:
     def test_identical_artifacts_pass(self):
         bench = make_bench()
-        regressions, skip = diff_against_baseline(bench, copy.deepcopy(bench))
+        regressions, skip = SPEC.diff(bench, copy.deepcopy(bench))
         assert regressions == [] and skip is None
 
     def test_within_tolerance_passes(self):
@@ -163,7 +162,7 @@ class TestBaselineDiff:
         current["deterministic"]["pair"]["warm"][
             "uplink_bytes_per_frame"
         ] = 500.0 * 1.05
-        regressions, skip = diff_against_baseline(current, baseline)
+        regressions, skip = SPEC.diff(current, baseline)
         assert regressions == [] and skip is None
 
     def test_regression_beyond_tolerance_fails(self):
@@ -172,18 +171,18 @@ class TestBaselineDiff:
         current["deterministic"]["pair"]["warm"][
             "uplink_bytes_per_frame"
         ] = 500.0 * 1.25
-        regressions, skip = diff_against_baseline(current, baseline)
+        regressions, skip = SPEC.diff(current, baseline)
         assert skip is None
         assert any("uplink_bytes_per_frame" in r for r in regressions)
 
     def test_schema_mismatch_skips(self):
         baseline = make_bench()
         baseline["schema"] = "repro.bench_replay/0"
-        regressions, skip = diff_against_baseline(make_bench(), baseline)
+        regressions, skip = SPEC.diff(make_bench(), baseline)
         assert regressions == [] and skip is not None
 
     def test_seed_mismatch_skips(self):
-        regressions, skip = diff_against_baseline(
+        regressions, skip = SPEC.diff(
             make_bench(seed=0), make_bench(seed=7)
         )
         assert regressions == [] and skip is not None

@@ -11,15 +11,14 @@ from repro.core.session import run_offload_session
 from repro.devices.profiles import LG_NEXUS_5, NVIDIA_SHIELD
 from repro.experiments.slo import (
     BENCH_SLO_SCHEMA,
-    diff_against_baseline,
+    SPEC,
     format_bench,
     run_slo_bench,
     run_slo_faulted,
     run_slo_fleet,
     run_slo_session,
-    validate_bench,
-    write_bench,
 )
+from repro.experiments.gate import write_artifact
 from repro.faults.schedule import FaultSchedule
 
 DURATION_MS = 6_000.0
@@ -133,7 +132,7 @@ class TestBenchArtifact:
 
     def test_schema_and_validation(self, bench):
         assert bench["schema"] == BENCH_SLO_SCHEMA
-        assert validate_bench(bench) == []
+        assert SPEC.validate(bench) == []
 
     def test_deterministic_across_runs(self, bench):
         again = run_slo_bench(seed=5, smoke=True)
@@ -143,8 +142,8 @@ class TestBenchArtifact:
 
     def test_write_is_byte_stable(self, bench, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_bench(str(a), bench)
-        write_bench(str(b), run_slo_bench(seed=5, smoke=True))
+        write_artifact(str(a), bench)
+        write_artifact(str(b), run_slo_bench(seed=5, smoke=True))
         assert a.read_bytes() == b.read_bytes()
 
     def test_format_lists_every_slo(self, bench):
@@ -161,7 +160,7 @@ class TestBenchArtifact:
             "fps_floor"
         ]
         assert any(
-            "fps_floor" in p for p in validate_bench(broken)
+            "fps_floor" in p for p in SPEC.validate(broken)
         )
 
 
@@ -171,13 +170,13 @@ class TestRegressionGate:
         return run_slo_bench(seed=5, smoke=True)
 
     def test_identical_artifacts_pass(self, bench):
-        regressions, skip = diff_against_baseline(bench, bench)
+        regressions, skip = SPEC.diff(bench, bench)
         assert regressions == [] and skip is None
 
     def test_seed_mismatch_skips_not_fails(self, bench):
         other = copy.deepcopy(bench)
         other["deterministic"]["seed"] = 99
-        regressions, skip = diff_against_baseline(bench, other)
+        regressions, skip = SPEC.diff(bench, other)
         assert regressions == []
         assert skip is not None and "seed" in skip
 
@@ -185,7 +184,7 @@ class TestRegressionGate:
         worse = copy.deepcopy(bench)
         fr = worse["deterministic"]["session"]["frame_response"]
         fr["p99"] = fr["p99"] * 1.25 + 5.0
-        regressions, skip = diff_against_baseline(worse, bench)
+        regressions, skip = SPEC.diff(worse, bench)
         assert skip is None
         assert any("frame p99" in r for r in regressions)
 
@@ -193,7 +192,7 @@ class TestRegressionGate:
         slightly = copy.deepcopy(bench)
         fr = slightly["deterministic"]["session"]["frame_response"]
         fr["p99"] = fr["p99"] * 1.05
-        regressions, _ = diff_against_baseline(slightly, bench)
+        regressions, _ = SPEC.diff(slightly, bench)
         assert regressions == []
 
     def test_attainment_drop_detected(self, bench):
@@ -202,7 +201,7 @@ class TestRegressionGate:
             "fps_floor"
         ]
         slo["attainment"] = max(0.0, slo["attainment"] - 0.20)
-        regressions, _ = diff_against_baseline(worse, bench)
+        regressions, _ = SPEC.diff(worse, bench)
         assert any("fps_floor" in r for r in regressions)
 
     def test_new_breach_detected(self, bench):
@@ -210,5 +209,5 @@ class TestRegressionGate:
         worse["deterministic"]["session"]["telemetry"]["slos"][
             "switch_flap_rate"
         ]["state"] = "breached"
-        regressions, _ = diff_against_baseline(worse, bench)
+        regressions, _ = SPEC.diff(worse, bench)
         assert any("newly breached" in r for r in regressions)
