@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.gles import enums as gl
 from repro.gles.commands import GLCommand, make_command
@@ -143,6 +143,15 @@ class CommandBatchBuilder:
         self._program: int = 0
         self._u_mvp: int = 0
         self._u_time: int = 1
+        # Every per-frame command but the camera matrix is one of a few
+        # distinct values; each is built once and reissued every frame.
+        self._frame_prologue: List[GLCommand] = []
+        self._binds: Dict[int, GLCommand] = {}
+        self._draws: Dict[int, GLCommand] = {}
+        self._dynamic_pointers: Dict[int, GLCommand] = {}
+        self._vbo_pointer = make_command(
+            "glVertexAttribPointer", 0, 3, gl.GL_FLOAT, False, 20, 0,
+        )
 
     # -- setup --------------------------------------------------------------
 
@@ -189,6 +198,12 @@ class CommandBatchBuilder:
             ]
         )
         self._program = 3
+        self._frame_prologue = [
+            make_command(
+                "glClear", gl.GL_COLOR_BUFFER_BIT | gl.GL_DEPTH_BUFFER_BIT
+            ),
+            make_command("glUseProgram", self._program),
+        ]
         # Textures: deterministic synthetic payloads sized by the app.
         tex_side = 128 if self.spec.genre != "puzzle" else 64
         n_textures = max(2, self.spec.textures_per_frame)
@@ -245,12 +260,7 @@ class CommandBatchBuilder:
         spec = self.spec
         n = spec.emitted_commands_per_frame
         activity = scene.activity
-        cmds: List[GLCommand] = [
-            make_command(
-                "glClear", gl.GL_COLOR_BUFFER_BIT | gl.GL_DEPTH_BUFFER_BIT
-            ),
-            make_command("glUseProgram", self._program),
-        ]
+        cmds: List[GLCommand] = list(self._frame_prologue)
         # Camera matrix: changes only when the scene is moving.
         if activity > 0.02 or scene.frames_in_scene % 120 == 0:
             angle = (self._frame_index % 3600) * 0.1 * (0.2 + activity)
@@ -262,33 +272,34 @@ class CommandBatchBuilder:
             )
         draws_budget = max(1, n - len(cmds) - 2)
         draw_slots = max(1, draws_budget // 4)
+        textures = self._texture_names
+        vertex_count = 6 * (2 + int(6 * activity))
+        draw = self._draws.get(vertex_count)
+        if draw is None:
+            draw = self._draws[vertex_count] = make_command(
+                "glDrawArrays", gl.GL_TRIANGLES, 0, vertex_count
+            )
         for slot in range(draw_slots):
-            tex = self._texture_names[
-                (slot + scene.scene_id) % len(self._texture_names)
-            ]
-            cmds.append(make_command("glBindTexture", gl.GL_TEXTURE_2D, tex))
+            tex = textures[(slot + scene.scene_id) % len(textures)]
+            bind = self._binds.get(tex)
+            if bind is None:
+                bind = self._binds[tex] = make_command(
+                    "glBindTexture", gl.GL_TEXTURE_2D, tex
+                )
+            cmds.append(bind)
             # Dynamic objects re-upload small vertex ranges when active.
             if self.rng.random() < 0.05 + 0.2 * activity:
-                dynamic = self._vertex_payload(
-                    48, seed=self._frame_index * 31 + slot
-                )
-                cmds.append(
-                    make_command(
+                base = _payload_base(self._frame_index * 31 + slot)
+                pointer = self._dynamic_pointers.get(base)
+                if pointer is None:
+                    pointer = self._dynamic_pointers[base] = make_command(
                         "glVertexAttribPointer", 0, 3, gl.GL_FLOAT, False,
-                        20, dynamic,
+                        20, _vertex_bytes(48, base),
                     )
-                )
+                cmds.append(pointer)
             else:
-                cmds.append(
-                    make_command(
-                        "glVertexAttribPointer", 0, 3, gl.GL_FLOAT, False,
-                        20, 0,
-                    )
-                )
-            vertex_count = 6 * (2 + int(6 * activity))
-            cmds.append(
-                make_command("glDrawArrays", gl.GL_TRIANGLES, 0, vertex_count)
-            )
+                cmds.append(self._vbo_pointer)
+            cmds.append(draw)
         self._frame_index += 1
         return cmds
 
@@ -311,7 +322,7 @@ class CommandBatchBuilder:
         depend on ``seed`` only through a 6-bit base, so each buffer is
         built once and shared.
         """
-        return _vertex_bytes(vertices, (seed * 2654435761 + 12345) & 0x3F)
+        return _vertex_bytes(vertices, _payload_base(seed))
 
     def _rotation_matrix(self, angle_deg: float) -> Tuple[float, ...]:
         a = math.radians(angle_deg)
@@ -322,6 +333,11 @@ class CommandBatchBuilder:
             0.0, 0.0, 1.0, 0.0,
             0.0, 0.0, 0.0, 1.0,
         )
+
+
+def _payload_base(seed: int) -> int:
+    """The 6-bit base a vertex payload's bytes depend on."""
+    return (seed * 2654435761 + 12345) & 0x3F
 
 
 @lru_cache(maxsize=256)

@@ -13,9 +13,12 @@ Properties cover the layers the ISSUE names:
 * ``lz77_roundtrip`` / ``delta_roundtrip`` — codec byte-equality over
   randomized payloads (empty / tiny / repetitive / adversarial);
 * ``cache_lockstep`` — randomized GL command streams (deferred pointers,
-  draws, uniforms) through the egress pipeline: sender/receiver caches in
-  lockstep, raw bytes as serialized, and the payload byte-identical to a
-  serialize-everything reference kept under ``tests/codec``;
+  draws, uniforms, signed zeros, frames repeated with the same command
+  objects) through the egress pipeline: sender/receiver caches in
+  lockstep, raw bytes as serialized, the payload byte-identical to a
+  serialize-everything reference kept under ``tests/codec``, every
+  cache reference standing for the bytes of the command it replaces, and
+  the frame template agreeing with a pipeline fed per-frame copies;
 * ``transport_delivery`` — randomized message batches over a lossy link,
   checked against the transport conservation laws;
 * ``replay_coherence`` — interleaved record/evict/delta-serve steps from
@@ -44,6 +47,7 @@ fails on any digest difference.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import random
@@ -287,22 +291,39 @@ def _lockstep_frames(ops: List[Any]) -> List[List[Any]]:
     sets a vertex pointer whose payload is a client array (deferred to the
     next draw), a VBO offset (deferred) or inline bytes;
     ``["draw", first, count]`` draws; ``["uniform", location, value]``
-    sets a float uniform; ``["frame"]`` ends the frame.
+    sets a float uniform; ``["signed_zero", location]`` sets it to ``0.0``
+    and then to ``-0.0``; ``["frame"]`` ends the frame; ``["repeat"]``
+    ends it and issues it once more.
+
+    Equal ops decode to one shared command object, as an app reissues
+    its unchanged commands, so a repeated frame is made of the very
+    objects of the first and can take the pipeline's frame template.
     """
     from repro.gles import enums as gl
     from repro.gles.commands import make_command
     from repro.gles.serialization import ClientArray
 
+    built: Dict[str, Any] = {}
+
+    def command(op: Any, *call: Any) -> Any:
+        # repr tells 0.0 from -0.0 and 1 from 1.0, as the wire does
+        cmd = built.get(repr(op))
+        if cmd is None:
+            cmd = built[repr(op)] = make_command(*call)
+        return cmd
+
     frames: List[List[Any]] = [[]]
     for op in ops:
         if isinstance(op, int):
             frames[-1].append(
-                make_command("glBindTexture", gl.GL_TEXTURE_2D, op)
+                command(op, "glBindTexture", gl.GL_TEXTURE_2D, op)
             )
             continue
         kind = op[0]
         if kind == "frame":
             frames.append([])
+        elif kind == "repeat":
+            frames.extend([list(frames[-1]), []])
         elif kind == "ptr":
             _, index, source, variant = op
             data = bytes((variant * 7 + i) % 256 for i in range(96))
@@ -311,19 +332,77 @@ def _lockstep_frames(ops: List[Any]) -> List[List[Any]]:
                 "vbo": 16 * variant,
                 "inline": data[: 12 * (variant + 1)],
             }[source]
-            frames[-1].append(make_command(
-                "glVertexAttribPointer", index, 3, gl.GL_FLOAT, False, 0,
+            frames[-1].append(command(
+                op, "glVertexAttribPointer", index, 3, gl.GL_FLOAT, False, 0,
                 pointer,
             ))
         elif kind == "draw":
-            frames[-1].append(
-                make_command("glDrawArrays", gl.GL_TRIANGLES, op[1], op[2])
-            )
+            frames[-1].append(command(
+                op, "glDrawArrays", gl.GL_TRIANGLES, op[1], op[2]
+            ))
         elif kind == "uniform":
-            frames[-1].append(make_command("glUniform1f", op[1], op[2]))
+            frames[-1].append(command(op, "glUniform1f", op[1], op[2]))
+        elif kind == "signed_zero":
+            for value in (0.0, -0.0):
+                frames[-1].append(command(
+                    ["uniform", op[1], value], "glUniform1f", op[1], value,
+                ))
         else:
             raise ValueError(f"unknown cache_lockstep op {op!r}")
     return frames
+
+
+def _receiver_stream_problem(
+    payload: bytes, issued: List[Any], learned: Dict[bytes, bytes]
+) -> Optional[str]:
+    """Read an uncompressed payload back as the receiver does and compare
+    it with the issued (resolved) commands' own serializations.
+
+    A full command teaches ``learned`` the wire its reference stands for;
+    a reference must stand for exactly the wire of the command issued in
+    its place, so two commands that serialize differently can never
+    share a cache entry.
+    """
+    from repro.codec.command_cache import (
+        REFERENCE_BYTES,
+        REFERENCE_MARKER,
+        key_digest,
+    )
+    from repro.gles.serialization import serialize_command
+
+    off = 0
+    for cmd in issued:
+        wire = serialize_command(cmd)
+        if payload[off:off + 2] == REFERENCE_MARKER:
+            reference = payload[off:off + REFERENCE_BYTES]
+            if learned.get(reference) != wire:
+                return (
+                    f"a reference stands in for {cmd.name}{cmd.args!r} "
+                    "but names other bytes"
+                )
+            off += REFERENCE_BYTES
+        else:
+            if payload[off:off + len(wire)] != wire:
+                return f"{cmd.name} did not travel as its serialization"
+            learned[REFERENCE_MARKER + key_digest(cmd.key())] = wire
+            off += len(wire)
+    if off != len(payload):
+        return f"{len(payload) - off} trailing payload bytes"
+    return None
+
+
+def _pipeline_state(pipeline: Any) -> Any:
+    """Both caches' key order, entries and stats, and the serializer's
+    counters."""
+    serializer = pipeline.serializer
+    return (
+        [
+            (repr(side.keys_in_order()), side.items(), side.stats)
+            for side in (pipeline.cache.sender, pipeline.cache.receiver)
+        ],
+        serializer.deferrals,
+        serializer.pending_deferred,
+    )
 
 
 class CacheLockstep(Property):
@@ -353,11 +432,15 @@ class CacheLockstep(Property):
                             rng.choice(_POINTER_SOURCES), rng.randint(0, 3)])
             elif roll < 0.7:
                 ops.append(["draw", rng.randint(0, 2), rng.randint(0, 8)])
-            elif roll < 0.9:
+            elif roll < 0.85:
                 ops.append(["uniform", rng.randint(0, 3),
                             rng.choice(_LOCKSTEP_UNIFORMS)])
-            else:
+            elif roll < 0.88:
+                ops.append(["signed_zero", rng.randint(0, 3)])
+            elif roll < 0.95:
                 ops.append(["frame"])
+            else:
+                ops.append(["repeat"])
         return {"capacity": rng.randint(2, 32), "ops": ops}
 
     def check(self, case: Dict[str, Any]) -> Optional[str]:
@@ -369,20 +452,32 @@ class CacheLockstep(Property):
         )
 
         capacity = case["capacity"]
-        pipeline = CommandPipeline(PipelineConfig(
+        config = PipelineConfig(
             cache_capacity=capacity, compression_enabled=False,
-        ))
+        )
+        pipeline = CommandPipeline(config)
+        # fed a copy of every command, so it never takes a frame template
+        copied = CommandPipeline(config)
         if self.reference is None:
             self.reference = _pipeline_reference()
         reference = self.reference(capacity)
         everything = CommandSerializer()
+        learned: Dict[bytes, bytes] = {}
         pair = pipeline.cache
         for index, frame in enumerate(_lockstep_frames(case["ops"])):
             try:
                 egress = pipeline.process_frame(frame)
             except RuntimeError as exc:
                 return f"cache pair desynced: {exc}"
-            raw = sum(len(w) for cmd in frame for w in everything.feed(cmd))
+            if egress != copied.process_frame(
+                [copy.copy(cmd) for cmd in frame]
+            ) or _pipeline_state(pipeline) != _pipeline_state(copied):
+                return (
+                    f"frame {index}: the frame template disagrees with "
+                    "the full resolve and cache path"
+                )
+            issued = [r for cmd in frame for r in everything.resolve(cmd)]
+            raw = sum(len(serialize_command(cmd)) for cmd in issued)
             if egress.raw_bytes != raw:
                 return (
                     f"frame {index}: raw_bytes {egress.raw_bytes} != "
@@ -399,6 +494,11 @@ class CacheLockstep(Property):
                     f"frame {index}: payload differs from the "
                     "serialize-everything reference"
                 )
+            problem = _receiver_stream_problem(
+                egress.payload, issued, learned
+            )
+            if problem is not None:
+                return f"frame {index}: {problem}"
         if not pair.verify_consistent():
             return "sender and receiver key order diverged"
         for side, cache in (("sender", pair.sender),

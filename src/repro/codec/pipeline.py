@@ -11,10 +11,12 @@ mechanism, and the ablation benches can disable stages independently.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from operator import is_
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.codec.command_cache import CachePair
+from repro.codec.command_cache import CacheEntry, CachePair
 from repro.codec.fusion import FusionStats, fuse_commands
 from repro.codec.lz77 import compress
 from repro.gles.commands import GLCommand
@@ -30,6 +32,33 @@ from repro.obs.spans import OpenSpan, SpanRecorder
 # subject to nominal-stream scaling.
 REPLAY_HIT_MARKER = b"\xCA\xFD"
 REPLAY_HEADER_BYTES = 2 + 8 + 8 + 1 + 2
+
+#: frame templates one pipeline keeps (oldest dropped first)
+FRAME_TEMPLATE_LIMIT = 128
+#: distinct compressor inputs one pipeline remembers (least recent dropped)
+COMPRESS_MEMO_LIMIT = 64
+
+
+class FrameTemplate(NamedTuple):
+    """One frame's resolve and cache outcome, replayable while it holds.
+
+    Recorded for a frame that starts and ends with no deferred pointer
+    held.  ``commands`` keeps the frame's command objects alive, so no
+    other object can take one of their ``id``s while the template lives.
+    ``entries`` are the sender's cache entries for ``keys`` when the frame
+    was recorded: while the sender still holds equal entries under every
+    key, the frame is all hits and sends exactly ``references``.
+    """
+
+    commands: Tuple[GLCommand, ...]
+    keys: Tuple[Tuple, ...]
+    entries: List[CacheEntry]
+    #: deferred pointers the serializer held back (and flushed) in-frame
+    deferrals: int
+    #: the cached wire bytes of ``entries``, summed
+    raw_bytes: int
+    #: the joined ``CacheEntry.reference`` bytes of ``entries``
+    references: bytes
 
 
 @dataclass
@@ -100,6 +129,12 @@ class CommandPipeline:
         self.total_trace = 0
         self.frames = 0
         self.fusion_stats = FusionStats()
+        #: frame templates keyed on the ``id``s of a frame's commands
+        self._templates: Dict[Tuple[int, ...], FrameTemplate] = {}
+        self.template_hits = 0
+        self._compressed: "OrderedDict[Tuple[bytes, int], bytes]" = (
+            OrderedDict()
+        )
 
     def process_frame(
         self,
@@ -130,11 +165,38 @@ class CommandPipeline:
                 frame_id, parent, trace,
             )
         fused_dropped = 0
+        ident = None
         if self.config.fusion_enabled:
             commands, fstats = fuse_commands(commands)
             fused_dropped = fstats.dropped
             self.fusion_stats.merge(fstats)
-        resolve = self.serializer.resolve
+        elif (
+            self.config.cache_enabled
+            and commands
+            and not self.serializer.pending_deferred
+        ):
+            # A frame of the very command objects of a recorded frame
+            # resolves to the same keys; when the sender still holds the
+            # same entries, its cache outcome is the recorded one.
+            ident = tuple(map(id, commands))
+            template = self._templates.get(ident)
+            if (
+                template is not None
+                and all(map(is_, template.commands, commands))
+                and list(map(self.cache.sender._entries.get, template.keys))
+                == template.entries
+            ):
+                return self._finish(
+                    self._replay_template(template),
+                    cache_hits=len(template.keys),
+                    raw_bytes=template.raw_bytes,
+                    commands=len(template.keys),
+                    fused_dropped=0,
+                    frame_id=frame_id, parent=parent, trace=trace,
+                )
+        serializer = self.serializer
+        deferrals = serializer.deferrals
+        resolve = serializer.resolve
         resolved: List[GLCommand] = []
         for cmd in commands:
             resolved.extend(resolve(cmd))
@@ -146,17 +208,103 @@ class CommandPipeline:
         batch = bytearray()
         if self.config.cache_enabled:
             encode = self.cache.encode
-            for cmd in resolved:
-                wire, sent, hit = encode(cmd.key(), serialize_command, cmd)
+            keys = [cmd.key() for cmd in resolved]
+            for key, cmd in zip(keys, resolved):
+                wire, sent, hit = encode(key, serialize_command, cmd)
                 raw_bytes += len(wire)
                 cache_hits += hit
                 batch += sent
-            after_cache = len(batch)
+            if ident is not None and not serializer.pending_deferred:
+                self._record_template(
+                    ident, commands, keys, serializer.deferrals - deferrals
+                )
         else:
             for cmd in resolved:
                 batch += serialize_command(cmd)
-            raw_bytes = after_cache = len(batch)
+            raw_bytes = len(batch)
+        return self._finish(
+            batch, cache_hits, raw_bytes, len(resolved), fused_dropped,
+            frame_id, parent, trace,
+        )
 
+    def _record_template(
+        self,
+        ident: Tuple[int, ...],
+        commands: List[GLCommand],
+        keys: List[Tuple],
+        deferrals: int,
+    ) -> None:
+        entries = list(map(self.cache.sender._entries.get, keys))
+        if None in entries:
+            return  # a key evicted in-frame; the next sighting records
+        templates = self._templates
+        templates.pop(ident, None)
+        if len(templates) >= FRAME_TEMPLATE_LIMIT:
+            del templates[next(iter(templates))]
+        templates[ident] = FrameTemplate(
+            commands=tuple(commands),
+            keys=tuple(keys),
+            entries=entries,
+            deferrals=deferrals,
+            raw_bytes=sum(len(entry.wire) for entry in entries),
+            references=b"".join(entry.reference for entry in entries),
+        )
+
+    def _replay_template(self, template: FrameTemplate) -> bytes:
+        """Apply a template hit: the serializer's deferral count, then
+        per key the sender and receiver recency and hit counts, exactly as
+        resolving and ``CachePair.encode`` would."""
+        self.serializer.deferrals += template.deferrals
+        self.template_hits += 1
+        sender, receiver = self.cache.sender, self.cache.receiver
+        move_sender = sender._entries.move_to_end
+        move_receiver = receiver._entries.move_to_end
+        keys = template.keys
+        for key in keys:
+            move_sender(key)
+            try:
+                move_receiver(key)
+            except KeyError:
+                done = keys.index(key)
+                sender.stats.hits += done + 1
+                receiver.stats.hits += done
+                receiver.stats.misses += 1
+                raise RuntimeError(
+                    "cache desync: sender hit but receiver miss for "
+                    f"{key[0]}"
+                ) from None
+        sender.stats.hits += len(keys)
+        receiver.stats.hits += len(keys)
+        return template.references
+
+    def _compress(self, data: bytes) -> bytes:
+        """``compress(data, max_chain=...)`` through a bounded memo: the
+        compressor is a pure function of its input bytes and chain."""
+        key = (data, self.config.compression_max_chain)
+        memo = self._compressed
+        out = memo.get(key)
+        if out is None:
+            out = compress(data, max_chain=key[1])
+            memo[key] = out
+            if len(memo) > COMPRESS_MEMO_LIMIT:
+                memo.popitem(last=False)
+        else:
+            memo.move_to_end(key)
+        return out
+
+    def _finish(
+        self,
+        batch: bytes,
+        cache_hits: int,
+        raw_bytes: int,
+        commands: int,
+        fused_dropped: int,
+        frame_id: Optional[int],
+        parent: Optional[OpenSpan],
+        trace: Optional[TraceContext],
+    ) -> FrameEgress:
+        """Compress a frame's post-cache batch, account and report it."""
+        after_cache = len(batch)
         if self.config.compression_enabled:
             if self.config.modelled_compression:
                 self._frames_since_measure += 1
@@ -165,9 +313,7 @@ class CommandPipeline:
                     or not self._have_measurement
                 )
                 if due and batch:
-                    compressed = compress(
-                        bytes(batch), max_chain=self.config.compression_max_chain
-                    )
+                    compressed = self._compress(bytes(batch))
                     sample = len(compressed) / max(1, len(batch))
                     if self._have_measurement:
                         # EWMA: single frames vary a lot (an upload-heavy
@@ -188,9 +334,7 @@ class CommandPipeline:
                     )
                 payload = None
             else:
-                payload = compress(
-                    bytes(batch), max_chain=self.config.compression_max_chain
-                )
+                payload = self._compress(bytes(batch))
                 wire_bytes = len(payload)
         else:
             payload = bytes(batch)
@@ -208,8 +352,7 @@ class CommandPipeline:
             # the breakdown attributes it to the encode stage.
             now = self.clock() if self.clock is not None else 0.0
             cost_ms = (
-                len(resolved) * self.config.serialize_us_per_command
-                / 1000.0
+                commands * self.config.serialize_us_per_command / 1000.0
             )
             extra = {"trace_id": trace.trace_id} if trace is not None else {}
             self.spans.add(
@@ -224,7 +367,7 @@ class CommandPipeline:
             raw_bytes=raw_bytes,
             after_cache_bytes=after_cache,
             wire_bytes=wire_bytes,
-            commands=len(resolved),
+            commands=commands,
             cache_hits=cache_hits,
             payload=payload,
             fused_dropped=fused_dropped,

@@ -18,6 +18,7 @@ typed signature and the properties GBooster's machinery keys off:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -60,18 +61,26 @@ class CommandSpec:
         return len(self.params)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GLCommand:
     """A concrete intercepted call: entry point name + argument values.
 
     ``metadata`` carries simulation-side annotations that a real intercept
     layer would not see (e.g. the pixel coverage a draw will produce); the
     serializer never puts metadata on the wire.
+
+    A command is an immutable value once issued: its fields cannot be
+    reassigned, and its arguments must not be mutated in place, because
+    the cache key is computed once per object and the egress pipeline
+    recognises a repeated frame by the identity of its commands.
     """
 
     name: str
     args: Tuple[Any, ...] = ()
     metadata: Dict[str, Any] = field(default_factory=dict)
+    _key: Optional[Tuple[str, Tuple[Any, ...]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def spec(self) -> CommandSpec:
@@ -80,23 +89,80 @@ class GLCommand:
     def key(self) -> Tuple[str, Tuple[Any, ...]]:
         """Hashable identity used by the LRU command cache (§V-A).
 
-        A flat argument tuple is its own frozen form, so it is returned
-        as is; only nested values go through :func:`_freeze`.
+        Computed on first use and kept with the command.  A flat argument
+        tuple with no negative zero is its own key form, so it is used as
+        is; see :func:`_key_form` for the rest.
         """
-        args = self.args
-        if type(args) is tuple:
-            for value in args:
-                if isinstance(value, _NESTED):
-                    break
-            else:
-                return (self.name, args)
-        return (self.name, _freeze(args))
+        key = self._key
+        if key is None:
+            key = (self.name, _key_args(self.args))
+            object.__setattr__(self, "_key", key)
+        return key
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GLCommand({self.name}, args={self.args!r})"
 
 
+class _NegativeZero:
+    """Stands for a float ``-0.0`` inside a cache key.
+
+    ``-0.0 == 0.0`` and both hash alike, so a key holding the float
+    would share an entry with its positive twin although the two
+    serialize differently.  This singleton equals only itself; its
+    ``repr`` is the float's, so every key digest is unchanged, and
+    ``float()`` of it is ``-0.0``, so a key still serializes.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "-0.0"
+
+    def __float__(self) -> float:
+        return -0.0
+
+    def __reduce__(self) -> str:
+        return "NEGATIVE_ZERO"
+
+
+NEGATIVE_ZERO = _NegativeZero()
+
 _NESTED = (list, tuple, bytearray)
+#: argument types that are their own key form
+_SCALARS = frozenset((int, bool, str, bytes, type(None)))
+
+
+def _is_negative_zero(value: Any) -> bool:
+    return (
+        isinstance(value, float)
+        and value == 0.0
+        and math.copysign(1.0, value) < 0.0
+    )
+
+
+def _key_args(args: Any) -> Tuple[Any, ...]:
+    if type(args) is tuple and (
+        _SCALARS.issuperset(map(type, args))
+        or not any(
+            isinstance(v, _NESTED) or _is_negative_zero(v) for v in args
+        )
+    ):
+        return args
+    return _key_form(args)
+
+
+def _key_form(value: Any) -> Any:
+    """:func:`_freeze`, with every negative zero made :data:`NEGATIVE_ZERO`.
+
+    The ``repr`` of a key holding no negative zero is unchanged.
+    """
+    if isinstance(value, (list, tuple)):
+        return tuple([_key_form(v) for v in value])
+    if isinstance(value, bytearray):
+        return bytes(value)
+    if _is_negative_zero(value):
+        return NEGATIVE_ZERO
+    return value
 
 
 def _freeze(value: Any) -> Any:

@@ -3,7 +3,15 @@
 import pytest
 
 from repro.apps.base import ApplicationSpec, CommandBatchBuilder, SceneState
-from repro.apps.games import GAMES, GTA_SAN_ANDREAS
+from repro.apps.games import (
+    CANDY_CRUSH,
+    GAMES,
+    GTA_SAN_ANDREAS,
+    STAR_WARS_KOTOR,
+)
+from repro.apps.nongaming import EBOOK_READER
+from repro.gles import enums as gl
+from repro.gles.commands import make_command
 from repro.gles.context import GLContext
 from repro.sim.random import RandomStream
 
@@ -171,3 +179,78 @@ class TestCommandBatchBuilder:
         builder = self.make()
         payload = builder._texture_payload(64, 0)
         assert compression_ratio(payload) < 0.1
+
+
+def reference_frame_commands(builder, scene):
+    """One frame built the way the builder did before it reused its
+    commands: every command constructed afresh, the rng drawn in the same
+    order.  The oracle for the builder's reuse."""
+    n = builder.spec.emitted_commands_per_frame
+    activity = scene.activity
+    cmds = [
+        make_command(
+            "glClear", gl.GL_COLOR_BUFFER_BIT | gl.GL_DEPTH_BUFFER_BIT
+        ),
+        make_command("glUseProgram", builder._program),
+    ]
+    if activity > 0.02 or scene.frames_in_scene % 120 == 0:
+        angle = (builder._frame_index % 3600) * 0.1 * (0.2 + activity)
+        cmds.append(make_command(
+            "glUniformMatrix4fv", builder._u_mvp, 1, False,
+            builder._rotation_matrix(angle),
+        ))
+    draw_slots = max(1, max(1, n - len(cmds) - 2) // 4)
+    for slot in range(draw_slots):
+        tex = builder._texture_names[
+            (slot + scene.scene_id) % len(builder._texture_names)
+        ]
+        cmds.append(make_command("glBindTexture", gl.GL_TEXTURE_2D, tex))
+        if builder.rng.random() < 0.05 + 0.2 * activity:
+            dynamic = builder._vertex_payload(
+                48, seed=builder._frame_index * 31 + slot
+            )
+            cmds.append(make_command(
+                "glVertexAttribPointer", 0, 3, gl.GL_FLOAT, False, 20,
+                dynamic,
+            ))
+        else:
+            cmds.append(make_command(
+                "glVertexAttribPointer", 0, 3, gl.GL_FLOAT, False, 20, 0,
+            ))
+        vertex_count = 6 * (2 + int(6 * activity))
+        cmds.append(
+            make_command("glDrawArrays", gl.GL_TRIANGLES, 0, vertex_count)
+        )
+    builder._frame_index += 1
+    return cmds
+
+
+@pytest.mark.parametrize(
+    "spec,seed",
+    [(GTA_SAN_ANDREAS, 11), (STAR_WARS_KOTOR, 12), (CANDY_CRUSH, 13),
+     (EBOOK_READER, 14)],
+    ids=lambda v: getattr(v, "genre", v),
+)
+def test_builder_frames_equal_the_fresh_construction(spec, seed):
+    """One seed per genre: the reused commands are ``==`` (and ``repr``-
+    identical) to freshly built ones, frame for frame, and the rng ends in
+    the same state."""
+    assert spec.genre in ("action", "roleplaying", "puzzle", "app")
+    builder = CommandBatchBuilder(spec, RandomStream(seed, "builder"))
+    oracle = CommandBatchBuilder(spec, RandomStream(seed, "builder"))
+    assert builder.setup_commands() == oracle.setup_commands()
+    scene, oracle_scene = SceneState(), SceneState()
+    for i in range(400):
+        if i % 37 < 6:      # bursts of touches: activity, cuts, camera
+            scene.on_touch(1.0)
+            oracle_scene.on_touch(1.0)
+        frame = builder.frame_commands(scene)
+        expected = reference_frame_commands(oracle, oracle_scene)
+        assert frame == expected
+        assert repr([c.args for c in frame]) == repr(
+            [c.args for c in expected]
+        )
+        scene.advance(1 / 30)
+        oracle_scene.advance(1 / 30)
+    assert scene.scene_id > 0
+    assert builder.rng._rng.getstate() == oracle.rng._rng.getstate()

@@ -10,7 +10,9 @@ from repro.codec.command_cache import (
     REFERENCE_MARKER,
     key_digest,
 )
-from repro.gles.commands import make_command
+from repro.codec.pipeline import CommandPipeline, PipelineConfig
+from repro.gles.commands import NEGATIVE_ZERO, GLCommand, make_command
+from repro.gles.serialization import serialize_command
 
 
 def unreachable():
@@ -229,11 +231,11 @@ class TestReferences:
         assert hit and wire == b"w" * 12
         assert sent == REFERENCE_MARKER + key_digest(key)
 
-    @pytest.mark.parametrize("first,second", [(-0.0, 0.0), (1, 1.0)])
+    @pytest.mark.parametrize("first,second", [(True, 1), (1, 1.0)])
     def test_equal_keys_reference_the_key_the_receiver_holds(
         self, first, second
     ):
-        """``-0.0 == 0.0`` and ``1 == 1.0`` share an entry; the reference
+        """``True == 1`` and ``1 == 1.0`` share an entry; the reference
         must name that entry as the receiver holds it, not as the hitting
         command writes it."""
         pair = CachePair(capacity=4)
@@ -246,6 +248,59 @@ class TestReferences:
         (receiver_key,) = pair.receiver.keys_in_order()
         assert repr(receiver_key) == repr(held)
         assert sent == REFERENCE_MARKER + key_digest(receiver_key)
+
+
+class TestSignedZero:
+    """``-0.0 == 0.0`` and both hash alike, but they serialize apart, so
+    they must not share a cache entry."""
+
+    def test_negative_zero_after_positive_zero_travels_in_full(self):
+        pipeline = CommandPipeline(PipelineConfig(compression_enabled=False))
+        positive = make_command("glUniform1f", 1, 0.0)
+        negative = make_command("glUniform1f", 1, -0.0)
+        pipeline.process_frame([positive])
+        egress = pipeline.process_frame([negative])
+        assert egress.cache_hits == 0
+        assert egress.payload == serialize_command(negative)
+        assert [wire for _, wire in pipeline.cache.receiver.items()] == [
+            serialize_command(positive), serialize_command(negative),
+        ]
+
+    @pytest.mark.parametrize("make", [tuple, list])
+    def test_nested_negative_zero_keys_apart(self, make):
+        def matrix(zero):
+            return make_command(
+                "glUniformMatrix4fv", 0, 1, False,
+                make((1.0, zero, 0.0, 0.0) * 4),
+            )
+
+        assert matrix(-0.0).key() != matrix(0.0).key()
+        assert matrix(-0.0).key() == matrix(-0.0).key()
+        assert hash(matrix(-0.0).key()) == hash(matrix(-0.0).key())
+
+    def test_key_repr_and_digest_are_unchanged(self):
+        """A key's ``repr`` reads as before, with or without a negative
+        zero, so every reference digest stays put."""
+        for args in [(1, 0.0), (1, -0.0), (1, 0.5), (1, 1), (1, True)]:
+            key = make_command("glUniform1f", *args).key()
+            assert repr(key) == repr(("glUniform1f", args))
+        nested = make_command(
+            "glUniformMatrix4fv", 0, 1, False, (1.0, -0.0) * 8
+        ).key()
+        assert repr(nested) == repr(
+            ("glUniformMatrix4fv", (0, 1, False, (1.0, -0.0) * 8))
+        )
+        assert nested[1][3][1] is NEGATIVE_ZERO
+
+    def test_negative_zero_key_serializes_and_pickles(self):
+        import pickle
+
+        cmd = make_command("glUniform1f", 2, -0.0)
+        key = cmd.key()
+        assert serialize_command(GLCommand(key[0], key[1])) == (
+            serialize_command(cmd)
+        )
+        assert pickle.loads(pickle.dumps(key)) == key
 
 
 def _reference_encode(pair, key, encoder, *args):

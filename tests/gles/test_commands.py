@@ -1,5 +1,7 @@
 """Command registry and GLCommand construction."""
 
+import copy
+
 import pytest
 
 from repro.gles.commands import (
@@ -77,6 +79,24 @@ def test_command_key_hashable_and_stable():
     assert a.key() == b.key()
     assert a.key() != c.key()
     {a.key(): 1}  # must be hashable
+
+
+def test_commands_are_immutable():
+    import dataclasses
+
+    cmd = make_command("glUniform1f", 3, 0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cmd.args = (3, 0.6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cmd.name = "glUniform1i"
+    assert cmd.args == (3, 0.5)
+
+
+def test_key_is_computed_once_per_command():
+    cmd = make_command("glDeleteBuffers", 2, [1, 2])
+    assert cmd.key() is cmd.key()
+    assert copy.copy(cmd).key() == cmd.key()
+    assert copy.copy(cmd) == cmd
 
 
 def test_command_key_freezes_mutable_args():
