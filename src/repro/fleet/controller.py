@@ -85,6 +85,12 @@ class FleetController:
 
         self.sessions: Dict[str, FleetSession] = {}
         self.active: Dict[str, FleetSession] = {}
+        #: active sessions by home node, then session id; kept where a
+        #: session's node changes (start, migration, finish) so heartbeat
+        #: probes and crash handling never scan ``active``
+        self.homed: Dict[str, Dict[str, FleetSession]] = {
+            spec.name: {} for spec in pool
+        }
         self.finished: List[FleetSession] = []
         self.rejected: List[SessionRequest] = []
         #: steady-state demand committed per device (MP/ms)
@@ -177,22 +183,17 @@ class FleetController:
         self.bootstrapped.trigger(len(self.registry.devices))
 
     def _make_probe(self, node: FleetNode):
+        homed = self.homed[node.name]
+
         def probe():
             payload = node.heartbeat_payload()
             if payload is None:
                 return None
-            homed = sorted(
-                (
-                    s for s in self.active.values()
-                    if s.node is not None and s.node.name == node.name
-                ),
-                key=lambda s: s.session_id,
-            )
             active = len(homed)
             if self.config.planner:
                 # Planner fleets advertise the served titles so the
                 # multicast plan candidate can see co-located viewers.
-                titles = tuple(s.app.name for s in homed)
+                titles = tuple(homed[sid].app.name for sid in sorted(homed))
                 generation = (
                     self.replay_hub.generation()
                     if self.replay_hub is not None
@@ -301,6 +302,7 @@ class FleetController:
         )
         self.sessions[session.session_id] = session
         self.active[session.session_id] = session
+        self.homed[node.name][session.session_id] = session
         self.committed_mp_per_ms[node.name] = (
             self.committed_mp_per_ms.get(node.name, 0.0)
             + session.demand_mp_per_ms
@@ -344,6 +346,7 @@ class FleetController:
         self.finished.append(session)
         if session.node is not None:
             name = session.node.name
+            self.homed[name].pop(session.session_id, None)
             self.committed_mp_per_ms[name] = max(
                 0.0,
                 self.committed_mp_per_ms.get(name, 0.0)
@@ -388,15 +391,14 @@ class FleetController:
     def _on_device_lost(self, dev: RegisteredDevice) -> None:
         node = self.nodes[dev.name]
         stranded = node.strand_all()
-        victims = [
-            s for s in self.active.values()
-            if s.node is not None and s.node.name == dev.name
-        ]
+        victims = sorted(
+            self.homed[dev.name].values(), key=lambda s: s.session_id
+        )
         self.committed_mp_per_ms[dev.name] = 0.0
         by_session: Dict[str, List[FrameTask]] = {}
         for task in stranded:
             by_session.setdefault(task.session_id, []).append(task)
-        for session in sorted(victims, key=lambda s: s.session_id):
+        for session in victims:
             try:
                 target = self._migrate_session(session, reason="crash")
             except ValueError:
@@ -454,6 +456,9 @@ class FleetController:
             kind="state",
         )
         target.submit(state)
+        if old is not None:
+            self.homed[old].pop(session.session_id, None)
+        self.homed[target.name][session.session_id] = session
         session.set_node(target)
         session.migrations += 1
         session.last_migration_ms = self.sim.now

@@ -20,17 +20,15 @@ safe to leave on for arbitrarily long sessions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional
 
 #: default span-ring size; a 60 s offload session emits ~15 k spans
 DEFAULT_CAPACITY = 100_000
 
+_tuple_new = tuple.__new__
 
-@dataclass
-class Span:
-    """One completed, timed pipeline stage."""
 
+class _SpanFields(NamedTuple):
     category: str
     name: str
     start_ms: float
@@ -42,7 +40,37 @@ class Span:
     #: instant occurrences (marks) are points, not latencies — aggregation
     #: skips them, and the exporter renders them as "I" events
     instant: bool = False
-    args: Dict[str, Any] = field(default_factory=dict)
+    #: None stands for "no args" and becomes a fresh empty dict per span
+    args: Optional[Dict[str, Any]] = None
+
+
+class Span(_SpanFields):
+    """One completed, timed pipeline stage: an immutable record.
+
+    A span is a plain tuple (the data path records ~15 k of them per
+    60 s session), so its fields cannot be reassigned; ``args`` is the
+    one mutable member and each span owns its own dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        category: str,
+        name: str,
+        start_ms: float,
+        end_ms: float,
+        track: str = "main",
+        frame_id: Optional[int] = None,
+        parent: Optional[str] = None,
+        depth: int = 0,
+        instant: bool = False,
+        args: Optional[Dict[str, Any]] = None,
+    ) -> "Span":
+        return _tuple_new(cls, (
+            category, name, start_ms, end_ms, track, frame_id, parent,
+            depth, instant, {} if args is None else args,
+        ))
 
     @property
     def duration_ms(self) -> float:
@@ -57,8 +85,8 @@ class OpenSpan:
     """Handle for an in-flight span; ``end()`` seals it into the recorder."""
 
     __slots__ = (
-        "recorder", "category", "name", "start_ms", "track",
-        "frame_id", "parent", "depth", "args", "closed",
+        "recorder", "category", "name", "qualified_name", "start_ms",
+        "track", "frame_id", "parent", "depth", "args", "closed",
     )
 
     def __init__(
@@ -75,6 +103,7 @@ class OpenSpan:
         self.recorder = recorder
         self.category = category
         self.name = name
+        self.qualified_name = f"{category}.{name}"
         self.start_ms = start_ms
         self.track = track
         self.frame_id = frame_id
@@ -83,27 +112,25 @@ class OpenSpan:
         self.args = args
         self.closed = False
 
-    @property
-    def qualified_name(self) -> str:
-        return f"{self.category}.{self.name}"
-
     def end(self, at_ms: Optional[float] = None, **args: Any) -> Optional[Span]:
         """Close the span at ``at_ms`` (default: the recorder's clock)."""
         if self.closed:
             return None
         self.closed = True
-        merged = dict(self.args)
-        merged.update(args)
-        return self.recorder.add(
+        recorder = self.recorder
+        parent = self.parent
+        return recorder._record(
             self.category,
             self.name,
             self.start_ms,
-            self.recorder.clock() if at_ms is None else at_ms,
-            track=self.track,
-            frame_id=self.frame_id,
-            parent=self.parent.qualified_name if self.parent else None,
-            depth=self.depth,
-            **merged,
+            recorder.clock() if at_ms is None else at_ms,
+            self.track,
+            self.frame_id,
+            None if parent is None else parent.qualified_name,
+            self.depth,
+            False,
+            # the begin() kwargs dict belongs to this handle alone
+            {**self.args, **args} if args else self.args,
         )
 
 
@@ -141,25 +168,37 @@ class SpanRecorder:
         **args: Any,
     ) -> Optional[Span]:
         """Record a completed span with explicit timestamps."""
+        return self._record(
+            category, name, start_ms, end_ms, track, frame_id, parent,
+            depth, instant, args,
+        )
+
+    def _record(
+        self,
+        category: str,
+        name: str,
+        start_ms: float,
+        end_ms: float,
+        track: str,
+        frame_id: Optional[int],
+        parent: Optional[str],
+        depth: int,
+        instant: bool,
+        args: Dict[str, Any],
+    ) -> Optional[Span]:
+        """Seal one span into the ring; ``args`` is stored, not copied."""
         if not self.enabled:
             return None
         if end_ms < start_ms:
             start_ms = end_ms
-        span = Span(
-            category=category,
-            name=name,
-            start_ms=start_ms,
-            end_ms=end_ms,
-            track=track,
-            frame_id=frame_id,
-            parent=parent,
-            depth=depth,
-            instant=instant,
-            args=args,
-        )
-        self.spans.append(span)
-        if len(self.spans) > self.capacity:
-            self.spans.popleft()
+        span = _tuple_new(Span, (
+            category, name, start_ms, end_ms, track, frame_id, parent,
+            depth, instant, args,
+        ))
+        spans = self.spans
+        spans.append(span)
+        if len(spans) > self.capacity:
+            spans.popleft()
             self.dropped += 1
         return span
 
@@ -187,9 +226,8 @@ class SpanRecorder:
     ) -> Optional[Span]:
         """An instant occurrence (zero-duration span) at the current clock."""
         now = self.clock()
-        return self.add(
-            category, name, now, now, track=track, frame_id=frame_id,
-            instant=True, **args,
+        return self._record(
+            category, name, now, now, track, frame_id, None, 0, True, args
         )
 
     # -- queries -------------------------------------------------------------

@@ -197,3 +197,73 @@ class TestPlannerHooks:
         assert all(
             t["frames_lost"] == 0 for t in report["tiers"].values()
         )
+
+
+def scan_homed(controller, node_name):
+    """The index's reference: every active session homed on the node,
+    found by scanning ``active``, in session-id order."""
+    return sorted(
+        (
+            s for s in controller.active.values()
+            if s.node is not None and s.node.name == node_name
+        ),
+        key=lambda s: s.session_id,
+    )
+
+
+class TestHomedIndex:
+    @pytest.mark.parametrize("planner", [False, True])
+    def test_probe_matches_scan_at_every_heartbeat(self, boot_controller,
+                                                   planner):
+        config = FleetConfig(
+            planner=planner,
+            faults=FaultSchedule().crash(at_ms=2_000.0, node=0,
+                                         rejoin_at_ms=4_000.0),
+        )
+        sim, controller = boot_controller(config=config)
+        assert len(controller.registry.devices) == len(controller.pool)
+        checked = []
+
+        def checking(dev, probe):
+            def wrapped():
+                answer = probe()
+                if answer is None:
+                    return None
+                homed = scan_homed(controller, dev.name)
+                assert answer[1] == len(homed)
+                if planner:
+                    assert answer[3] == tuple(s.app.name for s in homed)
+                checked.append(answer[1])
+                return answer
+            return wrapped
+
+        for dev in controller.registry.devices.values():
+            dev.probe = checking(dev, dev.probe)
+        submit_wave(sim, controller, 12, duration_ms=4_000.0)
+        sim.run(until=sim.now + 15_000.0)
+        assert controller.crash_migrations >= 1
+        assert len(controller.finished) == 12
+        # Heartbeats saw loaded and idle nodes alike.
+        assert any(checked) and 0 in checked
+
+    def test_finished_session_leaves_the_index(self, boot_controller):
+        sim, controller = boot_controller()
+        submit_wave(sim, controller, 4, duration_ms=1_000.0)
+        home = controller.active["s000"].node.name
+        assert "s000" in controller.homed[home]
+        sim.run(until=sim.now + 10_000.0)
+        assert controller.active == {}
+        assert all(not homed for homed in controller.homed.values())
+
+    def test_migrated_session_moves_to_its_new_node(self, boot_controller):
+        sim, controller = boot_controller()
+        submit_wave(sim, controller, 4, duration_ms=5_000.0)
+        session = controller.active["s000"]
+        source = session.node.name
+        target = controller._migrate_session(session, reason="rebalance")
+        assert target.name != source
+        assert "s000" in controller.homed[target.name]
+        assert "s000" not in controller.homed[source]
+        for name in controller.homed:
+            assert [s.session_id for s in scan_homed(controller, name)] == \
+                sorted(controller.homed[name])

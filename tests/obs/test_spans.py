@@ -1,6 +1,10 @@
 """SpanRecorder: nesting, marks, the bounded ring, and clock wiring."""
 
+import pickle
+
 import pytest
+
+from repro.metrics.spans import aggregate_spans
 
 from repro.obs.spans import Span, SpanRecorder
 from repro.sim.kernel import Simulator
@@ -196,3 +200,47 @@ class TestOpenSpanEdgeCases:
         rec.enabled = False
         assert handle.end() is None
         assert len(rec) == 0
+
+
+class TestSpanRecord:
+    """A span is an immutable tuple that still reads like the old record."""
+
+    def test_fields_cannot_be_assigned(self):
+        span = SpanRecorder().add("net", "transmit", 0.0, 1.0)
+        with pytest.raises(AttributeError):
+            span.end_ms = 5.0
+
+    def test_default_args_are_not_shared(self):
+        a = Span("net", "transmit", 0.0, 1.0)
+        b = Span("net", "transmit", 0.0, 1.0)
+        assert a.args == {} and a.args is not b.args
+
+    def test_repr_matches_the_record_it_replaced(self):
+        assert repr(Span("net", "transmit", 0.0, 3.0)) == (
+            "Span(category='net', name='transmit', start_ms=0.0, "
+            "end_ms=3.0, track='main', frame_id=None, parent=None, "
+            "depth=0, instant=False, args={})"
+        )
+
+    def test_pickle_round_trip(self):
+        rec = SpanRecorder()
+        root = rec.begin("frame", "frame", frame_id=3)
+        child = rec.begin("app", "intercept", frame_id=3, parent=root)
+        spans = [child.end(at_ms=2.0, node="n0"), root.end(at_ms=4.0)]
+        for span in spans:
+            back = pickle.loads(pickle.dumps(span))
+            assert type(back) is Span
+            assert back == span
+            assert back.qualified_name == span.qualified_name
+
+    def test_aggregate_by_qualified_name(self):
+        rec = SpanRecorder()
+        rec.add("net", "transmit", 0.0, 2.0)
+        rec.add("net", "transmit", 0.0, 4.0)
+        rec.add("fleet.net", "transmit", 0.0, 1.0)
+        rec.mark("net", "transmit")
+        groups = aggregate_spans(rec, by="qualified_name")
+        assert sorted(groups) == ["fleet.net.transmit", "net.transmit"]
+        assert groups["net.transmit"]["count"] == 2
+        assert groups["net.transmit"]["total_ms"] == 6.0
+        assert groups["fleet.net.transmit"]["count"] == 1
