@@ -31,6 +31,7 @@ from repro.devices.profiles import (
 )
 from repro.experiments.fleet import run_fleet_point
 from repro.faults.schedule import FaultSchedule
+from repro.fleet.config import FleetConfig
 
 SESSION_MS = 1_000.0
 SEEDS = (0, 1, 2)
@@ -67,14 +68,26 @@ def _session(app, user, services, duration_ms=SESSION_MS, **switches):
     return run
 
 
-def _fleet(seed: int) -> str:
-    point, _ = run_fleet_point(8, 2, 3_000.0, seed=seed, crash=True)
-    return _sha(point)
+def _fleet(
+    sessions: int, devices: int, duration_ms: float, **config: bool
+) -> Callable[[int], str]:
+    def run(seed: int) -> str:
+        point, _ = run_fleet_point(
+            sessions, devices, duration_ms, seed=seed, crash=True,
+            config=FleetConfig(**config) if config else None,
+        )
+        return _sha(point)
+
+    return run
 
 
 #: The benchmark's three session configurations, a lossy two-node session
 #: whose watchdog condemns a crashed node (RTO retransmissions, failover),
-#: a blocking-swap session, and a small fleet point with a crash.
+#: a blocking-swap session, and three fleet points with a crash: a small
+#: one, one at the benchmark's shape (many same-spec nodes, so the most
+#: chances of an equal-timestamp tie), and one with the planner (title
+#: probe, telemetry), record-once replay (warm sessions) and the
+#: invariant monitor armed.
 CASES: Dict[str, Callable[[int], str]] = {
     "g3_g5_shield": _session(STAR_WARS_KOTOR, LG_G5, [NVIDIA_SHIELD]),
     "g1_n5_multi_wire": _session(
@@ -100,10 +113,24 @@ CASES: Dict[str, Callable[[int], str]] = {
     "g1_n5_blocking_swap": _session(
         GTA_SAN_ANDREAS, LG_NEXUS_5, [NVIDIA_SHIELD], async_swap=False,
     ),
-    "fleet_8x2_crash": _fleet,
+    "fleet_8x2_crash": _fleet(8, 2, 3_000.0),
+    "fleet_128x16_crash": _fleet(128, 16, 10_000.0),
+    "fleet_32x8_planner_replay_check": _fleet(
+        32, 8, 3_000.0, planner=True, replay=True, check=True,
+    ),
 }
 
 GOLDEN: Dict[str, Dict[int, str]] = {
+    "fleet_128x16_crash": {
+        0: "1f24b13a07e415ea914bc7e66715981d2b4dc19afb8b687e7aa3afddb1bcc60d",
+        1: "d6b0fe7e4a88617712e8034cad4c24a34f0247d0c4f00bf1580d8d07ddf98df0",
+        2: "ae614fcd51d91cfe9556bd229c5adc1b58e49d5d6a1e8b5783b130ce061dea93",
+    },
+    "fleet_32x8_planner_replay_check": {
+        0: "61901aa751b747ce93c3caa9d75e00990f52b634605178249e616dd616620614",
+        1: "e47ab7ee496fbc3645237176c45b5085e008384c0900d2bda5c4b0201fd7f473",
+        2: "584896ae4d923285b5476ff1dafb2dcfe5ceb1f48ce032371d2ffd9aa222b233",
+    },
     "fleet_8x2_crash": {
         0: "58569467970e2cf90d2d96f4a19a751b5c4ca964776ebe084079bc25614b9044",
         1: "40a277dee27f76def96c1bff8fc422ce52d0b3f8b8c0002f4361055b51834005",
