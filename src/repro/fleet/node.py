@@ -1,12 +1,18 @@
 """The fleet's serving abstraction: one device executing session frames.
 
 A :class:`FleetNode` is the control-plane view of a service daemon: a
-priority work queue and a non-preemptive serving loop charging the same
-per-frame costs a :class:`~repro.core.server.ServiceNode` charges
-(decompress + replay + GPU fill + Turbo encode), without the per-command
-GL replay — at fleet scale the currency is *capacity*, not individual GL
-state transitions.  Tiers map straight onto the queue priority: an
-action-tier frame always overtakes queued tolerant-tier frames.
+priority work queue served non-preemptively, charging the same per-frame
+costs a :class:`~repro.core.server.ServiceNode` charges (decompress +
+replay + GPU fill + Turbo encode), without the per-command GL replay — at
+fleet scale the currency is *capacity*, not individual GL state
+transitions.  Tiers map straight onto the queue priority: an action-tier
+frame always overtakes queued tolerant-tier frames.
+
+The node serves without a process.  A task submitted to an idle node
+starts at once; a busy node heaps it.  One kernel callback per task marks
+the end of its service, and that callback picks the next task before it
+reports the finished one, so a frame that the answered session reissues
+at once queues behind work that was already waiting.
 
 Failure semantics mirror the single-user daemon: a crashed box answers
 nothing.  Work submitted to (or queued on) a dead node accumulates as
@@ -18,13 +24,14 @@ path lifted from per-request to per-session granularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Generator, List, Optional
+import itertools
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from typing import Callable, List, Optional, Tuple
 
 from repro.devices.profiles import DeviceSpec
 from repro.fleet.config import FleetConfig
 from repro.sim.kernel import Simulator
-from repro.sim.resources import PriorityStore
 
 #: queue priority of a migration state-replay batch: ahead of every frame
 STATE_PRIORITY = -1.0
@@ -46,7 +53,7 @@ class FrameTask:
     completed: bool = False
     completed_at_ms: Optional[float] = None
     #: when the task last entered a node's queue (re-set on re-dispatch),
-    #: so the serving loop can report true per-node queue wait
+    #: so the node can report true per-node queue wait
     enqueued_at_ms: Optional[float] = None
     #: the node currently responsible for answering this task; a stale
     #: server (crashed mid-render, then rejoined) must not complete a task
@@ -84,14 +91,17 @@ class FleetNode:
         self.config = config
         self.name = spec.name
         self.on_complete = on_complete
-        self.queue = PriorityStore(sim, name=f"fleet.{self.name}.work")
         self.failed = False
         self.stats = FleetNodeStats()
         #: tasks that arrived while the box was dead, awaiting rescue
         self.stranded: List[FrameTask] = []
+        #: the task in service; None while the node is idle
         self._current: Optional[FrameTask] = None
+        #: waiting work as ``(priority, arrival order, task)``: most urgent
+        #: first, first come first served within a priority
+        self._queue: List[Tuple[float, int, FrameTask]] = []
+        self._arrivals = itertools.count()
         self._queued_fill_mp = 0.0
-        self._proc = sim.spawn(self._run(), name=f"fleet.node.{self.name}")
 
     # -- capacity model ------------------------------------------------------
 
@@ -154,7 +164,7 @@ class FleetNode:
             # the heartbeat monitor to notice and the controller to rescue.
             self.stranded.append(task)
             return
-        self.queue.put(task, priority=task.priority)
+        self._put(task)
 
     # -- failure -------------------------------------------------------------
 
@@ -172,15 +182,15 @@ class FleetNode:
         if not self.failed:
             return
         self.failed = False
-        # A glitch shorter than the heartbeat timeout is never detected,
-        # so nobody rescues the stranded work — serve it ourselves.
-        for task in self.stranded:
-            if not task.completed and task.assigned_node == self.name:
-                self.queue.put(task, priority=task.priority)
-        self.stranded.clear()
+        stranded, self.stranded = self.stranded, []
         self.sim.spans.mark("fleet.state", "node_rejoined", track=self.name)
         self.sim.tracer.record(self.sim.now, "fleet", "node_rejoined",
                                node=self.name)
+        # A glitch shorter than the heartbeat timeout is never detected,
+        # so nobody rescues the stranded work — serve it ourselves.
+        for task in stranded:
+            if not task.completed and task.assigned_node == self.name:
+                self._put(task)
 
     def strand_all(self) -> List[FrameTask]:
         """Collect every task this node will never answer, for re-dispatch.
@@ -189,7 +199,8 @@ class FleetNode:
         the GPU at crash time (a dead box never ships its reply).  The
         queued-workload gauge resets — this node no longer owes anything.
         """
-        out = [t for t in self.queue.drain() if not t.completed]
+        out = [t for _p, _a, t in sorted(self._queue) if not t.completed]
+        self._queue.clear()
         out.extend(t for t in self.stranded if not t.completed)
         self.stranded.clear()
         if self._current is not None and not self._current.completed:
@@ -206,52 +217,44 @@ class FleetNode:
             return None
         return self.queued_workload_mp
 
-    # -- the serving loop ----------------------------------------------------
+    # -- serving -------------------------------------------------------------
 
-    def _run(self) -> Generator:
-        while True:
-            task: FrameTask = yield self.queue.get()
-            if self.failed:
-                # Handed over just as the box died.
-                self.stranded.append(task)
-                continue
-            self._current = task
-            dequeued_at = self.sim.now
-            if task.enqueued_at_ms is not None:
-                self.sim.spans.add(
-                    "fleet.queue", "queue_wait",
-                    task.enqueued_at_ms, dequeued_at,
-                    track=self.name, frame_id=task.seq,
-                    session=task.session_id,
-                )
-            busy = self.service_time_ms(task)
-            yield busy
-            self._current = None
-            served_here = (
-                not self.failed
-                and not task.completed
-                and task.assigned_node == self.name
+    def _put(self, task: FrameTask) -> None:
+        """Start ``task`` on an idle node; queue it behind a busy one."""
+        if self._current is None:
+            self._start(task)
+        else:
+            heappush(self._queue, (task.priority, next(self._arrivals), task))
+
+    def _start(self, task: FrameTask) -> None:
+        self._current = task
+        now = self.sim.now
+        if task.enqueued_at_ms is not None:
+            self.sim.spans.add(
+                "fleet.queue", "queue_wait",
+                task.enqueued_at_ms, now,
+                track=self.name, frame_id=task.seq,
+                session=task.session_id,
             )
-            if not served_here:
-                if (
-                    self.failed
-                    and not task.completed
-                    and task.assigned_node == self.name
-                ):
-                    # Crashed mid-render and still responsible: the frame
-                    # must survive until the monitor notices and the
-                    # controller rescues it (zero-loss invariant).
-                    self.stranded.append(task)
-                # Otherwise the task migrated and was (or will be)
-                # answered by its new home.
-                continue
+        busy = self.service_time_ms(task)
+        self.sim.call_later(busy, self._done, task, now, busy)
+
+    def _done(self, task: FrameTask, started_at: float, busy: float) -> None:
+        """The service period of ``task`` has elapsed."""
+        self._current = None
+        served_here = (
+            not self.failed
+            and not task.completed
+            and task.assigned_node == self.name
+        )
+        if served_here:
             self.stats.busy_ms += busy
             task.completed = True
             task.completed_at_ms = self.sim.now
             self.sim.spans.add(
                 "fleet.execute",
                 "execute" if task.kind == "frame" else "state_replay",
-                dequeued_at, self.sim.now,
+                started_at, self.sim.now,
                 track=self.name, frame_id=task.seq,
                 session=task.session_id,
             )
@@ -262,5 +265,26 @@ class FleetNode:
                 self._queued_fill_mp = max(
                     0.0, self._queued_fill_mp - task.fill_megapixels
                 )
-            if self.on_complete is not None:
-                self.on_complete(task)
+        elif (
+            self.failed
+            and not task.completed
+            and task.assigned_node == self.name
+        ):
+            # Crashed mid-render and still responsible: the frame must
+            # survive until the monitor notices and the controller rescues
+            # it (zero-loss invariant).
+            self.stranded.append(task)
+        # Otherwise the task migrated and was (or will be) answered by its
+        # new home.
+        #
+        # Take the next task before answering: the session the answer
+        # wakes may reissue at once, and it queues behind waiting work.
+        queue = self._queue
+        if self.failed:
+            # A dead box hands its queue over to the rescue, in order.
+            while queue:
+                self.stranded.append(heappop(queue)[2])
+        elif queue:
+            self._start(heappop(queue)[2])
+        if served_here and self.on_complete is not None:
+            self.on_complete(task)

@@ -626,6 +626,18 @@ class Simulator:
         self._check_when("call_at", when)
         return self.call_later(when - self.now, fn)
 
+    def due_now(self) -> bool:
+        """Whether another queue entry is due at the current instant.
+
+        A callback that wakes a waiter may act for it at once when nothing
+        else is due now, because a woken process would run next anyway.
+        When something is due, the waiter should queue behind it with
+        ``call_later(0.0, ...)``, as a woken process would.  Cancelled and
+        stale entries count too, which only errs towards queueing.
+        """
+        queue = self._queue
+        return bool(queue) and queue[0][0] <= self.now
+
     # -- scheduling internals ------------------------------------------------
 
     def _check_when(self, entry: str, when: float) -> None:
