@@ -10,10 +10,10 @@ slowest stage:
   encode serialized on one device (§VI-A's non-preemptive execution), and
   the §VI-A pipeline depth bounds throughput by round-trip time.
 
-These formulas share *no code* with the simulator — they recompute each
-stage from the raw specs — so agreement between the two is a genuine
-cross-check of the performance model (see
-``tests/analysis/test_cross_validation.py``).
+These formulas share *no code* with the simulator — they read the cost
+constants of :mod:`repro.core.costs` but recompute each stage from the raw
+specs — so agreement between the two is a genuine cross-check of the
+performance model (see ``tests/analysis/test_cross_validation.py``).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.apps.base import ApplicationSpec
+from repro.core import costs
 from repro.core.config import GBoosterConfig
 from repro.devices.profiles import DeviceSpec
 
@@ -50,30 +51,28 @@ def predict_local_fps(app: ApplicationSpec, device: DeviceSpec) -> float:
 def predict_service_stage_ms(
     app: ApplicationSpec,
     service: DeviceSpec,
-    config: Optional[GBoosterConfig] = None,
     mean_change_fraction: float = 0.25,
 ) -> float:
     """Per-frame service time: decompress + replay + GPU + encode."""
-    config = config or GBoosterConfig()
     perf = service.cpu.perf_index
-    stage = config.decompress_ms / perf
+    stage = costs.DECOMPRESS_MS / perf
     stage += (
-        app.nominal_commands_per_frame * config.replay_us_per_command
+        app.nominal_commands_per_frame * costs.REPLAY_US_PER_COMMAND
         / 1000.0 / perf
     )
     if not service.cpu.is_arm:
         stage += (
             app.nominal_commands_per_frame
-            * config.es_translate_us_per_command / 1000.0 / perf
+            * costs.ES_TRANSLATE_US_PER_COMMAND / 1000.0 / perf
         )
     stage += (
-        app.fill_mp_per_frame * config.remote_render_overhead
+        app.fill_mp_per_frame * costs.REMOTE_RENDER_OVERHEAD
         / service.gpu.fillrate_gpixels
     )
     encode_throughput = (
-        config.encode_mp_per_s_arm
+        costs.ENCODE_MP_PER_S_ARM
         if service.cpu.is_arm
-        else config.encode_mp_per_s_x86
+        else costs.ENCODE_MP_PER_S_X86
     )
     pixels_mp = app.render_width * app.render_height / 1e6
     diff_share = 0.35
@@ -87,22 +86,21 @@ def predict_service_stage_ms(
 def _client_cpu_stage_ms(
     app: ApplicationSpec,
     device: DeviceSpec,
-    config: GBoosterConfig,
     mean_change_fraction: float,
     multi_device: bool,
 ) -> float:
     perf = device.cpu.perf_index
     stage = app.cpu_ms_per_frame / perf
     if multi_device:
-        return stage + config.dispatch_ms_multi / perf
+        return stage + costs.DISPATCH_MS_MULTI / perf
     serialize_ms = (
-        app.nominal_commands_per_frame * config.serialize_us_per_command
+        app.nominal_commands_per_frame * costs.SERIALIZE_US_PER_COMMAND
         / 1000.0
     )
     decode_fraction = 0.35 + 0.65 * mean_change_fraction
     pixels_mp = app.render_width * app.render_height / 1e6
-    decode_ms = pixels_mp * decode_fraction / config.decode_mp_per_s * 1000.0
-    return stage + (serialize_ms + decode_ms + config.dispatch_ms) / perf
+    decode_ms = pixels_mp * decode_fraction / costs.DECODE_MP_PER_S * 1000.0
+    return stage + (serialize_ms + decode_ms + costs.DISPATCH_MS) / perf
 
 
 @dataclass(frozen=True)
@@ -126,10 +124,10 @@ def predict_offload(
     """Steady-state offloaded frame rate and Eq. 5 response time."""
     config = config or GBoosterConfig()
     cpu_ms = _client_cpu_stage_ms(
-        app, user_device, config, mean_change_fraction, n_devices > 1
+        app, user_device, mean_change_fraction, n_devices > 1
     )
     service_ms = predict_service_stage_ms(
-        app, service_device, config, mean_change_fraction
+        app, service_device, mean_change_fraction
     )
     effective_service_ms = service_ms / n_devices
     # Round trip: cpu already pipelined out; transmission + service + links.
@@ -151,9 +149,9 @@ def predict_offload(
     encode_ms = (
         pixels_mp * (0.35 + 0.65 * mean_change_fraction)
         / (
-            config.encode_mp_per_s_arm
+            costs.ENCODE_MP_PER_S_ARM
             if service_device.cpu.is_arm
-            else config.encode_mp_per_s_x86
+            else costs.ENCODE_MP_PER_S_X86
         )
         * 1000.0
     )

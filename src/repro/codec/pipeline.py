@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from repro.codec.command_cache import CacheEntry, CachePair
 from repro.codec.fusion import FusionStats, fuse_commands
 from repro.codec.lz77 import compress
+from repro.core import costs
 from repro.gles.commands import GLCommand
 from repro.gles.serialization import CommandSerializer, serialize_command
 from repro.obs.causal import TRACE_WIRE_BYTES, TraceContext
@@ -78,9 +79,6 @@ class PipelineConfig:
     # ratio is re-measured on real bytes to track the stream's drift.
     modelled_compression: bool = False
     measure_every: int = 64
-    #: modelled per-command serialization cost, used to size the "encode"
-    #: span (the simulator charges this inside the engine's CPU stage)
-    serialize_us_per_command: float = 2.2
 
 
 @dataclass
@@ -351,9 +349,7 @@ class CommandPipeline:
             # cost in sim time; the span backdates over that interval so
             # the breakdown attributes it to the encode stage.
             now = self.clock() if self.clock is not None else 0.0
-            cost_ms = (
-                commands * self.config.serialize_us_per_command / 1000.0
-            )
+            cost_ms = commands * costs.SERIALIZE_US_PER_COMMAND / 1000.0
             extra = {"trace_id": trace.trace_id} if trace is not None else {}
             self.spans.add(
                 "codec", "encode", now - cost_ms, now,

@@ -27,8 +27,9 @@ from repro.codec.pipeline import (
     CommandPipeline,
     PipelineConfig,
 )
+from repro.core import costs
 from repro.core.config import GBoosterConfig
-from repro.core.server import ServiceNode
+from repro.core.server import ServiceNode, base_fill
 from repro.devices.runtime import UserDeviceRuntime
 from repro.dispatch.consistency import split_for_replication
 from repro.dispatch.reorder import ReorderBuffer
@@ -96,7 +97,6 @@ class GBoosterClient:
                 compression_enabled=self.config.compression_enabled,
                 modelled_compression=self.config.modelled_compression,
                 fusion_enabled=self.config.fusion_enabled,
-                serialize_us_per_command=self.config.serialize_us_per_command,
             ),
             spans=sim.spans,
             clock=lambda: sim.now,
@@ -156,16 +156,15 @@ class GBoosterClient:
         and decoding, leaving only dispatch bookkeeping on the engine
         thread — which is what lets generation reach the Fig 7 rates.
         """
-        cfg = self.config
         if self.multi_device:
-            return cfg.dispatch_ms_multi
+            return costs.DISPATCH_MS_MULTI
         nominal = self.nominal_commands_per_frame
-        serialize_ms = nominal * cfg.serialize_us_per_command / 1000.0
+        serialize_ms = nominal * costs.SERIALIZE_US_PER_COMMAND / 1000.0
         decode_fraction = 0.35 + 0.65 * frame.change_fraction
         decode_ms = (
-            frame.pixels * decode_fraction / (cfg.decode_mp_per_s * 1000.0)
+            frame.pixels * decode_fraction / (costs.DECODE_MP_PER_S * 1000.0)
         )
-        return serialize_ms + decode_ms + cfg.dispatch_ms
+        return serialize_ms + decode_ms + costs.DISPATCH_MS
 
     # -- adaptive quality ---------------------------------------------------------
 
@@ -529,7 +528,9 @@ class GBoosterClient:
             )
             for n in healthy
         ]
-        chosen = self.scheduler.choose(request.fill_megapixels, estimates)
+        # The failed node inflated the fill on arrival; weigh the request
+        # as a fresh dispatch would.
+        chosen = self.scheduler.choose(base_fill(request), estimates)
         node = next(n for n in healthy if n.name == chosen.name)
         request.metadata["node"] = node.name
         message.metadata["node"] = node.name

@@ -122,33 +122,12 @@ class GBoosterConfig:
     replay: bool = False
     #: per-title byte budget of the replay store (LRU + refcount eviction)
     replay_store_bytes: int = 4 << 20
-    #: service-side cost of serving one replay hit (pinned-stack lookup +
-    #: patch apply + interval enqueue) — replaces decompress + per-command
-    #: replay for the unchanged part of the interval
-    replay_hit_ms: float = 0.12
 
     # -- multi-user service scheduling (§VIII future work, implemented) --------------
     #: "fcfs" is the paper's prototype; "priority" serves time-critical
     #: applications (fast-paced games) ahead of queued requests from
     #: turn-based ones.
     service_queue_policy: str = "fcfs"
-
-    # -- client data-path costs (reference Snapdragon 800 milliseconds) -----------------
-    serialize_us_per_command: float = 2.2
-    decode_mp_per_s: float = 250.0     # Turbo decode throughput on the phone
-    dispatch_ms: float = 1.5           # single-device data-path bookkeeping
-    dispatch_ms_multi: float = 0.3     # worker threads absorb the data path
-
-    # -- service daemon costs ---------------------------------------------------------------
-    replay_us_per_command: float = 6.0
-    decompress_ms: float = 1.0
-    #: remote rendering runs the stream without the app's device-tuned
-    #: batching and tiling hints, costing extra fill-equivalent work on the
-    #: service GPU (observed on real remoting stacks).
-    remote_render_overhead: float = 1.28
-    encode_mp_per_s_arm: float = 90.0      # Turbo on ARM (§V-A)
-    encode_mp_per_s_x86: float = 300.0
-    es_translate_us_per_command: float = 20.0   # ES emulator on x86 (§IV-C)
 
     def pipeline_depth(self, n_devices: int) -> int:
         if not self.async_swap:
@@ -181,7 +160,5 @@ class GBoosterConfig:
             raise ValueError("cache_capacity must be positive")
         if self.replay_store_bytes <= 0:
             raise ValueError("replay_store_bytes must be positive")
-        if self.replay_hit_ms < 0:
-            raise ValueError("replay_hit_ms must be non-negative")
         if self.faults is not None:
             self.faults.validate()

@@ -14,9 +14,10 @@ Work items:
 * ``frame`` — an assigned rendering request: decompress + replay + GPU
   render + encode + downlink.
 
-Per-frame CPU costs are reference-CPU milliseconds scaled by the node CPU's
-``perf_index``; x86 nodes pay the OpenGL ES emulator's per-command
-translation tax (§IV-C) but encode much faster.
+Per-frame costs come from :mod:`repro.core.costs`: reference-CPU
+milliseconds scaled by the node CPU's ``perf_index``; x86 nodes pay the
+OpenGL ES emulator's per-command translation tax (§IV-C) but encode much
+faster.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Callable, Generator, List, Optional
 
 from repro.codec.frames import FrameImage
 from repro.codec.turbo import TurboEncoder
+from repro.core import costs
 from repro.core.config import GBoosterConfig
 from repro.devices.runtime import ServiceDeviceRuntime
 from repro.gpu.model import RenderRequest
@@ -89,11 +91,7 @@ class ServiceNode:
         else:
             self.queue = Store(sim, name=f"{self.name}.work")
         self.encoder = TurboEncoder(
-            throughput_mp_s=(
-                config.encode_mp_per_s_arm
-                if runtime.spec.cpu.is_arm
-                else config.encode_mp_per_s_x86
-            )
+            throughput_mp_s=costs.encode_mp_per_s(runtime.spec.cpu)
         )
         self.stats = NodeStats()
         self.failed = False
@@ -149,7 +147,7 @@ class ServiceNode:
         base_fill = request.metadata.setdefault(
             "base_fill_megapixels", request.fill_megapixels
         )
-        request.fill_megapixels = base_fill * self.config.remote_render_overhead
+        request.fill_megapixels = base_fill * costs.REMOTE_RENDER_OVERHEAD
         self._queued_fill_mp += request.fill_megapixels
         self._enqueue(
             ServiceWorkItem(
@@ -171,56 +169,23 @@ class ServiceNode:
 
     def predicted_stage_ms(self, request: RenderRequest) -> float:
         """Full per-frame service time for a request on this node."""
-        cfg = self.config
-        perf = self.runtime.spec.cpu.perf_index
-        cpu_ms = cfg.decompress_ms / perf
-        cpu_ms += (
-            request.metadata.get(
-                "nominal_commands", len(request.commands)
-            )
-            * cfg.replay_us_per_command
-            / 1000.0
-            / perf
+        return costs.frame_ms(
+            self.runtime.spec.cpu,
+            request.metadata.get("nominal_commands", len(request.commands)),
+            base_fill(request),
+            self.runtime.gpu.capacity_megapixels_per_ms(),
+            request.width * request.height,
+            self.encoder.throughput_mp_s,
         )
-        if not self.runtime.spec.cpu.is_arm:
-            cpu_ms += (
-                request.metadata.get(
-                    "nominal_commands", len(request.commands)
-                )
-                * cfg.es_translate_us_per_command
-                / 1000.0
-                / perf
-            )
-        gpu_ms = (
-            request.fill_megapixels * self.config.remote_render_overhead
-        ) / max(self.runtime.gpu.capacity_megapixels_per_ms(), 1e-9)
-        encode_ms = (request.width * request.height) / (
-            self.encoder.throughput_mp_s * 1000.0
-        )
-        return cpu_ms + gpu_ms + encode_ms
 
     def capability_mp_per_ms(self, request: RenderRequest) -> float:
         """c^j: effective workload throughput for requests like this one."""
         stage = self.predicted_stage_ms(request)
         if stage <= 0:
             return float("inf")
-        return request.fill_megapixels / stage
+        return base_fill(request) / stage
 
     # -- replay fast path -----------------------------------------------------------------
-
-    def _full_replay_ms(self, nominal_commands: int, perf: float) -> float:
-        """What the full decompress+replay pipeline would have charged."""
-        cfg = self.config
-        ms = cfg.decompress_ms / perf
-        ms += nominal_commands * cfg.replay_us_per_command / 1000.0 / perf
-        if not self.runtime.spec.cpu.is_arm:
-            ms += (
-                nominal_commands
-                * cfg.es_translate_us_per_command
-                / 1000.0
-                / perf
-            )
-        return ms
 
     def _resolve_replay(self, request: RenderRequest, info: dict):
         """Reconstruct a replay-hit interval and differentially verify it.
@@ -279,8 +244,8 @@ class ServiceNode:
     # -- the daemon loop ------------------------------------------------------------------
 
     def _run(self) -> Generator:
-        cfg = self.config
-        perf = self.runtime.spec.cpu.perf_index
+        cpu = self.runtime.spec.cpu
+        perf = cpu.perf_index
         while True:
             item: ServiceWorkItem = yield self.queue.get()
             if self.failed:
@@ -296,29 +261,15 @@ class ServiceNode:
                 # Replay hit: the recorded interval is already resident —
                 # no stream decompress, no ES translation (paid once at
                 # record time); just look up, patch and enqueue.
-                replay_ms = cfg.replay_hit_ms / perf
+                replay_ms = costs.REPLAY_HIT_MS / perf
                 replay_ms += (
                     item.commands_nominal
-                    * cfg.replay_us_per_command
+                    * costs.REPLAY_US_PER_COMMAND
                     / 1000.0
                     / perf
                 )
             else:
-                # Decompress + replay the command batch.
-                replay_ms = cfg.decompress_ms / perf
-                replay_ms += (
-                    item.commands_nominal
-                    * cfg.replay_us_per_command
-                    / 1000.0
-                    / perf
-                )
-                if not self.runtime.spec.cpu.is_arm:
-                    replay_ms += (
-                        item.commands_nominal
-                        * cfg.es_translate_us_per_command
-                        / 1000.0
-                        / perf
-                    )
+                replay_ms = costs.decode_ms(cpu, item.commands_nominal)
             yield replay_ms
             self.stats.replay_ms_total += replay_ms
 
@@ -334,23 +285,20 @@ class ServiceNode:
                     request, replay_info
                 )
                 request.metadata["replay_outcome"] = outcome
+                # What the full decompress + replay path would have charged.
+                full_ms = costs.decode_ms(
+                    cpu, replay_info.get("full_nominal", 0)
+                )
                 if outcome == "diverged":
                     # Fallback re-runs the full pipeline for this frame:
                     # charge what the fast path thought it was skipping.
-                    penalty_ms = self._full_replay_ms(
-                        replay_info.get("full_nominal", 0), perf
-                    )
-                    yield penalty_ms
-                    self.stats.replay_ms_total += penalty_ms
+                    yield full_ms
+                    self.stats.replay_ms_total += full_ms
                     self.stats.replay_fallbacks += 1
                 else:
                     self.stats.replay_hits += 1
                     self.stats.replay_ms_saved += max(
-                        0.0,
-                        self._full_replay_ms(
-                            replay_info.get("full_nominal", 0), perf
-                        )
-                        - replay_ms,
+                        0.0, full_ms - replay_ms
                     )
             # Replay the (reconstructed or subsampled live) commands through
             # the context so state consistency is observable, then render.
@@ -431,3 +379,10 @@ class ServiceNode:
             # downlink transport; single-user sessions use the default.
             downlink = request.metadata.get("reply_transport", self.downlink)
             downlink.send(reply)
+
+
+def base_fill(request: RenderRequest) -> float:
+    """The request's fill before any node inflated it on arrival."""
+    return request.metadata.get(
+        "base_fill_megapixels", request.fill_megapixels
+    )

@@ -1,10 +1,7 @@
 """Fleet control-plane configuration.
 
 Every serving-layer policy knob in one dataclass, mirroring the style of
-:class:`~repro.core.config.GBoosterConfig`.  The per-frame cost constants
-repeat that config's service-daemon calibration so a fleet node's service
-time agrees with what a :class:`~repro.core.server.ServiceNode` would
-charge for the same frame.
+:class:`~repro.core.config.GBoosterConfig`.
 """
 
 from __future__ import annotations
@@ -53,14 +50,6 @@ class FleetConfig:
     serve_rate_hz: float = 30.0
     #: in-flight frames per session (the rewritten SwapBuffer's bound)
     pipeline_depth: int = 3
-
-    # -- per-frame service costs (mirror GBoosterConfig) ---------------------
-    replay_us_per_command: float = 6.0
-    decompress_ms: float = 1.0
-    remote_render_overhead: float = 1.28
-    encode_mp_per_s_arm: float = 90.0
-    encode_mp_per_s_x86: float = 300.0
-    es_translate_us_per_command: float = 20.0
 
     # -- live migration ------------------------------------------------------
     #: GL context snapshot replayed on the target node when a session

@@ -62,7 +62,7 @@ class FleetController:
         self.pool = list(pool)
         self.nodes: Dict[str, FleetNode] = {
             spec.name: FleetNode(
-                sim, spec, self.config, on_complete=self._on_task_complete
+                sim, spec, on_complete=self._on_task_complete
             )
             for spec in pool
         }
@@ -218,18 +218,14 @@ class FleetController:
         Only computed for planner fleets: the bias feeds Eq. 4 through
         :class:`DeviceEstimate.plan_bias_ms`, steering a session toward
         the device that renders *its* frames fastest, not just the device
-        with the shortest queue.  (FleetConfig mirrors the per-frame cost
-        constants the predictor reads, so it can stand in for the session
-        config here.)
+        with the shortest queue.
         """
         if not self.config.planner:
             return None
         from repro.analysis.pipeline_model import predict_service_stage_ms
 
         return {
-            node.name: predict_service_stage_ms(
-                session.app, node.spec, self.config
-            )
+            node.name: predict_service_stage_ms(session.app, node.spec)
             for node in self._up_nodes()
         }
 

@@ -1,11 +1,13 @@
 """The fleet's serving abstraction: one device executing session frames.
 
 A :class:`FleetNode` is the control-plane view of a service daemon: a
-priority work queue served non-preemptively, charging the same per-frame
-costs a :class:`~repro.core.server.ServiceNode` charges (decompress +
-replay + GPU fill + Turbo encode), without the per-command GL replay — at
-fleet scale the currency is *capacity*, not individual GL state
-transitions.  Tiers map straight onto the queue priority: an action-tier
+priority work queue served non-preemptively, charging the per-frame
+costs of :mod:`repro.core.costs` that a
+:class:`~repro.core.server.ServiceNode` charges (decompress + replay + GPU
+fill + Turbo encode), without the per-command GL replay — at fleet scale
+the currency is *capacity*, not individual GL state transitions.
+``tests/fleet/test_calibration.py`` checks the charge against a full
+offload session.  Tiers map straight onto the queue priority: an action-tier
 frame always overtakes queued tolerant-tier frames.
 
 The node serves without a process.  A task submitted to an idle node
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
+from repro.core import costs
 from repro.devices.profiles import DeviceSpec
-from repro.fleet.config import FleetConfig
 from repro.sim.kernel import Simulator
 
 #: queue priority of a migration state-replay batch: ahead of every frame
@@ -83,12 +85,10 @@ class FleetNode:
         self,
         sim: Simulator,
         spec: DeviceSpec,
-        config: FleetConfig,
         on_complete: Optional[Callable[[FrameTask], None]] = None,
     ):
         self.sim = sim
         self.spec = spec
-        self.config = config
         self.name = spec.name
         self.on_complete = on_complete
         self.failed = False
@@ -102,6 +102,7 @@ class FleetNode:
         self._queue: List[Tuple[float, int, FrameTask]] = []
         self._arrivals = itertools.count()
         self._queued_fill_mp = 0.0
+        self._encode_rate = costs.encode_mp_per_s(spec.cpu)
 
     # -- capacity model ------------------------------------------------------
 
@@ -112,9 +113,7 @@ class FleetNode:
         GPU fillrate discounted by the remote-rendering overhead — the
         same inflation a ServiceNode applies to each request's workload.
         """
-        return (
-            self.spec.gpu.fillrate_gpixels / self.config.remote_render_overhead
-        )
+        return self.spec.gpu.fillrate_gpixels / costs.REMOTE_RENDER_OVERHEAD
 
     @property
     def queued_workload_mp(self) -> float:
@@ -130,27 +129,14 @@ class FleetNode:
         return max(0.0, min(1.0, self._queued_fill_mp / horizon_mp))
 
     def service_time_ms(self, task: FrameTask) -> float:
-        cfg = self.config
-        perf = self.spec.cpu.perf_index
-        cpu_ms = cfg.decompress_ms / perf
-        cpu_ms += task.commands_nominal * cfg.replay_us_per_command / 1000.0 / perf
-        if not self.spec.cpu.is_arm:
-            cpu_ms += (
-                task.commands_nominal
-                * cfg.es_translate_us_per_command / 1000.0 / perf
-            )
         if task.kind == "state":
-            return cpu_ms  # replay only: nothing rendered, nothing encoded
-        gpu_ms = (
-            task.fill_megapixels * cfg.remote_render_overhead
-            / max(self.spec.gpu.fillrate_gpixels, 1e-9)
+            # replay only: nothing rendered, nothing encoded
+            return costs.decode_ms(self.spec.cpu, task.commands_nominal)
+        return costs.frame_ms(
+            self.spec.cpu, task.commands_nominal, task.fill_megapixels,
+            self.spec.gpu.fillrate_gpixels, task.width * task.height,
+            self._encode_rate,
         )
-        encode_mp_per_s = (
-            cfg.encode_mp_per_s_arm if self.spec.cpu.is_arm
-            else cfg.encode_mp_per_s_x86
-        )
-        encode_ms = (task.width * task.height) / (encode_mp_per_s * 1000.0)
-        return cpu_ms + gpu_ms + encode_ms
 
     # -- ingress -------------------------------------------------------------
 

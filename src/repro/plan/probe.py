@@ -31,6 +31,7 @@ from repro.codec.pipeline import (
     CommandPipeline,
     PipelineConfig,
 )
+from repro.core import costs
 from repro.obs.timeseries import TimeSeriesBank
 from repro.plan.candidates import PlanCandidate, SessionContext
 from repro.sim.random import RandomStream
@@ -200,18 +201,11 @@ class ProbeRunner:
         if backend == "replay":
             # GPUReplay-style serve: the pinned interval skips decompress +
             # per-command replay (and x86 translation); fill + encode stay.
-            full = predict_service_stage_ms(app, ctx.service_device, config)
-            decode_side = (
-                config.decompress_ms
-                + app.nominal_commands_per_frame
-                * config.replay_us_per_command / 1000.0
-            ) / ctx.service_device.cpu.perf_index
-            if not ctx.service_device.cpu.is_arm:
-                decode_side += (
-                    app.nominal_commands_per_frame
-                    * config.es_translate_us_per_command / 1000.0
-                ) / ctx.service_device.cpu.perf_index
-            service_ms = max(0.1, full - decode_side) + config.replay_hit_ms
+            full = predict_service_stage_ms(app, ctx.service_device)
+            decode_side = costs.decode_ms(
+                ctx.service_device.cpu, app.nominal_commands_per_frame
+            )
+            service_ms = max(0.1, full - decode_side) + costs.REPLAY_HIT_MS
         if backend == "multicast":
             service_ms += _MULTICAST_SYNC_MS
 

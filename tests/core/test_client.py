@@ -3,9 +3,18 @@
 import pytest
 
 from repro.apps.games import GTA_SAN_ANDREAS
+from repro.core.client import GBoosterClient
 from repro.core.config import GBoosterConfig
+from repro.core.server import base_fill
 from repro.core.session import run_offload_session
-from repro.devices.profiles import DELL_OPTIPLEX_9010, LG_NEXUS_5, NVIDIA_SHIELD
+from repro.devices.profiles import (
+    DELL_M4600,
+    DELL_OPTIPLEX_9010,
+    LG_G5,
+    LG_NEXUS_5,
+    NVIDIA_SHIELD,
+)
+from repro.faults import FaultSchedule
 
 DURATION = 15_000.0
 
@@ -122,3 +131,39 @@ def test_frames_presented_in_order():
     presented_order = sorted(frames, key=lambda f: f.presented_at)
     ids = [f.frame_id for f in presented_order]
     assert ids == sorted(ids)
+
+
+def test_redispatch_weighs_the_base_fill(monkeypatch):
+    """Eq. 4 re-dispatch offers the scheduler the fill a fresh dispatch
+    would, not the fill the failed node inflated on arrival."""
+    offered = []
+    redispatch = GBoosterClient._redispatch
+
+    def spy(self, request):
+        choose = self.scheduler.choose
+
+        def record(workload, estimates):
+            offered.append(
+                (workload, base_fill(request), request.fill_megapixels)
+            )
+            return choose(workload, estimates)
+
+        self.scheduler.choose = record
+        try:
+            redispatch(self, request)
+        finally:
+            del self.scheduler.choose
+
+    monkeypatch.setattr(GBoosterClient, "_redispatch", spy)
+    run_offload_session(
+        GTA_SAN_ANDREAS, LG_G5,
+        service_devices=[NVIDIA_SHIELD, DELL_M4600, DELL_OPTIPLEX_9010],
+        config=GBoosterConfig(
+            frame_timeout_ms=300.0,
+            faults=FaultSchedule().crash(at_ms=1_500.0, node=0),
+        ),
+        duration_ms=3_000.0, seed=1,
+    )
+    # Some re-dispatched requests had reached the failed node.
+    assert any(fill != base for _, base, fill in offered)
+    assert all(workload == base for workload, base, _ in offered)

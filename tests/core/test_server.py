@@ -3,6 +3,7 @@
 import pytest
 
 from repro.codec.frames import FrameImage
+from repro.core import costs
 from repro.core.config import GBoosterConfig
 from repro.core.server import ServiceNode
 from repro.devices.profiles import DELL_OPTIPLEX_9010, NVIDIA_SHIELD
@@ -111,10 +112,27 @@ def test_queued_workload_drops_as_frames_finish(sim):
     for i in range(4):
         node.on_frame_message(frame_message(request_id=i, fill=100.0))
     # Accepted workload includes the remote-render overhead factor.
-    overhead = node.config.remote_render_overhead
+    overhead = costs.REMOTE_RENDER_OVERHEAD
     assert node.queued_workload_mp == pytest.approx(400.0 * overhead)
     sim.run(until=10_000.0)
     assert node.queued_workload_mp == pytest.approx(0.0)
+
+
+def test_a_redispatched_request_weighs_like_a_fresh_copy(sim):
+    """A node inflates an arriving request's fill by the remote-render
+    overhead.  When a failure moves the request on, Eq. 4 must price it
+    from its base fill, not charge the overhead a second time."""
+    failed, _ = make_node(sim)
+    survivor, _ = make_node(sim, DELL_OPTIPLEX_9010)
+    message = frame_message()
+    failed.on_frame_message(message)
+    arrived = message.metadata["request"]
+    fresh = frame_message().metadata["request"]
+    assert arrived.fill_megapixels > fresh.fill_megapixels
+    assert (survivor.predicted_stage_ms(arrived)
+            == survivor.predicted_stage_ms(fresh))
+    assert (survivor.capability_mp_per_ms(arrived)
+            == survivor.capability_mp_per_ms(fresh))
 
 
 def test_x86_node_pays_emulation_but_encodes_faster(sim):

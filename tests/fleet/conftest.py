@@ -29,10 +29,9 @@ def make_admission(sim):
 
 @pytest.fixture
 def make_fleet_node(sim):
-    def make(spec=NVIDIA_SHIELD, **overrides):
+    def make(spec=NVIDIA_SHIELD):
         done = []
-        node = FleetNode(sim, spec, FleetConfig(**overrides),
-                         on_complete=done.append)
+        node = FleetNode(sim, spec, on_complete=done.append)
         return sim, node, done
 
     return make
@@ -51,7 +50,7 @@ def make_registry(make_sim):
 def make_world(sim):
     def make(specs, **overrides):
         config = FleetConfig(**overrides)
-        nodes = [FleetNode(sim, spec, config) for spec in specs]
+        nodes = [FleetNode(sim, spec) for spec in specs]
         return sim, config, SessionPlacer(sim, config), nodes
 
     return make

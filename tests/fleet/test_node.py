@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core import costs
 from repro.devices.profiles import DELL_M4600, NVIDIA_SHIELD
-from repro.fleet import FleetConfig, FrameTask, STATE_PRIORITY
+from repro.fleet import FrameTask, STATE_PRIORITY
 
 
 def frame(seq, priority=0.0, fill=50.0, session="s0"):
@@ -39,9 +40,8 @@ class TestServing:
         # Same command count; only the x86 box pays the GL-to-ES shim.
         arm_cpu = shield.service_time_ms(task)
         x86_cpu = desktop.service_time_ms(task)
-        cfg = FleetConfig()
         expected_extra = (
-            task.commands_nominal * cfg.es_translate_us_per_command
+            task.commands_nominal * costs.ES_TRANSLATE_US_PER_COMMAND
             / 1000.0 / DELL_M4600.cpu.perf_index
         )
         base_ratio = shield.spec.cpu.perf_index / DELL_M4600.cpu.perf_index

@@ -54,7 +54,7 @@ class TestPlace:
         import dataclasses
 
         twin = dataclasses.replace(NVIDIA_SHIELD, name="Shield twin")
-        nodes.append(FleetNode(sim, twin, config))
+        nodes.append(FleetNode(sim, twin))
         chosen = placer.place(
             session(sim, config, 0), nodes,
             committed_mp_per_ms={},
@@ -72,7 +72,7 @@ class TestRebalance:
         import dataclasses
 
         nodes[1] = FleetNode(
-            sim, dataclasses.replace(NVIDIA_SHIELD, name="Shield B"), config
+            sim, dataclasses.replace(NVIDIA_SHIELD, name="Shield B")
         )
         committed = {NVIDIA_SHIELD.name: 5.0, "Shield B": 5.0}
         moves = placer.plan_rebalance({}, nodes, committed)

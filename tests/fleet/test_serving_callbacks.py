@@ -28,6 +28,7 @@ from repro.apps.games import (
     MODERN_COMBAT,
     STAR_WARS_KOTOR,
 )
+from repro.core import costs
 from repro.devices.profiles import NVIDIA_SHIELD
 from repro.experiments.fleet import make_fleet_pool
 from repro.fleet import (
@@ -48,8 +49,8 @@ from repro.sim.resources import PriorityStore
 class ReferenceNode(FleetNode):
     """A fleet node served by its old coroutine over a ``PriorityStore``."""
 
-    def __init__(self, sim, spec, config, on_complete=None):
-        super().__init__(sim, spec, config, on_complete)
+    def __init__(self, sim, spec, on_complete=None):
+        super().__init__(sim, spec, on_complete)
         self.queue = PriorityStore(sim, name=f"fleet.{self.name}.work")
         self._proc = sim.spawn(self._run(), name=f"fleet.node.{self.name}")
 
@@ -201,7 +202,8 @@ POOL = make_fleet_pool(8)
 
 def weightless(app):
     """``app`` with no pixels and no commands: a frame costs only the
-    decompress step, so its service time is whatever the config makes it."""
+    decompress step, so its service time is whatever the device makes it
+    (:func:`integral_shield`)."""
     return replace(app, fill_mp_per_frame=0.0, nominal_commands_per_frame=0,
                    render_width=0, render_height=0)
 
@@ -239,9 +241,9 @@ def run_fleet(scenario, node_cls, session_cls):
         def off_grid(lo, hi):
             return rng.randint(lo, hi) + 0.5
 
-        config = integral_config(busy_ms, scenario["rate_hz"],
-                                 scenario["depth"])
-        specs = [replace(NVIDIA_SHIELD, name=f"Shield {i}")
+        config = FleetConfig(serve_rate_hz=scenario["rate_hz"],
+                             pipeline_depth=scenario["depth"])
+        specs = [integral_shield(busy_ms, name=f"Shield {i}")
                  for i in scenario["nodes"]]
     sim = Simulator(seed=0)
     sessions = {}
@@ -250,7 +252,7 @@ def run_fleet(scenario, node_cls, session_cls):
         if task.kind == "frame":
             sessions[task.session_id].on_frame_complete(task)
 
-    nodes = [node_cls(sim, spec, config, on_complete=answer)
+    nodes = [node_cls(sim, spec, on_complete=answer)
              for spec in specs]
     submitted = []
     for node in nodes:
@@ -412,18 +414,17 @@ def frame(seq, priority=0.0, session="other"):
     )
 
 
-def integral_config(busy_ms=16.0, rate_hz=100.0, depth=1):
-    """Every weightless frame on a Shield takes exactly ``busy_ms``.
+def integral_shield(busy_ms=16.0, name=NVIDIA_SHIELD.name):
+    """A Shield on which every weightless frame takes exactly ``busy_ms``.
 
-    Only the decompress cost is left, and a decompress cost of
-    ``busy_ms`` times the CPU's perf index divides back to exactly
-    ``busy_ms``.  With a whole-ms period every instant is an integer
-    number of ms, so equal-timestamp ties are exact.
+    Only the decompress cost is left, and a CPU whose perf index is that
+    cost over ``busy_ms`` divides it back to exactly ``busy_ms`` (for the
+    7, 10 and 16 ms used here).  With a whole-ms period every instant is
+    an integer number of ms, so equal-timestamp ties are exact.
     """
-    return FleetConfig(
-        serve_rate_hz=rate_hz, pipeline_depth=depth,
-        decompress_ms=busy_ms * NVIDIA_SHIELD.cpu.perf_index,
-    )
+    cpu = replace(NVIDIA_SHIELD.cpu,
+                  perf_index=costs.DECOMPRESS_MS / busy_ms)
+    return replace(NVIDIA_SHIELD, name=name, cpu=cpu)
 
 
 def weightless_frame(seq, session="other"):
@@ -438,12 +439,12 @@ def integral_world(node_cls, session_cls):
     """One session on a Shield: 16 ms frames, a 10 ms period, a pipeline
     of one, so the gate binds on every frame after the first."""
     sim = Simulator(seed=0)
-    config = integral_config()
+    config = FleetConfig(serve_rate_hz=100.0, pipeline_depth=1)
     session = session_cls(
         sim, SessionRequest("s", weightless(MODERN_COMBAT), arrival_ms=0.0),
         config, duration_ms=100.0,
     )
-    node = node_cls(sim, NVIDIA_SHIELD, config,
+    node = node_cls(sim, integral_shield(),
                     on_complete=session.on_frame_complete)
     return sim, session, node
 
@@ -453,7 +454,7 @@ def serve_order(node_cls, session_cls, starts, priorities=None):
     equals the issue period), a pipeline of two, one Shield: the order in
     which the node answers their frames."""
     sim = Simulator(seed=0)
-    config = integral_config(busy_ms=10.0, rate_hz=100.0, depth=2)
+    config = FleetConfig(serve_rate_hz=100.0, pipeline_depth=2)
     served = []
     sessions = {}
 
@@ -461,7 +462,7 @@ def serve_order(node_cls, session_cls, starts, priorities=None):
         served.append((task.session_id, task.seq))
         sessions[task.session_id].on_frame_complete(task)
 
-    node = node_cls(sim, NVIDIA_SHIELD, config, on_complete=answer)
+    node = node_cls(sim, integral_shield(10.0), on_complete=answer)
     for i, start in enumerate(starts):
         session = session_cls(
             sim, SessionRequest(f"s{i}", weightless(MODERN_COMBAT), 0.0),
@@ -509,7 +510,7 @@ class TestOrders:
             if task.session_id == "action":
                 session.on_frame_complete(task)
 
-        node = FleetNode(sim, NVIDIA_SHIELD, config, on_complete=answer)
+        node = FleetNode(sim, NVIDIA_SHIELD, on_complete=answer)
         session.start(node)                       # A: issued at t=0
         sim.call_at(0.5, lambda: node.submit(frame(0, priority=2.0)))  # B
         sim.run_until_event(session.finished, limit=10_000.0)
@@ -535,12 +536,12 @@ class TestOrders:
 
         sim.call_later = spy
         session.start(node)
-        node.submit(frame(0, priority=2.0))       # queued behind frame 0
+        node.submit(weightless_frame(0))          # frame 0 queues behind it
         sim.run_until_event(session.finished, limit=10_000.0)
-        # Every frame after the first waited at the gate (16 ms of
-        # service against a 10 ms period), and one pickup came from the
-        # queue: neither spent a zero-delay entry.
-        assert node.stats.frames_served == session.frames_issued + 1 == 6
+        # Frame 0 was picked up from the queue at t=16, and every frame
+        # after it waited at the gate (16 ms of service against a 10 ms
+        # period) until t=96: neither spent a zero-delay entry.
+        assert node.stats.frames_served == session.frames_issued + 1 == 7
         assert delays.count(0.0) == 1
 
     def test_an_issue_queues_its_tick_before_its_frames_completion(self):
@@ -611,7 +612,7 @@ class TestChangedTieRules:
 
     def strand_order(self, node_cls):
         sim = Simulator(seed=0)
-        node = node_cls(sim, NVIDIA_SHIELD, integral_config())
+        node = node_cls(sim, integral_shield())
         first, queued, late = (weightless_frame(i) for i in range(3))
         node.submit(first)                        # in service until t=16
         node.submit(queued)

@@ -21,8 +21,7 @@ def run_session(app, duration_ms=2_000.0, spec=NVIDIA_SHIELD, **overrides):
         config,
         duration_ms=duration_ms,
     )
-    node = FleetNode(sim, spec, config,
-                     on_complete=session.on_frame_complete)
+    node = FleetNode(sim, spec, on_complete=session.on_frame_complete)
     session.start(node)
     sim.run_until_event(session.finished, limit=60_000.0)
     return sim, session
