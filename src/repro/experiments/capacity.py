@@ -36,10 +36,10 @@ from repro.apps.games import GAMES
 from repro.experiments.fleet import make_fleet_pool
 from repro.experiments.gate import BenchSpec
 from repro.fleet import (
+    Arrival,
     ArrivalCurve,
     FleetConfig,
-    FleetController,
-    SessionRequest,
+    FleetRun,
     arrival_offsets,
     diurnal,
     flash_crowd,
@@ -167,34 +167,19 @@ def run_capacity_point(
     sim = Simulator(seed=seed)
     hub = TelemetryHub(sim, slos=capacity_slos(frame_budget_ms))
     config = FleetConfig(check=True)
-    controller = FleetController(sim, make_fleet_pool(n_devices), config)
-    controller.set_session_duration(duration_ms)
-    sim.run_until_event(controller.bootstrapped, limit=60_000.0)
-
-    def arrivals():
-        previous = 0.0
-        for i, offset in enumerate(offsets):
-            if offset > previous:
-                yield offset - previous
-            previous = offset
-            controller.submit(
-                SessionRequest(
-                    session_id=f"s{i:03d}",
-                    app=apps[indices[i]],
-                    arrival_ms=sim.now,
-                )
+    run = FleetRun(
+        sim, make_fleet_pool(n_devices), config, duration_ms,
+        [
+            Arrival(offset - previous, f"s{i:03d}", apps[indices[i]])
+            for i, (previous, offset) in enumerate(
+                zip([0.0, *offsets], offsets)
             )
-
-    sim.spawn(arrivals(), name="fleet.arrivals")
-    span_ms = offsets[-1] if offsets else 0.0
-    # Queued sessions start only as earlier ones finish, so the horizon
-    # covers two session lengths past the arrival span plus slack.
-    sim.run(until=sim.now + span_ms + 2.0 * duration_ms + 5_000.0)
-    if controller.monitor is not None:
-        controller.monitor.finalize()
+        ],
+        spread_ms=offsets[-1] if offsets else 0.0,
+    )
+    report = run.run()
     hub.finalize()
 
-    report = controller.report()
     adm = report["admission"]
     telemetry = hub.report()
     frame_slo = telemetry["slos"]["fleet_frame_p99"]
@@ -237,11 +222,7 @@ def run_capacity_point(
             for name in sorted(telemetry["slos"])
         },
         "alerts": len(telemetry["alerts"]),
-        "invariant_violations": (
-            len(controller.monitor.violations)
-            if controller.monitor is not None
-            else 0
-        ),
+        "invariant_violations": run.invariant_violations,
     }
 
 

@@ -20,7 +20,7 @@ from repro.apps.base import ApplicationSpec
 from repro.apps.games import GAMES
 from repro.devices.profiles import SERVICE_DEVICES, DeviceSpec
 from repro.faults import FaultSchedule
-from repro.fleet import FleetConfig, FleetController, SessionRequest
+from repro.fleet import Arrival, FleetConfig, FleetRun
 from repro.sim.kernel import Simulator
 
 #: fraction of the session window at which the injected crash lands / heals
@@ -84,6 +84,34 @@ class FleetPoint:
         return self.frames_lost == 0
 
 
+def launch_wave(
+    indices: Sequence[int],
+    apps: Sequence[ApplicationSpec],
+    gap_ms: float = 0.0,
+    app_indices: Optional[Sequence[int]] = None,
+    offsets: Optional[Sequence[float]] = None,
+) -> List[Arrival]:
+    """The arrivals of global sessions ``indices`` (ascending) of a wave.
+
+    Session ``i`` is ``s{i:03d}`` running ``apps[app_indices[i]]``, by
+    default cycling through ``apps`` so every QoS tier is represented.
+    It arrives ``i * gap_ms`` after the wave start, or with ``offsets``,
+    ``offsets[i]`` after an epoch.  A slice of the indices is a shard's
+    share of the same wave.
+    """
+    arrivals = []
+    previous = 0
+    for i in indices:
+        app = app_indices[i] if app_indices is not None else i % len(apps)
+        if offsets is not None:
+            after_ms = offsets[i]
+        else:
+            after_ms = (i - previous) * gap_ms
+        previous = i
+        arrivals.append(Arrival(after_ms, f"s{i:03d}", apps[app]))
+    return arrivals
+
+
 def run_fleet_point(
     n_sessions: int = 64,
     n_devices: int = 8,
@@ -97,48 +125,36 @@ def run_fleet_point(
 ) -> Tuple[FleetPoint, Dict]:
     """One fleet run; returns the sweep point and the full fleet report.
 
-    Pass a pre-built ``sim`` to keep hold of the kernel afterwards — the
-    profiling harness reads ``sim.spans`` / ``sim.metrics`` off it.
+    ``crash`` injects :func:`default_fault_schedule`; a config that
+    carries its own faults must leave it off.  Pass a pre-built ``sim``
+    to keep hold of the kernel afterwards — the profiling harness reads
+    ``sim.spans`` / ``sim.metrics`` off it.
     """
     if n_sessions < 1:
         raise ValueError(f"need at least one session, got {n_sessions}")
-    pool = make_fleet_pool(n_devices)
     if config is None:
         config = FleetConfig()
     if crash:
+        if config.faults:
+            raise ValueError(
+                "crash=True injects the default crash schedule and would "
+                "drop config.faults; pass one or the other"
+            )
         config = replace(
             config, faults=default_fault_schedule(duration_ms)
         )
-    apps = list(apps or GAMES.values())
-    if sim is None:
-        sim = Simulator(seed=seed)
-    controller = FleetController(sim, pool, config)
-    controller.set_session_duration(duration_ms)
-    sim.run_until_event(controller.bootstrapped, limit=60_000.0)
-
-    # The launch wave: session i arrives i * gap after bootstrap, cycling
-    # through the Table II apps so every QoS tier is represented.
-    gap_ms = arrival_spread_ms / n_sessions
-
-    def arrivals():
-        for i in range(n_sessions):
-            request = SessionRequest(
-                session_id=f"s{i:03d}",
-                app=apps[i % len(apps)],
-                arrival_ms=sim.now,
-            )
-            controller.submit(request)
-            yield gap_ms
-
-    sim.spawn(arrivals(), name="fleet.arrivals")
-    # Queued sessions start only as earlier ones finish, so the horizon
-    # covers two full session lengths plus the launch wave and detection
-    # slack.
-    sim.run(until=sim.now + arrival_spread_ms + 2.0 * duration_ms + 5_000.0)
-
-    if controller.monitor is not None:
-        controller.monitor.finalize()
-    report = controller.report()
+    run = FleetRun(
+        sim if sim is not None else Simulator(seed=seed),
+        make_fleet_pool(n_devices),
+        config,
+        duration_ms,
+        launch_wave(
+            range(n_sessions), list(apps or GAMES.values()),
+            gap_ms=arrival_spread_ms / n_sessions,
+        ),
+        spread_ms=arrival_spread_ms,
+    )
+    report = run.run()
     tiers = report["tiers"]
     point = FleetPoint(
         sessions_requested=n_sessions,
@@ -163,11 +179,7 @@ def run_fleet_point(
             tier: t["mean_response_ms"] for tier, t in tiers.items()
         },
         digest=report["digest"],
-        invariant_violations=(
-            len(controller.monitor.violations)
-            if controller.monitor is not None
-            else 0
-        ),
+        invariant_violations=run.invariant_violations,
     )
     return point, report
 

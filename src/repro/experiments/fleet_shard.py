@@ -3,14 +3,18 @@
 The sharded twin of ``repro.experiments.fleet``: the same launch wave,
 device pool and crash schedule, but partitioned over K independently
 clocked kernels (``repro.sim.shard``) synchronized at control-plane
-barriers and optionally fanned across worker processes.
+barriers and optionally fanned across worker processes.  Each shard is
+a :class:`~repro.fleet.runner.ShardWorker`, the fleet runner's
+partitioned case, so a one-shard run is the same code as
+:func:`~repro.experiments.fleet.run_fleet_point`.
 
 Determinism contract (asserted by tests and the CI parallel-smoke job):
 
 * at fixed ``(seed, shards)`` the merged report — and every per-session
   frame digest inside it — is **byte-identical for any** ``--workers N``;
-* ``shards=1`` reproduces the legacy single-kernel
-  :func:`~repro.experiments.fleet.run_fleet_point` report digest exactly;
+* ``shards=1`` is the same code as
+  :func:`~repro.experiments.fleet.run_fleet_point`, so its shard report
+  digest is the single-kernel one;
 * per-session *frame-content* digests are additionally shard-count
   invariant whenever the pool is provisioned (no backpressure), since
   what a session renders does not depend on who else shares its kernel.
@@ -21,26 +25,25 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.base import ApplicationSpec
 from repro.apps.games import GAMES
 from repro.experiments.fleet import (
-    CRASH_AT_FRACTION,
-    REJOIN_AT_FRACTION,
+    default_fault_schedule,
+    launch_wave,
     make_fleet_pool,
 )
 from repro.fleet import FleetConfig
+from repro.fleet.runner import ShardJob
 from repro.obs.merge import merge_metric_snapshots, merge_span_banks
 from repro.sim.shard import (
     DEFAULT_WINDOW_MS,
     CoordinatorSummary,
     ShardError,
-    ShardJob,
     ShardPlan,
     ShardResult,
-    ShardSessionSpec,
     run_shards,
 )
 
@@ -107,11 +110,14 @@ def plan_fleet_shards(
 
     ``arrival_offsets`` replaces the uniform launch wave with an explicit
     open-ended schedule (``repro.fleet.arrivals`` curves): global session
-    ``i`` arrives ``arrival_offsets[i]`` ms after bootstrap.  Offsets are
+    ``i`` arrives ``arrival_offsets[i]`` ms after an epoch past the
+    worst-case bootstrap, the same in every shard.  Offsets are
     assigned by global index at plan time, so the schedule — like the
     app cycle — is a pure function of the point, independent of shard
     and worker counts.  ``app_indices`` likewise overrides the default
     app cycle (a capacity-grid genre mix) per global session index.
+    ``config.faults`` is refused: its node indices are global, and each
+    shard indexes its own devices.
 
     A zero-session point is a legitimate degenerate sweep input (capacity
     grids produce them): it plans empty shards and yields an
@@ -143,6 +149,13 @@ def plan_fleet_shards(
             f"{n_sessions} sessions need {n_sessions} app indices, "
             f"got {len(app_indices)}"
         )
+    if config is None:
+        config = FleetConfig()
+    if config.faults:
+        raise ShardError(
+            "config.faults names global device indices but each shard "
+            "indexes its own devices; use crash=True"
+        )
     plan = ShardPlan(shards)
     pool = make_fleet_pool(n_devices)
     apps = list(apps or GAMES.values())
@@ -150,44 +163,25 @@ def plan_fleet_shards(
     gap_ms = arrival_spread_ms / n_sessions if n_sessions else 0.0
     jobs: List[ShardJob] = []
     for shard in range(shards):
-        sessions = [
-            ShardSessionSpec(
-                session_id=f"s{i:03d}",
-                app_index=(
-                    app_indices[i] if app_indices is not None
-                    else i % len(apps)
-                ),
-                wave_index=i,
-                arrival_offset_ms=(
-                    arrival_offsets[i] if arrival_offsets is not None
-                    else None
-                ),
-            )
-            for i in plan.indices(shard, n_sessions)
-        ]
         device_indices = plan.indices(shard, n_devices)
-        crashes: List[Tuple[float, int, Optional[float]]] = []
+        shard_config = config
         if crash and 0 in device_indices:
-            crashes.append(
-                (
-                    duration_ms * CRASH_AT_FRACTION,
-                    device_indices.index(0),
-                    duration_ms * REJOIN_AT_FRACTION,
-                )
-            )
+            shard_config = replace(config, faults=default_fault_schedule(
+                duration_ms, node=device_indices.index(0)
+            ))
         jobs.append(
             ShardJob(
                 shard_id=shard,
-                shards=shards,
                 seed=seed,
                 pool=[pool[j] for j in device_indices],
-                apps=apps,
-                sessions=sessions,
-                gap_ms=gap_ms,
+                config=shard_config,
                 duration_ms=duration_ms,
-                arrival_spread_ms=arrival_spread_ms,
-                crashes=crashes,
-                config=config,
+                arrivals=launch_wave(
+                    plan.indices(shard, n_sessions), apps, gap_ms=gap_ms,
+                    app_indices=app_indices, offsets=arrival_offsets,
+                ),
+                spread_ms=arrival_spread_ms,
+                anchored=arrival_offsets is not None,
             )
         )
     return jobs

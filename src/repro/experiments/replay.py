@@ -187,29 +187,19 @@ def run_replay_fleet(
     break content-address invariance), so this section always runs the
     single-kernel fleet.
     """
-    from repro.fleet.config import FleetConfig
-    from repro.fleet.controller import FleetController
-    from repro.fleet.session import SessionRequest
+    from repro.fleet import Arrival, FleetConfig, FleetRun
     from repro.sim.kernel import Simulator
 
     def wave(replay: bool) -> Dict[str, Any]:
-        sim = Simulator(seed=seed)
-        controller = FleetController(
-            sim, [NVIDIA_SHIELD, LG_G5],
-            FleetConfig(replay=replay),
-        )
-        controller.set_session_duration(duration_ms)
-
-        def submit():
-            yield controller.bootstrapped
-            for i in range(n_sessions):
-                controller.submit(
-                    SessionRequest(f"s{i:02d}", GAMES[game], sim.now)
-                )
-                yield 150.0
-        sim.spawn(submit(), name="replay.wave")
-        sim.run(duration_ms * 4)
-        report = controller.report()
+        report = FleetRun(
+            Simulator(seed=seed), [NVIDIA_SHIELD, LG_G5],
+            FleetConfig(replay=replay), duration_ms,
+            [
+                Arrival(150.0 if i else 0.0, f"s{i:02d}", GAMES[game])
+                for i in range(n_sessions)
+            ],
+            horizon_ms=duration_ms * 4,
+        ).run()
         frames = sum(t["frames"] for t in report["tiers"].values())
         lost = sum(t["frames_lost"] for t in report["tiers"].values())
         mean_ms = 0.0

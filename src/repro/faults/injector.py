@@ -96,8 +96,7 @@ class FaultInjector:
             node.fail()
             self._record("crash", "fire", node=node.name)
 
-        self.sim.call_at(event.at_ms, _crash,
-                         name=f"fault.crash.{event.node}")
+        self.sim.call_at(event.at_ms, _crash)
         if event.rejoin_at_ms is not None:
             def _rejoin() -> None:
                 node.rejoin()
@@ -105,8 +104,7 @@ class FaultInjector:
                     self.client.mark_recovered(node.name)
                 self._record("rejoin", "fire", node=node.name)
 
-            self.sim.call_at(event.rejoin_at_ms, _rejoin,
-                             name=f"fault.rejoin.{event.node}")
+            self.sim.call_at(event.rejoin_at_ms, _rejoin)
 
     # -- link windows -----------------------------------------------------------
 
@@ -134,8 +132,8 @@ class FaultInjector:
                 link.remove_impairment(loss)
             self._record(kind, "end", loss=loss, links=len(links))
 
-        self.sim.call_at(at_ms, _start, name=f"fault.{kind}.start")
-        self.sim.call_at(at_ms + duration_ms, _end, name=f"fault.{kind}.end")
+        self.sim.call_at(at_ms, _start)
+        self.sim.call_at(at_ms + duration_ms, _end)
 
     # -- radio degradation ---------------------------------------------------------
 
@@ -164,9 +162,8 @@ class FaultInjector:
             self._record("degradation", "end",
                          factor=event.bandwidth_factor, radio=event.radio)
 
-        self.sim.call_at(event.at_ms, _start, name="fault.degrade.start")
-        self.sim.call_at(event.at_ms + event.duration_ms, _end,
-                         name="fault.degrade.end")
+        self.sim.call_at(event.at_ms, _start)
+        self.sim.call_at(event.at_ms + event.duration_ms, _end)
 
     # -- bookkeeping ----------------------------------------------------------------
 

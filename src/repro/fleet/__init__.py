@@ -16,6 +16,9 @@ takes the sketch to a serving fleet:
   including zero-frame-loss live migration off crashed devices.
 * :mod:`repro.fleet.arrivals` — parameterized arrival-curve schedules
   (steady / diurnal / flash crowd) for capacity planning.
+* :mod:`repro.fleet.runner` — the one fleet run every experiment uses:
+  build the controller, launch the arrivals, serve to the horizon; and
+  its partitioned case, a shard of a sharded run.
 """
 
 from repro.fleet.admission import AdmissionController, AdmissionStats
@@ -32,6 +35,7 @@ from repro.fleet.controller import FleetController
 from repro.fleet.node import STATE_PRIORITY, FleetNode, FrameTask
 from repro.fleet.placement import PlannedMove, SessionPlacer
 from repro.fleet.registry import DeviceRegistry, Heartbeat, RegisteredDevice
+from repro.fleet.runner import Arrival, FleetRun
 from repro.fleet.session import (
     TIER_NAMES,
     FleetSession,
@@ -42,6 +46,7 @@ from repro.fleet.session import (
 __all__ = [
     "AdmissionController",
     "AdmissionStats",
+    "Arrival",
     "ArrivalCurve",
     "STANDARD_CURVES",
     "arrival_offsets",
@@ -52,6 +57,7 @@ __all__ = [
     "FleetConfig",
     "FleetController",
     "FleetNode",
+    "FleetRun",
     "FleetSession",
     "FrameTask",
     "Heartbeat",

@@ -523,11 +523,9 @@ class FleetController:
                 )
             name = self.pool[event.node].name
             node = self.nodes[name]
-            self.sim.call_at(event.at_ms, node.fail,
-                             name=f"fault.crash.{name}")
+            self.sim.call_at(event.at_ms, node.fail)
             if event.rejoin_at_ms is not None:
-                self.sim.call_at(event.rejoin_at_ms, node.rejoin,
-                                 name=f"fault.rejoin.{name}")
+                self.sim.call_at(event.rejoin_at_ms, node.rejoin)
 
     # -- metrics -------------------------------------------------------------
 

@@ -467,25 +467,6 @@ class Simulator:
         self._schedule_resume(proc, None)
         return proc
 
-    def spawn_at(self, when: float, gen: Generator, name: str = "") -> Process:
-        """Start a new process at absolute time ``when``, exactly.
-
-        Unlike ``spawn`` + an initial delay yield, the first step is
-        queued at the literal float ``when`` — no ``now + (when - now)``
-        round trip — so processes anchored to a shared epoch wake at
-        bit-identical times regardless of the current clock value.
-        """
-        self._check_when("spawn_at", when)
-        proc = Process(self, gen, name=name)
-        self._processes.append(proc)
-        if len(self._processes) > 8192:
-            self._processes = [p for p in self._processes if p.alive]
-            self._composites = [
-                c for c in self._composites if not c.triggered
-            ]
-        self._schedule_resume(proc, None, at=when)
-        return proc
-
     def event(self, name: str = "") -> Event:
         return Event(self, name=name)
 
@@ -616,15 +597,25 @@ class Simulator:
         return handle
 
     def call_at(
-        self, when: float, fn: Callable[[], None], name: str = ""
+        self, when: float, fn: Callable[..., Any], *args: Any
     ) -> TimerHandle:
-        """Run a plain callable at absolute time ``when``.
+        """Run ``fn(*args)`` at absolute time ``when``, exactly.
 
-        ``name`` is accepted for call sites that label their callbacks;
-        the kernel does not keep it.
+        The callback is queued at the literal ``when``, not at
+        ``now + (when - now)``, so callbacks anchored to a shared epoch
+        fire at bit-identical times whatever the current clock reads.
         """
-        self._check_when("call_at", when)
-        return self.call_later(when - self.now, fn)
+        if when != when:
+            raise SimulationError(f"call_at({when}): time is NaN")
+        if when < self.now:
+            raise SimulationError(
+                f"call_at({when}) is in the past (now={self.now})"
+            )
+        handle = TimerHandle(fn, args)
+        heappush(
+            self._queue, (float(when), next(self._counter), handle, 0, None)
+        )
+        return handle
 
     def due_now(self) -> bool:
         """Whether another queue entry is due at the current instant.
@@ -640,25 +631,12 @@ class Simulator:
 
     # -- scheduling internals ------------------------------------------------
 
-    def _check_when(self, entry: str, when: float) -> None:
-        if when != when:
-            raise SimulationError(f"{entry}({when}): time is NaN")
-        if when < self.now:
-            raise SimulationError(
-                f"{entry}({when}) is in the past (now={self.now})"
-            )
-
     def _schedule_resume(
-        self,
-        proc: Process,
-        value: Any,
-        delay: float = 0.0,
-        at: Optional[float] = None,
+        self, proc: Process, value: Any, delay: float = 0.0
     ) -> None:
-        when = self.now + delay if at is None else at
-        heappush(
-            self._queue, (when, next(self._counter), proc, proc._gen, value)
-        )
+        heappush(self._queue, (
+            self.now + delay, next(self._counter), proc, proc._gen, value
+        ))
 
     @staticmethod
     def _check_limit(entry: str, limit: Optional[float]) -> None:

@@ -1,9 +1,8 @@
 """Sharded parallel simulation: many kernels, one deterministic fleet.
 
-The fleet, SLO and chaos experiments used to funnel every session through
-one single-threaded :class:`~repro.sim.kernel.Simulator`, which capped
-both wall-clock speed and the believable fleet size.  This module
-partitions a fleet run into **K shards** — each with its own kernel, its
+One single-threaded :class:`~repro.sim.kernel.Simulator` caps both the
+wall-clock speed and the believable size of a fleet run.  This module
+runs a partitioned fleet as **K shards** — each with its own kernel, its
 own ``(seed, shard_id)``-namespaced random streams and its own event
 queue — and fans them across worker processes, in the style of
 conservative parallel discrete-event simulation:
@@ -12,9 +11,9 @@ conservative parallel discrete-event simulation:
   shards round-robin by index, so the decomposition is a pure function of
   ``(n_sessions, n_devices, shards)`` and never of dict or completion
   order.
-* **Free-running windows** — each :class:`ShardWorker` advances its
-  kernel independently inside a conservative time window
-  (``window_ms`` of simulated time).
+* **Free-running windows** — each shard's worker advances its kernel
+  independently inside a conservative time window (``window_ms`` of
+  simulated time).
 * **Control-plane barriers** — at each window boundary every shard
   reports a :class:`BarrierReport` (heartbeats, placements, admission
   pressure); the coordinator merges them **sorted by (shard, session)**
@@ -30,18 +29,18 @@ conservative parallel discrete-event simulation:
   execution detail: same ``(seed, shards)`` in, byte-identical digests
   out, for any N.
 
-``shards=1`` degenerates to exactly the legacy single-kernel run — same
-stream derivations, same event interleaving, same report digest — so the
-sharded path is a strict superset of the old one.
+A shard job is any picklable object with a ``shard_id`` and a
+``start()`` that builds its worker in the hosting process; the worker
+answers ``run_window(until_ms)`` with a :class:`BarrierReport` and
+``finish()`` with a :class:`ShardResult`.  The fleet's job and worker
+(:mod:`repro.fleet.runner`) run the single-kernel fleet run itself, so
+``shards=1`` is that run, stepped in windows.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
-
-from repro.sim.kernel import Simulator
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: default conservative window between control-plane barriers (sim ms)
 DEFAULT_WINDOW_MS = 1_000.0
@@ -52,6 +51,14 @@ IDLE_WINDOW_STRETCH = 4.0
 #: hard ceiling on barriers per run — a coordinator bug must fail loudly,
 #: not spin forever
 MAX_BARRIERS = 100_000
+
+
+def _context():
+    # Imported on first use: every single-kernel fleet run imports this
+    # module for its payload types and never starts a process.
+    import multiprocessing
+
+    return multiprocessing.get_context()
 
 
 class ShardError(RuntimeError):
@@ -82,48 +89,7 @@ class ShardPlan:
         return list(range(shard, count, self.shards))
 
 
-# -- job / report / result payloads (all picklable) ---------------------------
-
-
-@dataclass(frozen=True)
-class ShardSessionSpec:
-    """One session as assigned to a shard.
-
-    ``wave_index`` is the session's position in the *global* launch wave;
-    arrival time stays ``wave_index * gap`` after bootstrap regardless of
-    how many shards the wave was split over.  An explicit
-    ``arrival_offset_ms`` (an open-ended schedule from
-    :mod:`repro.fleet.arrivals` — Poisson, diurnal, flash crowd)
-    overrides the uniform wave: the session then arrives exactly that
-    many simulated ms after bootstrap, again shard-count independent
-    because the offset is computed at plan time from the global index.
-    """
-
-    session_id: str
-    app_index: int
-    wave_index: int
-    arrival_offset_ms: Optional[float] = None
-
-
-@dataclass
-class ShardJob:
-    """Everything one worker process needs to simulate its shard."""
-
-    shard_id: int
-    shards: int
-    seed: int
-    pool: List[Any]                     # DeviceSpec slice (globally named)
-    apps: List[Any]                     # ApplicationSpec cycle
-    sessions: List[ShardSessionSpec]
-    gap_ms: float
-    duration_ms: float
-    arrival_spread_ms: float
-    #: (at_ms, local_node_index, rejoin_at_ms|None) crash injections that
-    #: land on devices owned by this shard
-    crashes: List[Tuple[float, int, Optional[float]]] = field(
-        default_factory=list
-    )
-    config: Optional[Any] = None        # FleetConfig; defaulted in-worker
+# -- report / result payloads (all picklable) --------------------------------
 
 
 @dataclass
@@ -210,222 +176,14 @@ def merge_barrier(
     )
 
 
-# -- the per-shard worker -----------------------------------------------------
-
-
-class ShardWorker:
-    """One shard: its own kernel, fleet controller and launch wave.
-
-    Mirrors ``repro.experiments.fleet.run_fleet_point`` step for step so a
-    one-shard worker replays the legacy single-kernel run exactly: build
-    the controller, run to the bootstrap event, spawn the arrival wave,
-    then serve until the horizon — except the serving phase is chopped
-    into coordinator-driven windows, which a discrete-event kernel cannot
-    observe (stopping at ``t`` and resuming changes nothing).
-    """
-
-    def __init__(self, job: ShardJob):
-        # Imported here, not at module scope: repro.sim must stay
-        # importable below repro.fleet in the layer diagram.
-        from repro.faults.schedule import FaultSchedule
-        from repro.fleet import FleetConfig, FleetController
-
-        self.job = job
-        config = job.config if job.config is not None else FleetConfig()
-        if job.crashes:
-            schedule = FaultSchedule()
-            for at_ms, local_node, rejoin_at_ms in job.crashes:
-                schedule.crash(
-                    at_ms=at_ms, node=local_node, rejoin_at_ms=rejoin_at_ms
-                )
-            from dataclasses import replace
-
-            config = replace(config, faults=schedule)
-        self.sim = Simulator(seed=job.seed, shard_id=job.shard_id)
-        self.controller = FleetController(self.sim, job.pool, config)
-        self.controller.set_session_duration(job.duration_ms)
-        self.sim.run_until_event(self.controller.bootstrapped, limit=60_000.0)
-        self._arrivals_done = False
-        timed = any(s.arrival_offset_ms is not None for s in job.sessions)
-        if timed:
-            # Offset schedules must be partition-invariant, and the
-            # bootstrap completion time is not: each shard's discovery
-            # races only its own devices.  Anchor the wave at a
-            # config-derived epoch past the worst-case bootstrap and
-            # schedule every arrival at the *absolute* float
-            # ``epoch + offset`` (``spawn_at``) — the identical heap key
-            # in every shard, immune to per-shard delta accumulation.
-            wave_start = (
-                config.discovery_rounds * config.discovery_timeout_ms
-                + 500.0
-            )
-            self._pending_arrivals = len(job.sessions)
-            for spec in job.sessions:
-                self.sim.spawn_at(
-                    wave_start + (spec.arrival_offset_ms or 0.0),
-                    self._timed_arrival(spec),
-                    name=f"fleet.arrivals.{spec.session_id}",
-                )
-        else:
-            wave_start = self.sim.now
-            self.sim.spawn(self._arrivals(), name="fleet.arrivals")
-        # Same horizon rule as the legacy runner: launch wave, two full
-        # session lengths, detection slack.  A quiescent shard stops
-        # exactly here, so a one-shard run reports the same state the
-        # legacy runner does.
-        self.horizon_ms = (
-            wave_start
-            + job.arrival_spread_ms
-            + 2.0 * job.duration_ms
-            + 5_000.0
-        )
-        # Partitioned admission can serialize a shard's sessions far more
-        # than the global pool would (a shard that drew the weak devices
-        # re-admits its queue one generation at a time), so a shard that
-        # still owns active or queued sessions at the horizon keeps
-        # serving — bounded by the fully-serialized worst case.
-        self.hard_cap_ms = (
-            wave_start
-            + job.arrival_spread_ms
-            + (2.0 + len(job.sessions)) * job.duration_ms
-            + 5_000.0
-        )
-
-    def _arrivals(self) -> Generator:
-        """The shard's slice of the global launch wave.
-
-        Session ``wave_index`` arrives ``wave_index * gap`` after
-        bootstrap — the identical absolute schedule the single-kernel wave
-        produces, just with the foreign sessions' submits elided.  For a
-        one-shard plan this generator is event-for-event the legacy
-        ``arrivals()`` loop.
-        """
-        from repro.fleet import SessionRequest
-
-        previous = 0
-        for spec in self.job.sessions:
-            delay = (spec.wave_index - previous) * self.job.gap_ms
-            previous = spec.wave_index
-            if delay > 0:
-                yield delay
-            self.controller.submit(
-                SessionRequest(
-                    session_id=spec.session_id,
-                    app=self.job.apps[spec.app_index],
-                    arrival_ms=self.sim.now,
-                )
-            )
-        self._arrivals_done = True
-        yield self.job.gap_ms
-
-    def _timed_arrival(self, spec: ShardSessionSpec) -> Generator:
-        """One session's arrival; runs at its ``spawn_at`` epoch slot."""
-        from repro.fleet import SessionRequest
-
-        self.controller.submit(
-            SessionRequest(
-                session_id=spec.session_id,
-                app=self.job.apps[spec.app_index],
-                arrival_ms=self.sim.now,
-            )
-        )
-        self._pending_arrivals -= 1
-        if not self._pending_arrivals:
-            self._arrivals_done = True
-        return
-        yield  # unreachable: marks this function as a generator
-
-    @property
-    def quiesced(self) -> bool:
-        """Every owned session reached a terminal state."""
-        return (
-            self._arrivals_done
-            and not self.controller.active
-            and not len(self.controller.admission)
-        )
-
-    @property
-    def done(self) -> bool:
-        if self.sim.now < self.horizon_ms:
-            return False
-        return self.quiesced or self.sim.now >= self.hard_cap_ms
-
-    def run_window(self, until_ms: float) -> BarrierReport:
-        """Advance freely to ``min(until, horizon)``; report at the barrier.
-
-        Past the horizon, a shard with live sessions keeps going (clamped
-        to the hard cap instead); a quiescent one holds at the horizon so
-        its final state matches the legacy runner's.
-        """
-        cap = self.horizon_ms
-        if self.sim.now >= self.horizon_ms and not self.done:
-            cap = self.hard_cap_ms
-        target = min(until_ms, cap)
-        if target > self.sim.now:
-            self.sim.run(until=target)
-        controller = self.controller
-        active = sorted(controller.active)
-        return BarrierReport(
-            shard_id=self.job.shard_id,
-            now_ms=self.sim.now,
-            done=self.done,
-            active=len(active),
-            finished=len(controller.finished),
-            admission_queued=len(controller.admission),
-            committed_mp_per_ms=round(
-                controller.total_committed_mp_per_ms, 6
-            ),
-            capacity_mp_per_ms=round(controller.up_capacity_mp_per_ms, 6),
-            heartbeats=[
-                (sid, len(controller.active[sid].response_times_ms))
-                for sid in active
-            ],
-            placements=[
-                (sid, controller.active[sid].node.name)
-                for sid in active
-                if controller.active[sid].node is not None
-            ],
-        )
-
-    def finish(self) -> ShardResult:
-        """Seal the shard: final report, digests, banks; tear the sim down."""
-        from repro.obs.merge import span_bank
-
-        controller = self.controller
-        if controller.monitor is not None:
-            controller.monitor.finalize()
-        report = controller.report()
-        sessions = sorted(
-            controller.finished + list(controller.active.values()),
-            key=lambda s: s.session_id,
-        )
-        digests = {s.session_id: s.frame_digest() for s in sessions}
-        result = ShardResult(
-            shard_id=self.job.shard_id,
-            report=report,
-            session_digests=digests,
-            metrics=self.sim.metrics.snapshot(),
-            span_bank=span_bank(self.sim.spans),
-            invariant_violations=(
-                len(controller.monitor.violations)
-                if controller.monitor is not None
-                else 0
-            ),
-        )
-        # Reap watchers and close generators: a sweep discards hundreds of
-        # kernels and must not accumulate suspended frames.
-        self.sim.teardown()
-        return result
-
-
 # -- transports ---------------------------------------------------------------
 
 
 class InlineShardPool:
     """All shards stepped in this process (``--workers 1``)."""
 
-    def __init__(self, jobs: Sequence[ShardJob]):
-        self._workers = [ShardWorker(job) for job in jobs]
+    def __init__(self, jobs: Sequence[Any]):
+        self._workers = [job.start() for job in jobs]
 
     def step(self, until_ms: float) -> List[BarrierReport]:
         return [w.run_window(until_ms) for w in self._workers]
@@ -437,10 +195,10 @@ class InlineShardPool:
         self._workers = []
 
 
-def _shard_host_main(conn, jobs: List[ShardJob]) -> None:
+def _shard_host_main(conn, jobs: List[Any]) -> None:
     """Entry point of one worker process hosting one or more shards."""
     try:
-        workers = [ShardWorker(job) for job in jobs]
+        workers = [job.start() for job in jobs]
         conn.send(("ready", [job.shard_id for job in jobs]))
         while True:
             cmd, payload = conn.recv()
@@ -463,17 +221,17 @@ class ProcessShardPool:
     """Shards fanned across ``workers`` OS processes, piped barriers.
 
     Shard-to-host assignment is round-robin by shard id.  Because hosts
-    only ever execute :class:`ShardWorker` code and the coordinator only
+    only ever execute the jobs' worker code and the coordinator only
     ever sees the concatenation of barrier reports in shard order, the
     number of hosts is invisible to the results.
     """
 
-    def __init__(self, jobs: Sequence[ShardJob], workers: int):
+    def __init__(self, jobs: Sequence[Any], workers: int):
         if workers < 1:
             raise ShardError(f"need at least one worker, got {workers}")
-        ctx = multiprocessing.get_context()
+        ctx = _context()
         self._hosts: List[Tuple[Any, Any]] = []  # (process, pipe)
-        assignments: List[List[ShardJob]] = [
+        assignments: List[List[Any]] = [
             [] for _ in range(min(workers, len(jobs)))
         ]
         for index, job in enumerate(jobs):
@@ -540,7 +298,7 @@ class CoordinatorSummary:
 
 
 def run_shards(
-    jobs: Sequence[ShardJob],
+    jobs: Sequence[Any],
     workers: int = 1,
     window_ms: float = DEFAULT_WINDOW_MS,
     on_barrier: Optional[Callable[[MergedBarrier], None]] = None,
@@ -629,6 +387,6 @@ def run_parallel_jobs(
     jobs = list(jobs)
     if workers <= 1 or len(jobs) <= 1:
         return [fn(*args) for fn, args in jobs]
-    ctx = multiprocessing.get_context()
+    ctx = _context()
     with ctx.Pool(processes=min(workers, len(jobs))) as pool:
         return pool.map(_call_job, jobs)

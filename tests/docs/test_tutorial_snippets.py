@@ -126,3 +126,21 @@ def test_fleet_walkthrough_snippet():
     assert report["migrations"]["total"] >= 0
     assert report["sessions"]["finished"] == 1
     assert report["tiers"]["action"]["frames_lost"] == 0
+
+
+def test_fleet_runner_snippet():
+    """Tutorial §6: the runner does the walkthrough's steps in one call."""
+    from repro.apps.games import GAMES
+    from repro.experiments.fleet import make_fleet_pool
+    from repro.fleet import Arrival, FleetConfig, FleetRun
+    from repro.sim.kernel import Simulator
+
+    apps = list(GAMES.values())
+    run = FleetRun(
+        Simulator(seed=0), make_fleet_pool(8), FleetConfig(), 10_000.0,
+        [Arrival(0.0 if i == 0 else 50.0, f"s{i:03d}", apps[i % len(apps)])
+         for i in range(16)],
+        spread_ms=800.0,
+    )
+    report = run.run()
+    assert report["sessions"]["finished"] == 16

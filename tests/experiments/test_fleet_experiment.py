@@ -74,6 +74,31 @@ class TestPoint:
         assert p.zero_loss
 
 
+class TestFaultSchedules:
+    def test_crash_with_config_faults_is_refused(self):
+        """``crash=True`` used to replace ``config.faults`` silently: the
+        run equalled the one without the caller's schedule."""
+        from repro.faults.schedule import FaultSchedule
+        from repro.fleet import FleetConfig
+
+        faults = FaultSchedule().crash(at_ms=1_000.0, node=1)
+        with pytest.raises(ValueError, match="config.faults"):
+            run_fleet_point(n_sessions=8, n_devices=2, duration_ms=3_000.0,
+                            crash=True, config=FleetConfig(faults=faults))
+
+    def test_config_faults_alone_still_apply(self):
+        from repro.fleet import FleetConfig
+
+        point, _ = run_fleet_point(
+            n_sessions=8, n_devices=2, duration_ms=3_000.0, crash=False,
+            config=FleetConfig(faults=default_fault_schedule(3_000.0)),
+        )
+        crashed, _ = run_fleet_point(
+            n_sessions=8, n_devices=2, duration_ms=3_000.0, crash=True,
+        )
+        assert point.digest == crashed.digest
+
+
 class TestSweep:
     def test_sweep_and_formatting(self):
         points = run_fleet_sweep(session_counts=(4, 8), n_devices=4,

@@ -117,12 +117,25 @@ class TestShardedFleetSemantics:
             n_sessions=32, n_devices=8, shards=4, seed=0,
             duration_ms=3_000.0, crash=True,
         )
-        crashing = [job for job in jobs if job.crashes]
+        crashing = [job for job in jobs if job.config.faults]
         assert len(crashing) == 1
         assert crashing[0].shard_id == 0  # owns global device 0
-        at_ms, local_index, rejoin_ms = crashing[0].crashes[0]
-        assert local_index == 0
-        assert 0 < at_ms < rejoin_ms
+        (crash,) = crashing[0].config.faults
+        assert crash.node == 0            # its local index
+        assert 0 < crash.at_ms < crash.rejoin_at_ms
+
+    def test_plan_refuses_a_global_fault_schedule(self):
+        """``config.faults`` names global device indices, but every shard
+        used to apply the whole schedule to its own devices: node 0 of
+        each shard crashed (15 crash migrations on this point over four
+        shards, where ``crash=True`` gives 5)."""
+        from repro.experiments.fleet import default_fault_schedule
+
+        config = FleetConfig(faults=default_fault_schedule(3_000.0))
+        with pytest.raises(ShardError, match="config.faults"):
+            run_sharded_fleet_point(
+                shards=4, workers=1, crash=False, config=config, **POINT
+            )
 
     def test_plan_rejects_more_shards_than_devices(self):
         with pytest.raises(ShardError):

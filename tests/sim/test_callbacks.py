@@ -45,18 +45,16 @@ class TestOrdering:
         assert seen == [(3.0, 1, "x")]
         assert not handle.alive
 
-    def test_call_at_keeps_relative_arithmetic(self, sim):
-        """``call_at`` schedules at ``now + (when - now)``, as the process
-        it replaced did."""
+    def test_call_at_queues_at_the_literal_time(self, sim):
+        """``call_at`` fires at ``when`` itself, not at ``now + (when -
+        now)``, which rounds to a neighbouring float here."""
+        now, when = 31158.449160657343, 218029.14379655969
+        assert now + (when - now) != when
         seen = []
-
-        def proc():
-            yield 0.1
-            sim.call_at(0.3, lambda: seen.append(sim.now))
-
-        sim.spawn(proc())
+        sim.run(until=now)
+        sim.call_at(when, lambda: seen.append(sim.now))
         sim.run()
-        assert seen == [0.1 + (0.3 - 0.1)]
+        assert seen == [when]
 
     def test_on_trigger_wakes_in_waiter_order(self, sim):
         evt = sim.event("e")
@@ -211,13 +209,6 @@ class TestNaNRejected:
     def test_timeout_nan(self, sim):
         with pytest.raises(SimulationError, match="NaN"):
             sim.timeout(math.nan)
-
-    def test_spawn_at_nan(self, sim):
-        def proc():
-            yield 1.0
-
-        with pytest.raises(SimulationError, match="NaN"):
-            sim.spawn_at(math.nan, proc())
 
     def test_call_at_nan(self, sim):
         with pytest.raises(SimulationError, match="NaN"):

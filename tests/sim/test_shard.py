@@ -2,12 +2,11 @@
 
 import pytest
 
+from repro.experiments.fleet_shard import plan_fleet_shards
 from repro.sim.shard import (
     BarrierReport,
     ShardError,
-    ShardJob,
     ShardPlan,
-    ShardSessionSpec,
     merge_barrier,
     run_parallel_jobs,
     run_shards,
@@ -15,32 +14,11 @@ from repro.sim.shard import (
 
 
 def _mini_job(shard_id, shards, n_sessions=8, n_devices=4, seed=0,
-              duration_ms=2_000.0, crashes=()):
-    from repro.apps.games import GAMES
-    from repro.experiments.fleet import make_fleet_pool
-
-    plan = ShardPlan(shards)
-    pool = make_fleet_pool(n_devices)
-    apps = list(GAMES.values())
-    sessions = [
-        ShardSessionSpec(
-            session_id=f"s{i:03d}", app_index=i % len(apps), wave_index=i
-        )
-        for i in plan.indices(shard_id, n_sessions)
-    ]
-    devices = plan.indices(shard_id, n_devices)
-    return ShardJob(
-        shard_id=shard_id,
-        shards=shards,
-        seed=seed,
-        pool=[pool[j] for j in devices],
-        apps=apps,
-        sessions=sessions,
-        gap_ms=1_000.0 / n_sessions,
-        duration_ms=duration_ms,
-        arrival_spread_ms=1_000.0,
-        crashes=list(crashes),
-    )
+              duration_ms=2_000.0):
+    return plan_fleet_shards(
+        n_sessions=n_sessions, n_devices=n_devices, shards=shards,
+        seed=seed, duration_ms=duration_ms, crash=False,
+    )[shard_id]
 
 
 class TestShardPlan:
