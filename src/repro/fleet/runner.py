@@ -12,11 +12,11 @@ Arrivals are callbacks.  The first is queued at the wave start; each
 one, when it fires, submits its request and every later request due at
 the same instant, then queues the next.  An arrival's ``after_ms``
 counts from the previous arrival (the first from the wave start), so
-times accumulate as ``now + after_ms``, exactly as the arrival
-coroutines they replace slept.  A partitioned run with arrival-curve
-offsets anchors the wave at an epoch instead: arrival ``i`` fires at
-the literal ``epoch + offset[i]``, the same float in every shard
-whatever the shard's bootstrap time or the sessions it owns.
+times accumulate as ``now + after_ms``.  A partitioned run with
+arrival-curve offsets anchors the wave at an epoch instead: arrival
+``i`` fires at the literal ``epoch + offset[i]``, the same float in
+every shard whatever the shard's bootstrap time or the sessions it
+owns.
 """
 
 from __future__ import annotations

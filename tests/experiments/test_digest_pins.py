@@ -1,4 +1,4 @@
-"""Tier-1 pins for fleet digests that used to be checked only in CI's smoke job.
+"""Tier-1 pins for fleet digests that CI's smoke job checks too.
 
 Each case reruns a seeded fleet artifact and compares its digest with a
 fixed value: the sharded smoke point that ``fleet --smoke --workers 2``
