@@ -132,7 +132,7 @@ def predict_offload(
     effective_service_ms = service_ms / n_devices
     # Round trip: cpu already pipelined out; transmission + service + links.
     pixels_mp = app.render_width * app.render_height / 1e6
-    depth = config.pipeline_depth(n_devices)
+    depth = config.pipeline_depth()
     round_trip = (
         2 * _LAN_LATENCY_MS
         + service_ms

@@ -12,7 +12,7 @@ Models how a mobile game produces frames (§IV, §VI-A):
    local double-buffered swap allows 2 frames in flight; GBooster's
    rewritten non-blocking swap allows 3 (the §VI-A internal buffer);
    a strict blocking swap (the ablation) allows 1;
-4. vsync pacing caps the issue rate at the engine's target FPS.
+4. vsync pacing caps the issue rate at the app's target FPS.
 
 Every frame yields a :class:`FrameRecord` carrying issue/presentation
 timestamps and the exogenous signals (§V-B) — touch count, command count,
@@ -83,11 +83,13 @@ class FrameRecord:
         return self.presented_at - self.issued_at
 
 
+#: frames presented before this are excluded from metrics (menus, loading)
+WARMUP_MS = 2_000.0
+
+
 @dataclass
 class EngineConfig:
     duration_ms: float = 60_000.0
-    vsync_fps: Optional[float] = None      # default: spec.target_fps
-    warmup_ms: float = 2_000.0             # excluded from metrics (menus)
     #: a MonkeyRunner-style InputScript replaces the stochastic touch
     #: generator when set (paper §VII-E repeatable tests).
     input_script: Optional[object] = None
@@ -182,8 +184,7 @@ class GameEngine:
     def _run(self) -> Generator:
         sim = self.sim
         spec = self.spec
-        vsync_fps = self.config.vsync_fps or spec.target_fps
-        vsync_interval = 1000.0 / vsync_fps
+        vsync_interval = 1000.0 / spec.target_fps
         end_time = sim.now + self.config.duration_ms
         self.device.cpu.set_load("app_base", spec.cpu_base_load)
         last_issue = -vsync_interval
@@ -359,9 +360,8 @@ class GameEngine:
     # -- session results -------------------------------------------------------------
 
     def presented_frames(self) -> List[FrameRecord]:
-        warmup_end = self.config.warmup_ms
         return [
             f
             for f in self.frames
-            if f.presented_at is not None and f.presented_at >= warmup_end
+            if f.presented_at is not None and f.presented_at >= WARMUP_MS
         ]

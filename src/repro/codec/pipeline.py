@@ -38,6 +38,8 @@ REPLAY_HEADER_BYTES = 2 + 8 + 8 + 1 + 2
 FRAME_TEMPLATE_LIMIT = 128
 #: distinct compressor inputs one pipeline remembers (least recent dropped)
 COMPRESS_MEMO_LIMIT = 64
+#: LZ77 match-finder effort: candidate matches tried per position
+LZ77_MAX_CHAIN = 8
 
 
 class FrameTemplate(NamedTuple):
@@ -73,7 +75,6 @@ class PipelineConfig:
     #: pre-planner benchmark byte count is unchanged
     fusion_enabled: bool = False
     compression_enabled: bool = True
-    compression_max_chain: int = 8
     # Long sessions reuse a measured compression ratio instead of running
     # the byte-level compressor on every frame; ``measure_every`` frames the
     # ratio is re-measured on real bytes to track the stream's drift.
@@ -130,9 +131,7 @@ class CommandPipeline:
         #: frame templates keyed on the ``id``s of a frame's commands
         self._templates: Dict[Tuple[int, ...], FrameTemplate] = {}
         self.template_hits = 0
-        self._compressed: "OrderedDict[Tuple[bytes, int], bytes]" = (
-            OrderedDict()
-        )
+        self._compressed: "OrderedDict[bytes, bytes]" = OrderedDict()
 
     def process_frame(
         self,
@@ -276,18 +275,17 @@ class CommandPipeline:
         return template.references
 
     def _compress(self, data: bytes) -> bytes:
-        """``compress(data, max_chain=...)`` through a bounded memo: the
-        compressor is a pure function of its input bytes and chain."""
-        key = (data, self.config.compression_max_chain)
+        """``compress(data, max_chain=LZ77_MAX_CHAIN)`` through a bounded
+        memo: the compressor is a pure function of its input bytes."""
         memo = self._compressed
-        out = memo.get(key)
+        out = memo.get(data)
         if out is None:
-            out = compress(data, max_chain=key[1])
-            memo[key] = out
+            out = compress(data, max_chain=LZ77_MAX_CHAIN)
+            memo[data] = out
             if len(memo) > COMPRESS_MEMO_LIMIT:
                 memo.popitem(last=False)
         else:
-            memo.move_to_end(key)
+            memo.move_to_end(data)
         return out
 
     def _finish(

@@ -44,6 +44,11 @@ from repro.net.multicast import MulticastGroup
 from repro.net.transport import Transport
 from repro.sim.kernel import Event, Simulator
 
+#: adaptive quality: the smoothed frame latency above which the render
+#: scale steps down, and below which it steps back up
+ADAPTIVE_LATENCY_HIGH_MS = 55.0
+ADAPTIVE_LATENCY_LOW_MS = 32.0
+
 
 @dataclass
 class ClientStats:
@@ -89,7 +94,7 @@ class GBoosterClient:
         self.config = config or GBoosterConfig()
         self.config.validate()
         self.multicast = multicast
-        self.max_pending = self.config.pipeline_depth(len(self.nodes))
+        self.max_pending = self.config.pipeline_depth()
         self.pipeline = CommandPipeline(
             PipelineConfig(
                 cache_enabled=self.config.cache_enabled,
@@ -201,7 +206,7 @@ class GBoosterClient:
         if self._frames_since_scale_change < 30:
             return  # let the pipeline settle between adjustments
         if (
-            self._latency_ewma_ms > cfg.adaptive_latency_high_ms
+            self._latency_ewma_ms > ADAPTIVE_LATENCY_HIGH_MS
             and self.quality_scale > cfg.adaptive_min_scale
         ):
             self.quality_scale = max(
@@ -210,7 +215,7 @@ class GBoosterClient:
             self._frames_since_scale_change = 0
             self.quality_changes.append((self.sim.now, self.quality_scale))
         elif (
-            self._latency_ewma_ms < cfg.adaptive_latency_low_ms
+            self._latency_ewma_ms < ADAPTIVE_LATENCY_LOW_MS
             and self.quality_scale < 1.0
         ):
             self.quality_scale = min(1.0, self.quality_scale + 0.15)

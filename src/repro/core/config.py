@@ -1,16 +1,25 @@
-"""GBooster configuration: every design decision as a switch.
+"""GBooster configuration: the switches experiments and tests flip.
 
 The defaults reproduce the paper's system; the ablation benchmarks flip
 individual switches (cache off, compression off, TCP transport, reactive
-or always-WiFi switching, blocking SwapBuffer, round-robin dispatch).
+or always-WiFi switching, blocking SwapBuffer, round-robin dispatch) and
+sessions arm the observation, checking and replay layers.  A value the
+paper fixes and no experiment varies (the switching threshold, epoch and
+horizon, the planner weights, the SwapBuffer depth) is a module constant
+beside its reader instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.faults.schedule import FaultSchedule
+
+#: in-flight frames with the rewritten non-blocking SwapBuffer: the paper
+#: observes its internal buffer holds at most 3 requests (§VI-A), with one
+#: service device or several.
+ASYNC_SWAP_DEPTH = 3
 
 
 @dataclass
@@ -36,28 +45,15 @@ class GBoosterConfig:
     switching_policy: str = "predictive"   # "predictive" | "reactive" |
                                            # "always_wifi" | "always_bluetooth"
                                            # | "planner"
-    bluetooth_threshold_mbps: float = 16.0
-    prediction_horizon_ms: float = 500.0
-    traffic_epoch_ms: float = 100.0
 
     # -- multi-backend planner (repro.plan) ----------------------------------------
     #: probe-window length per candidate backend, in modelled frames
     planner_probe_frames: int = 12
-    #: epochs a commit is immune to re-planning after a switch
-    planner_cooldown_epochs: int = 20
-    #: relative score weights: measured frame latency, uplink bytes, energy
-    planner_latency_weight: float = 1.0
-    planner_bytes_weight: float = 0.05
-    planner_energy_weight: float = 0.1
 
     # -- SwapBuffer rewriting / pipelining (§VI-A) ----------------------------------
+    #: the rewritten non-blocking SwapBuffer; off is the blocking-swap
+    #: ablation (see :meth:`pipeline_depth`)
     async_swap: bool = True
-    #: in-flight frames with the rewritten non-blocking SwapBuffer; the
-    #: paper observes the internal buffer holds at most 3 requests.
-    pipeline_depth_multi: int = 3
-    pipeline_depth_single: int = 3
-    #: blocking-swap ablation allows exactly one outstanding request.
-    pipeline_depth_blocking: int = 1
 
     # -- dispatch (§VI-C) ------------------------------------------------------------
     scheduler: str = "eq4"             # "eq4" | "round_robin"
@@ -68,8 +64,6 @@ class GBoosterConfig:
     #: back up when the pipeline has headroom, trading sharpness for frame
     #: rate the way cloud-gaming stacks do.
     adaptive_quality: bool = False
-    adaptive_latency_high_ms: float = 55.0
-    adaptive_latency_low_ms: float = 32.0
     adaptive_min_scale: float = 0.5
 
     # -- failure handling --------------------------------------------------------------
@@ -120,8 +114,6 @@ class GBoosterConfig:
     #: store: recording sessions deposit intervals, later sessions of the
     #: same title ship only the interval digest + a dynamic-delta patch.
     replay: bool = False
-    #: per-title byte budget of the replay store (LRU + refcount eviction)
-    replay_store_bytes: int = 4 << 20
 
     # -- multi-user service scheduling (§VIII future work, implemented) --------------
     #: "fcfs" is the paper's prototype; "priority" serves time-critical
@@ -129,12 +121,10 @@ class GBoosterConfig:
     #: turn-based ones.
     service_queue_policy: str = "fcfs"
 
-    def pipeline_depth(self, n_devices: int) -> int:
-        if not self.async_swap:
-            return self.pipeline_depth_blocking
-        if n_devices > 1:
-            return self.pipeline_depth_multi
-        return self.pipeline_depth_single
+    def pipeline_depth(self) -> int:
+        """Frames in flight: the rewritten SwapBuffer's queue bound, or
+        one outstanding request with the blocking swap."""
+        return ASYNC_SWAP_DEPTH if self.async_swap else 1
 
     def validate(self) -> None:
         if self.transport not in ("rudp", "tcp"):
@@ -148,8 +138,6 @@ class GBoosterConfig:
             )
         if self.planner_probe_frames <= 0:
             raise ValueError("planner_probe_frames must be positive")
-        if self.planner_cooldown_epochs < 0:
-            raise ValueError("planner_cooldown_epochs must be non-negative")
         if self.scheduler not in ("eq4", "round_robin"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.service_queue_policy not in ("fcfs", "priority"):
@@ -158,7 +146,5 @@ class GBoosterConfig:
             )
         if self.cache_capacity <= 0:
             raise ValueError("cache_capacity must be positive")
-        if self.replay_store_bytes <= 0:
-            raise ValueError("replay_store_bytes must be positive")
         if self.faults is not None:
             self.faults.validate()

@@ -32,6 +32,7 @@ from repro.obs.telemetry import TelemetryHub, default_session_slos
 from repro.sim.kernel import Simulator
 from repro.switching.controller import SwitchingController, SwitchingStats
 from repro.switching.policies import (
+    TRAFFIC_EPOCH_MS,
     AlwaysBluetoothPolicy,
     AlwaysWifiPolicy,
     PlannerPolicy,
@@ -147,25 +148,14 @@ def _make_planner_policy(
         points = series.points()
         return points[-1][1] if points else None
 
-    return PlannerPolicy(
-        planner,
-        latency_source=latest_latency,
-        epoch_ms=config.traffic_epoch_ms,
-    )
+    return PlannerPolicy(planner, latency_source=latest_latency)
 
 
 def _make_policy(config: GBoosterConfig):
     if config.switching_policy == "predictive":
-        horizon = max(
-            1, int(config.prediction_horizon_ms / config.traffic_epoch_ms)
-        )
-        return PredictivePolicy(
-            n_inputs=2,
-            threshold_mbps=config.bluetooth_threshold_mbps,
-            horizon_epochs=horizon,
-        )
+        return PredictivePolicy(n_inputs=2)
     if config.switching_policy == "reactive":
-        return ReactivePolicy(threshold_mbps=config.bluetooth_threshold_mbps)
+        return ReactivePolicy()
     if config.switching_policy == "always_bluetooth":
         return AlwaysBluetoothPolicy()
     return AlwaysWifiPolicy()
@@ -255,9 +245,7 @@ def run_offload_session(
     if config.replay:
         from repro.replay import ReplayHub
 
-        hub = replay_hub if replay_hub is not None else ReplayHub(
-            capacity_bytes_per_title=config.replay_store_bytes
-        )
+        hub = replay_hub if replay_hub is not None else ReplayHub()
         replay_store = hub.namespace(app.name)
     sim = Simulator(seed=seed)
     check: Optional[SessionCheck] = None
@@ -292,7 +280,7 @@ def run_offload_session(
         sim, user_device,
         render_width=app.render_width, render_height=app.render_height,
     )
-    device.network.epoch_ms = config.traffic_epoch_ms
+    device.network.epoch_ms = TRAFFIC_EPOCH_MS
 
     # Downlink: one shared transport; frames from any node ride the user's
     # active radio (half-duplex medium) through a per-technology LAN link.

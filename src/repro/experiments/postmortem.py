@@ -120,7 +120,7 @@ def run_postmortem_incident(duration_ms: float, seed: int) -> Dict[str, Any]:
     from repro.replay import ReplayHub
 
     app = GAMES["G3"]
-    hub = ReplayHub(capacity_bytes_per_title=4 << 20)
+    hub = ReplayHub()
     recorder_config = GBoosterConfig(
         replay=True, deterministic_content=True, causal_tracing=True,
     )

@@ -94,7 +94,7 @@ def run_replay_pair(
 
     app = GAMES[game]
     if hub is None:
-        hub = ReplayHub(capacity_bytes_per_title=4 << 20)
+        hub = ReplayHub()
     config = GBoosterConfig(
         replay=True, check=True, deterministic_content=True
     )

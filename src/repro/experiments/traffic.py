@@ -22,7 +22,11 @@ from repro.apps.base import ApplicationSpec, CommandBatchBuilder, SceneState
 from repro.apps.games import CANDY_CRUSH, GTA_SAN_ANDREAS
 from repro.codec.frames import SyntheticFrameSource
 from repro.codec.lz77 import compress
-from repro.codec.pipeline import CommandPipeline, PipelineConfig
+from repro.codec.pipeline import (
+    LZ77_MAX_CHAIN,
+    CommandPipeline,
+    PipelineConfig,
+)
 from repro.codec.turbo import TurboEncoder
 from repro.codec.video import VideoEncoderModel, X264_ARM
 from repro.sim.random import RandomStream
@@ -112,7 +116,7 @@ def measure_command_reduction(
                 raw_stream += wire
         pipeline.process_frame(batch)
     lz_ratio = (
-        len(compress(bytes(raw_stream), max_chain=8)) / len(raw_stream)
+        len(compress(bytes(raw_stream), max_chain=LZ77_MAX_CHAIN)) / len(raw_stream)
         if raw_stream
         else 1.0
     )

@@ -96,12 +96,16 @@ class AdmissionController:
         request: SessionRequest,
         committed_mp_per_ms: float,
         capacity_mp_per_ms: float,
+        placeable: bool = True,
     ) -> str:
-        """Returns "admit", "queue" or "reject" and records the outcome."""
+        """Returns "admit", "queue" or "reject" and records the outcome.
+        A session that fits but is not ``placeable`` (no node is live)
+        waits in the queue."""
         self.stats.offered += 1
         demand = request.demand_mp_per_ms(self.config.serve_rate_hz)
         budget = self.budget_mp_per_ms(capacity_mp_per_ms)
-        if capacity_mp_per_ms > 0 and committed_mp_per_ms + demand <= budget:
+        fits = committed_mp_per_ms + demand <= budget
+        if placeable and capacity_mp_per_ms > 0 and fits:
             self.stats.count(request.tier, "admitted")
             self.sim.tracer.record(
                 self.sim.now, "fleet", "session_admitted",

@@ -1,7 +1,11 @@
-"""Fleet control-plane configuration.
+"""Fleet control-plane configuration: what fleet experiments vary.
 
-Every serving-layer policy knob in one dataclass, mirroring the style of
-:class:`~repro.core.config.GBoosterConfig`.
+Admission, the serving model, the replay and planner layers, checking and
+faults stay here because experiments and tests set them (the capacity
+sweep provisions a slower serve rate and a deeper pipeline; crash runs
+inject faults).  Timings and factors nothing varies (heartbeat,
+discovery, control sweep, rebalance threshold, migration snapshot,
+warm-session cost) are module constants beside their readers.
 """
 
 from __future__ import annotations
@@ -14,20 +18,6 @@ from repro.faults.schedule import FaultSchedule
 
 @dataclass
 class FleetConfig:
-    # -- registry / liveness -------------------------------------------------
-    #: how often a registered device reports its queued workload
-    heartbeat_interval_ms: float = 250.0
-    #: a device silent for this long is declared lost (3 missed beats)
-    heartbeat_timeout_ms: float = 750.0
-    #: discovery probe deadline per bootstrap round
-    discovery_timeout_ms: float = 500.0
-    #: bootstrap probe rounds before serving starts with whatever answered
-    discovery_rounds: int = 3
-
-    # -- control loop --------------------------------------------------------
-    #: period of the placement/rebalancing sweep
-    control_interval_ms: float = 500.0
-
     # -- admission -----------------------------------------------------------
     #: admitted aggregate demand may exceed aggregate capacity by this
     #: factor (sessions self-throttle through their bounded pipelines, so
@@ -37,25 +27,15 @@ class FleetConfig:
     #: sessions waiting for capacity beyond this are rejected outright
     max_wait_queue: int = 32
 
-    # -- placement / rebalancing --------------------------------------------
-    #: max-min committed-utilization gap that triggers a migration
-    rebalance_threshold: float = 0.35
+    # -- rebalancing ---------------------------------------------------------
     #: migrations per control sweep (bounded to avoid thrash)
     max_moves_per_cycle: int = 2
-    #: a session migrated more recently than this is left alone
-    migration_cooldown_ms: float = 2_000.0
 
     # -- session serving model ----------------------------------------------
     #: per-session frame issue rate the fleet guarantees capacity against
     serve_rate_hz: float = 30.0
     #: in-flight frames per session (the rewritten SwapBuffer's bound)
     pipeline_depth: int = 3
-
-    # -- live migration ------------------------------------------------------
-    #: GL context snapshot replayed on the target node when a session
-    #: migrates, as a multiple of the app's nominal per-frame commands
-    #: (textures, buffers, programs — a bounded working set)
-    migration_state_factor: float = 1.5
 
     # -- record-once / replay-many (repro.replay) ----------------------------
     #: arm a controller-owned :class:`~repro.replay.ReplayHub`: the first
@@ -64,12 +44,6 @@ class FleetConfig:
     #: incompatible with kernel sharding — per-shard hubs would break the
     #: content-address invariance — so sharded sweeps leave this off)
     replay: bool = False
-    #: per-title store budget for the controller's hub
-    replay_store_bytes: int = 4 << 20
-    #: fraction of the nominal per-frame command work a warm (replay-served)
-    #: session still costs its node; calibrated against the single-session
-    #: warm/cold server-time ratio of the R4 bench (~20x cheaper)
-    replay_warm_factor: float = 0.05
 
     # -- plan-aware placement (repro.plan) -----------------------------------
     #: bias Eq. 4 placement by each device's predicted service-stage cost
@@ -91,31 +65,13 @@ class FleetConfig:
     faults: Optional[FaultSchedule] = None
 
     def validate(self) -> None:
-        if self.heartbeat_interval_ms <= 0:
-            raise ValueError("heartbeat_interval_ms must be positive")
-        if self.heartbeat_timeout_ms < 2 * self.heartbeat_interval_ms:
-            raise ValueError(
-                "heartbeat_timeout_ms must cover at least two intervals"
-            )
-        if self.discovery_rounds < 1:
-            raise ValueError("discovery_rounds must be at least 1")
-        if self.control_interval_ms <= 0:
-            raise ValueError("control_interval_ms must be positive")
         if self.admission_oversubscription <= 0:
             raise ValueError("admission_oversubscription must be positive")
         if self.max_wait_queue < 0:
             raise ValueError("max_wait_queue must be non-negative")
-        if not 0.0 < self.rebalance_threshold:
-            raise ValueError("rebalance_threshold must be positive")
         if self.serve_rate_hz <= 0:
             raise ValueError("serve_rate_hz must be positive")
         if self.pipeline_depth < 1:
             raise ValueError("pipeline_depth must be at least 1")
-        if self.migration_state_factor < 0:
-            raise ValueError("migration_state_factor must be non-negative")
-        if self.replay_store_bytes <= 0:
-            raise ValueError("replay_store_bytes must be positive")
-        if not 0.0 < self.replay_warm_factor <= 1.0:
-            raise ValueError("replay_warm_factor must be in (0, 1]")
         if self.faults is not None:
             self.faults.validate()

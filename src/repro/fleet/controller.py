@@ -37,9 +37,20 @@ from repro.fleet.config import FleetConfig
 from repro.fleet.node import STATE_PRIORITY, FleetNode, FrameTask
 from repro.fleet.placement import SessionPlacer
 from repro.fleet.registry import DeviceRegistry, RegisteredDevice
-from repro.fleet.session import FleetSession, SessionRequest
+from repro.fleet.session import REPLAY_WARM_FACTOR, FleetSession, SessionRequest
 from repro.net.discovery import DiscoveryService
 from repro.sim.kernel import Simulator
+
+#: discovery probe deadline per bootstrap round
+DISCOVERY_TIMEOUT_MS = 500.0
+#: bootstrap probe rounds before serving starts with whatever answered
+DISCOVERY_ROUNDS = 3
+#: period of the placement/rebalancing sweep
+CONTROL_INTERVAL_MS = 500.0
+#: GL context snapshot replayed on the target node when a session
+#: migrates, as a multiple of the app's nominal per-frame commands
+#: (textures, buffers, programs — a bounded working set)
+MIGRATION_STATE_FACTOR = 1.5
 
 
 class FleetController:
@@ -66,7 +77,7 @@ class FleetController:
             )
             for spec in pool
         }
-        self.registry = DeviceRegistry(sim, self.config)
+        self.registry = DeviceRegistry(sim)
         self.registry.on_lost = self._on_device_lost
         self.registry.on_join = self._on_device_join
         #: controller-owned fleet-wide replay store: the first session of
@@ -77,9 +88,7 @@ class FleetController:
         if self.config.replay:
             from repro.replay import ReplayHub
 
-            self.replay_hub = ReplayHub(
-                capacity_bytes_per_title=self.config.replay_store_bytes
-            )
+            self.replay_hub = ReplayHub()
         self.admission = AdmissionController(sim, self.config)
         self.placer = SessionPlacer(sim, self.config)
 
@@ -146,14 +155,13 @@ class FleetController:
         return node.load_fraction
 
     def _bootstrap(self) -> Generator:
-        cfg = self.config
         discovery = DiscoveryService(
             self.sim,
             responders=self.pool,
             rng=self.sim.stream("fleet.discovery"),
             load_probe=self._load_probe,
         )
-        for round_no in range(cfg.discovery_rounds):
+        for round_no in range(DISCOVERY_ROUNDS):
             if len(self.registry.devices) == len(self.pool):
                 break
             # Only probe for devices not yet registered.
@@ -164,7 +172,7 @@ class FleetController:
             ]
             if not discovery.responders:
                 break
-            result = yield discovery.probe(timeout_ms=cfg.discovery_timeout_ms)
+            result = yield discovery.probe(timeout_ms=DISCOVERY_TIMEOUT_MS)
             for ad in result.ranked():
                 node = self.nodes[ad.device.name]
                 self.rtt_ms[ad.device.name] = ad.rtt_ms
@@ -237,6 +245,7 @@ class FleetController:
             request,
             committed_mp_per_ms=self.total_committed_mp_per_ms,
             capacity_mp_per_ms=self.up_capacity_mp_per_ms,
+            placeable=not self._pool_dark(),
         )
         self.sim.metrics.counter("fleet.admission", outcome=outcome).inc()
         # Session-level trace identity (frame = -1): fleet decisions happen
@@ -355,6 +364,11 @@ class FleetController:
             raise ValueError(f"bad session duration {duration_ms}")
         self._session_duration_ms = duration_ms
 
+    def _pool_dark(self) -> bool:
+        """Every pool node has crashed.  The registry notices only after
+        its heartbeat timeout, so until then its up capacity counts them."""
+        return all(node.failed for node in self.nodes.values())
+
     def _up_nodes(self) -> List[FleetNode]:
         up = [
             self.nodes[d.name] for d in self.registry.up_devices()
@@ -367,6 +381,8 @@ class FleetController:
         return [n for n in self.nodes.values() if not n.failed]
 
     def _drain_admission_queue(self) -> None:
+        if self._pool_dark():
+            return  # the queue waits for a node to rejoin
         for request in self.admission.pop_eligible(
             committed_mp_per_ms=self.total_committed_mp_per_ms,
             capacity_mp_per_ms=self.up_capacity_mp_per_ms,
@@ -398,8 +414,10 @@ class FleetController:
             try:
                 target = self._migrate_session(session, reason="crash")
             except ValueError:
-                # Whole pool dark: frames stay stranded with the session's
-                # outstanding set; they re-dispatch when capacity returns.
+                # Whole pool dark: the session stays homed here, still
+                # committed, and the node serves its frames if it rejoins.
+                self.committed_mp_per_ms[dev.name] += session.demand_mp_per_ms
+                node.restrand(by_session.pop(session.session_id, []))
                 continue
             for task in by_session.pop(session.session_id, []):
                 session.take_over(task, target)
@@ -443,7 +461,7 @@ class FleetController:
             fill_megapixels=0.0,
             commands_nominal=int(
                 session.app.nominal_commands_per_frame
-                * self.config.migration_state_factor
+                * MIGRATION_STATE_FACTOR
             ),
             width=session.app.render_width,
             height=session.app.render_height,
@@ -490,7 +508,7 @@ class FleetController:
 
     def _control_loop(self) -> Generator:
         while True:
-            yield self.config.control_interval_ms
+            yield CONTROL_INTERVAL_MS
             self._drain_admission_queue()
             by_node: Dict[str, List[FleetSession]] = {}
             for s in self.active.values():
@@ -611,7 +629,7 @@ class FleetController:
             report["replay"] = {
                 "warm_sessions": self.warm_sessions,
                 "cold_sessions": self.cold_sessions,
-                "warm_factor": self.config.replay_warm_factor,
+                "warm_factor": REPLAY_WARM_FACTOR,
                 "hub_generation": self.replay_hub.generation(),
             }
         blob = json.dumps(report, sort_keys=True).encode()

@@ -195,6 +195,12 @@ class FleetNode:
         self._queued_fill_mp = 0.0
         return out
 
+    def restrand(self, tasks: List[FrameTask]) -> None:
+        """Take back tasks :meth:`strand_all` collected that no other node
+        could take; :meth:`rejoin` serves them.  The frame on the GPU is
+        not taken back: it strands itself when its service period ends."""
+        self.stranded.extend(t for t in tasks if t is not self._current)
+
     # -- heartbeat -----------------------------------------------------------
 
     def heartbeat_payload(self) -> Optional[float]:

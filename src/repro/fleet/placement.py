@@ -9,7 +9,7 @@ heartbeat-reported backlog plus placed sessions), and the winner hosts
 the session until a rebalance or a crash moves it.
 
 Rebalancing watches the committed-utilization spread.  When the hottest
-device exceeds the coolest by more than ``rebalance_threshold`` it moves
+device exceeds the coolest by more than ``REBALANCE_THRESHOLD`` it moves
 the smallest-demand, most-latency-tolerant session from hot to cool —
 tolerant first because a migration costs its victim a state-replay stall
 the action tier cannot afford; smallest first because it narrows the gap
@@ -27,6 +27,11 @@ from repro.fleet.config import FleetConfig
 from repro.fleet.node import FleetNode
 from repro.fleet.session import FleetSession
 from repro.sim.kernel import Simulator
+
+#: max-min committed-utilization gap that triggers a migration
+REBALANCE_THRESHOLD = 0.35
+#: a session migrated more recently than this is left alone
+MIGRATION_COOLDOWN_MS = 2_000.0
 
 
 @dataclass
@@ -116,7 +121,7 @@ class SessionPlacer:
             gap = self.utilization(hottest, committed) - self.utilization(
                 coolest, committed
             )
-            if gap <= self.config.rebalance_threshold:
+            if gap <= REBALANCE_THRESHOLD:
                 break
             victim = self._pick_victim(
                 sessions_by_node.get(hottest.name, []), moves
@@ -140,8 +145,7 @@ class SessionPlacer:
         eligible = [
             s for s in candidates
             if s.session_id not in already
-            and self.sim.now - s.last_migration_ms
-            >= self.config.migration_cooldown_ms
+            and self.sim.now - s.last_migration_ms >= MIGRATION_COOLDOWN_MS
         ]
         if not eligible:
             return None

@@ -5,7 +5,7 @@ the registry answers *what is alive right now and how busy it is*.  Each
 registered device runs a heartbeat loop reporting its real queued
 workload (the same ``w^j`` the Eq. 4 scheduler consumes) on a fixed
 period.  A monitor process watches the report times: a device silent for
-``heartbeat_timeout_ms`` is declared **down** and the registry fires its
+``HEARTBEAT_TIMEOUT_MS`` is declared **down** and the registry fires its
 ``on_lost`` hook — there is no failure oracle; crashes are observed the
 only way a distributed system can observe them, by missed heartbeats.
 A device that starts answering again is marked **up** and ``on_join``
@@ -19,8 +19,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.devices.profiles import DeviceSpec
-from repro.fleet.config import FleetConfig
 from repro.sim.kernel import Simulator
+
+#: how often a registered device reports its queued workload
+HEARTBEAT_INTERVAL_MS = 250.0
+#: a device silent for this long is declared lost (3 missed beats)
+HEARTBEAT_TIMEOUT_MS = 750.0
 
 #: answers (queued_workload_mp, active_sessions) — optionally extended
 #: to (queued_workload_mp, active_sessions, replay_generation) by
@@ -72,9 +76,8 @@ class RegisteredDevice:
 class DeviceRegistry:
     """Tracks pool membership and liveness through heartbeats."""
 
-    def __init__(self, sim: Simulator, config: FleetConfig):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.config = config
         self.devices: Dict[str, RegisteredDevice] = {}
         #: fired with the RegisteredDevice on membership transitions
         self.on_lost: Optional[Callable[[RegisteredDevice], None]] = None
@@ -127,7 +130,7 @@ class DeviceRegistry:
 
     def _heartbeat_loop(self, dev: RegisteredDevice) -> Generator:
         while True:
-            yield self.config.heartbeat_interval_ms
+            yield HEARTBEAT_INTERVAL_MS
             answer = dev.probe()
             if answer is None:
                 continue  # silence; the monitor draws the conclusion
@@ -147,14 +150,13 @@ class DeviceRegistry:
                     self.on_join(dev)
 
     def _monitor_loop(self) -> Generator:
-        interval = self.config.heartbeat_interval_ms
-        timeout = self.config.heartbeat_timeout_ms
         while True:
-            yield interval
+            yield HEARTBEAT_INTERVAL_MS
             for dev in self.devices.values():
                 if dev.state != "up" or dev.last_heartbeat is None:
                     continue
-                if self.sim.now - dev.last_heartbeat.time_ms >= timeout:
+                silent_ms = self.sim.now - dev.last_heartbeat.time_ms
+                if silent_ms >= HEARTBEAT_TIMEOUT_MS:
                     dev.state = "down"
                     dev.losses += 1
                     self.sim.tracer.record(

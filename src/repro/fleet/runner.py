@@ -27,7 +27,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 from repro.apps.base import ApplicationSpec
 from repro.devices.profiles import DeviceSpec
 from repro.fleet.config import FleetConfig
-from repro.fleet.controller import FleetController
+from repro.fleet.controller import (
+    DISCOVERY_ROUNDS,
+    DISCOVERY_TIMEOUT_MS,
+    FleetController,
+)
 from repro.fleet.session import SessionRequest
 from repro.obs.merge import span_bank
 from repro.sim.kernel import Simulator
@@ -164,8 +168,8 @@ class ShardWorker(FleetRun):
 
     * Offset schedules must be partition-invariant, and the bootstrap
       time is not (each shard's discovery races only its own devices).
-      An anchored wave starts at a config-derived epoch past the
-      worst-case bootstrap.
+      An anchored wave starts at a fixed epoch past the worst-case
+      bootstrap (every discovery round timing out).
     * Partitioned admission can serialize a shard's sessions far more
       than the global pool would (a shard that drew the weak devices
       re-admits its queue one generation at a time), so a shard that
@@ -174,15 +178,12 @@ class ShardWorker(FleetRun):
     """
 
     def __init__(self, job: ShardJob):
-        config = job.config
         epoch_ms = None
         if job.anchored and job.arrivals:
-            epoch_ms = (
-                config.discovery_rounds * config.discovery_timeout_ms + 500.0
-            )
+            epoch_ms = DISCOVERY_ROUNDS * DISCOVERY_TIMEOUT_MS + 500.0
         super().__init__(
             Simulator(seed=job.seed, shard_id=job.shard_id),
-            job.pool, config, job.duration_ms, job.arrivals,
+            job.pool, job.config, job.duration_ms, job.arrivals,
             spread_ms=job.spread_ms, epoch_ms=epoch_ms,
         )
         self.shard_id = job.shard_id

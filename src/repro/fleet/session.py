@@ -31,6 +31,11 @@ from repro.fleet.config import FleetConfig
 from repro.fleet.node import FleetNode, FrameTask
 from repro.sim.kernel import Event, Simulator
 
+#: fraction of the nominal per-frame command work a warm (replay-served)
+#: session still costs its node; calibrated against the single-session
+#: warm/cold server-time ratio of the R4 bench (~20x cheaper)
+REPLAY_WARM_FACTOR = 0.05
+
 #: GENRE_PRIORITY value -> human-readable QoS tier name
 TIER_NAMES = {0.0: "action", 1.0: "standard", 2.0: "tolerant"}
 
@@ -165,7 +170,7 @@ class FleetSession:
         if self.replay_warm:
             # Delta-served interval: the node patches the recorded
             # skeleton instead of decoding + translating the stream.
-            commands = max(1, int(commands * self.config.replay_warm_factor))
+            commands = max(1, int(commands * REPLAY_WARM_FACTOR))
         task = FrameTask(
             session_id=self.session_id,
             seq=self._seq,

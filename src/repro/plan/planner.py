@@ -23,6 +23,9 @@ from repro.plan.candidates import (
 )
 from repro.plan.probe import ProbeRunner, ProbeStats
 
+#: epochs a commit is immune to re-planning after a switch
+REPLAN_COOLDOWN_EPOCHS = 20
+
 
 @dataclass
 class PlanDecision:
@@ -138,21 +141,16 @@ class ReplanController:
         self,
         planner: SessionPlanner,
         detector: Optional[ResidualDriftDetector] = None,
-        cooldown_epochs: Optional[int] = None,
+        cooldown_epochs: int = REPLAN_COOLDOWN_EPOCHS,
     ):
         self.planner = planner
-        cfg = planner.ctx.config
         # Slow EWMA (alpha) so a step change in live latency stays
         # out-of-band long enough to satisfy ``sustain``; a fast alpha
         # absorbs the step into the baseline before the episode fires.
         self.detector = detector or ResidualDriftDetector(
             z_threshold=3.0, sustain=3, warmup=10, alpha=0.02
         )
-        self.cooldown_epochs = (
-            cfg.planner_cooldown_epochs
-            if cooldown_epochs is None
-            else cooldown_epochs
-        )
+        self.cooldown_epochs = cooldown_epochs
         self._epochs_since_commit = 0
         self.replans = 0
         self.last_residual: Optional[float] = None

@@ -55,6 +55,11 @@ _WAN_INPUT_BYTES = 160
 #: multicast adds a small group-sync overhead per frame
 _MULTICAST_SYNC_MS = 1.2
 
+#: plan score weights: per ms of frame latency, KiB of uplink, watt
+LATENCY_WEIGHT = 1.0
+BYTES_WEIGHT = 0.05
+ENERGY_WEIGHT = 0.1
+
 
 @dataclass
 class ProbeStats:
@@ -233,7 +238,7 @@ class ProbeRunner:
                 pred.cpu_stage_ms,
                 service_ms,
                 (link_rtt_ms + service_ms + tx_ms)
-                / config.pipeline_depth(1),
+                / config.pipeline_depth(),
                 interval,
             )
             latency = stage + tx_ms + retx_ms + 0.5 * rng.random()
@@ -252,7 +257,6 @@ class ProbeRunner:
     def probe(self, candidate: PlanCandidate) -> ProbeStats:
         """Measure one candidate and score it from the recorded series."""
         backend = candidate.backend
-        config = self.ctx.config
         interval = 1000.0 / self.ctx.app.target_fps
         samples = self._probe_frames(backend)
         for i, s in enumerate(samples):
@@ -276,9 +280,9 @@ class ProbeRunner:
         up = measured("plan.uplink_bytes")
         mw = measured("plan.energy_mw")
         score = (
-            config.planner_latency_weight * statistics.fmean(lat)
-            + config.planner_bytes_weight * statistics.fmean(up) / 1024.0
-            + config.planner_energy_weight * statistics.fmean(mw) / 1000.0
+            LATENCY_WEIGHT * statistics.fmean(lat)
+            + BYTES_WEIGHT * statistics.fmean(up) / 1024.0
+            + ENERGY_WEIGHT * statistics.fmean(mw) / 1000.0
         )
         return ProbeStats(
             backend=backend,

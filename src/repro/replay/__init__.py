@@ -28,6 +28,7 @@ against.
 
 from repro.replay.store import (
     RECORDED,
+    REPLAY_STORE_BYTES,
     VERIFIED,
     RecordedInterval,
     ReplayHub,
@@ -43,6 +44,7 @@ from repro.replay.session import (
 
 __all__ = [
     "RECORDED",
+    "REPLAY_STORE_BYTES",
     "VERIFIED",
     "RecordedInterval",
     "ReplayDecision",

@@ -46,6 +46,9 @@ VERIFIED = "verified"
 #: live dynamics against the closest recorded variant instead of a
 #: single stale baseline — for stable content the best patch is empty.
 MAX_VARIANTS = 16
+#: byte budget of one title's store in a :class:`ReplayHub` (LRU +
+#: refcount eviction)
+REPLAY_STORE_BYTES = 4 << 20
 
 
 @dataclass
@@ -287,7 +290,7 @@ class ReplayHub:
     version a device advertises in its heartbeat.
     """
 
-    def __init__(self, capacity_bytes_per_title: int = 4 << 20):
+    def __init__(self, capacity_bytes_per_title: int = REPLAY_STORE_BYTES):
         self.capacity_bytes_per_title = capacity_bytes_per_title
         self.stores: Dict[str, ReplayStore] = {}
         #: sessions started per title (the fleet's warmth model)

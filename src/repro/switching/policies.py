@@ -11,6 +11,10 @@ from repro.predict.armax import ARMAXModel
 #: Usable Bluetooth application throughput, Mbps (paper: ~21 Mbps link
 #: rate; leave headroom for protocol overhead before declaring a surge).
 BLUETOOTH_THRESHOLD_MBPS = 16.0
+#: Traffic sampling and switching-decision period, ms (§V-B).
+TRAFFIC_EPOCH_MS = 100.0
+#: ARMAX forecast horizon, ms: covers the 100–500 ms WiFi wakeup (§V-B).
+PREDICTION_HORIZON_MS = 500.0
 
 
 class SwitchDecision(enum.Enum):
@@ -103,7 +107,6 @@ class PlannerPolicy:
         planner,
         latency_source: Optional[Callable[[], Optional[float]]] = None,
         controller=None,
-        epoch_ms: float = 100.0,
     ):
         # Local import: repro.switching stays importable without pulling
         # the planner stack (and its codec/apps dependencies) eagerly.
@@ -112,7 +115,6 @@ class PlannerPolicy:
         self.planner = planner
         self.controller = controller or ReplanController(planner)
         self.latency_source = latency_source
-        self.epoch_ms = epoch_ms
         self._epochs = 0
         #: latest latency residual vs the committed plan's probed baseline;
         #: the switching controller forwards it to telemetry.track_residual
@@ -129,7 +131,7 @@ class PlannerPolicy:
         )
         if measured is not None:
             self.controller.observe_latency(
-                measured, at_ms=self._epochs * self.epoch_ms
+                measured, at_ms=self._epochs * TRAFFIC_EPOCH_MS
             )
             self.last_residual = self.controller.last_residual
         radio = self.planner.decision.radio
@@ -157,7 +159,7 @@ class PredictivePolicy:
         self,
         n_inputs: int = 2,
         threshold_mbps: float = BLUETOOTH_THRESHOLD_MBPS,
-        horizon_epochs: int = 5,
+        horizon_epochs: int = int(PREDICTION_HORIZON_MS / TRAFFIC_EPOCH_MS),
         p: int = 3,
         q: int = 2,
         b: int = 2,

@@ -17,6 +17,7 @@ from repro.codec.lz77 import compress
 from repro.codec.pipeline import (
     COMPRESS_MEMO_LIMIT,
     FRAME_TEMPLATE_LIMIT,
+    LZ77_MAX_CHAIN,
     CommandPipeline,
     PipelineConfig,
 )
@@ -343,6 +344,6 @@ class TestCompressorMemo:
             batch = plain.process_frame(frame_batch(builder_a, activity))
             egress = pipeline.process_frame(frame_batch(builder_b, activity))
             assert egress.payload == compress(
-                batch.payload, max_chain=config.compression_max_chain
+                batch.payload, max_chain=LZ77_MAX_CHAIN
             )
             assert len(pipeline._compressed) <= COMPRESS_MEMO_LIMIT

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import GBoosterConfig
+from repro.core.config import ASYNC_SWAP_DEPTH, GBoosterConfig
 
 
 def test_defaults_are_valid():
@@ -10,12 +10,8 @@ def test_defaults_are_valid():
 
 
 def test_pipeline_depth_policy():
-    config = GBoosterConfig()
-    assert config.pipeline_depth(1) == config.pipeline_depth_single
-    assert config.pipeline_depth(3) == config.pipeline_depth_multi
-    blocking = GBoosterConfig(async_swap=False)
-    assert blocking.pipeline_depth(1) == 1
-    assert blocking.pipeline_depth(5) == 1
+    assert GBoosterConfig().pipeline_depth() == ASYNC_SWAP_DEPTH == 3
+    assert GBoosterConfig(async_swap=False).pipeline_depth() == 1
 
 
 def test_invalid_transport_rejected():

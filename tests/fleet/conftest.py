@@ -39,9 +39,9 @@ def make_fleet_node(sim):
 
 @pytest.fixture
 def make_registry(make_sim):
-    def make(seed=0, **overrides):
+    def make(seed=0):
         sim = make_sim(seed)
-        return sim, DeviceRegistry(sim, FleetConfig(**overrides))
+        return sim, DeviceRegistry(sim)
 
     return make
 

@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro.apps.games import GAMES
+from repro.apps.games import GAMES, MODERN_COMBAT
 from repro.faults import FaultSchedule
-from repro.fleet import FleetConfig, FleetController, SessionRequest
+from repro.fleet import (
+    Arrival,
+    FleetConfig,
+    FleetController,
+    FleetRun,
+    SessionRequest,
+)
 from repro.experiments.fleet import make_fleet_pool
 
 
@@ -107,6 +113,51 @@ class TestCrashMigration:
         submit_wave(sim, controller, 8, duration_ms=2_000.0)
         sim.run(until=sim.now + 8_000.0)
         assert controller.nodes[crashed].stats.frames_served > before
+
+    def test_arrival_with_every_node_down_waits_for_a_rejoin(self, sim):
+        """One device, crashed at 50 ms: at 100 ms the registry still
+        counts it up, so admission sees capacity, but no node is live to
+        place on.  The session waits in the queue, counted once, and
+        starts when the device rejoins at 1.5 s."""
+        run = FleetRun(
+            sim, make_fleet_pool(1),
+            self.crash_config(at_ms=50.0, rejoin_at_ms=1_500.0),
+            1_000.0, [Arrival(100.0, "s000", MODERN_COMBAT)],
+            epoch_ms=0.0,
+        )
+        report = run.run()
+        stats = run.controller.admission.stats
+        assert (stats.offered, stats.admitted, stats.queued,
+                stats.dequeued, stats.rejected) == (1, 1, 1, 1, 0)
+        assert stats.wait_times_ms[0] >= 1_400.0
+        assert report["sessions"]["finished"] == 1
+        tiers = report["tiers"].values()
+        assert sum(t["frames"] for t in tiers) > 0
+        assert sum(t["frames_lost"] for t in tiers) == 0
+
+    def test_sessions_on_a_dark_pool_resume_when_it_rejoins(self, sim):
+        """Sessions homed on the only device when it crashes have nowhere
+        to migrate: they stay homed and committed there, and their
+        stranded frames wait on the node, which serves them when it
+        rejoins."""
+        run = FleetRun(
+            sim, make_fleet_pool(1),
+            self.crash_config(at_ms=50.0, rejoin_at_ms=1_500.0),
+            3_000.0, [Arrival(5.0, f"s{i}", MODERN_COMBAT) for i in range(3)],
+        )
+        controller = run.controller
+        name = controller.pool[0].name
+        sim.run(until=1_800.0)             # declared lost, then rejoined
+        assert controller.registry.devices[name].losses == 1
+        homed = controller.homed[name].values()
+        assert len(homed) == 3
+        assert controller.committed_mp_per_ms[name] == pytest.approx(
+            sum(s.demand_mp_per_ms for s in homed)
+        )
+        report = run.run()
+        assert report["sessions"]["finished"] == 3
+        assert report["migrations"]["total"] == 0
+        assert sum(t["frames_lost"] for t in report["tiers"].values()) == 0
 
     def test_non_crash_faults_rejected_at_fleet_level(self, sim):
         config = FleetConfig(

@@ -65,9 +65,7 @@ class TestPlace:
 
 class TestRebalance:
     def test_no_moves_when_balanced(self, make_world):
-        sim, config, placer, nodes = make_world(
-            [NVIDIA_SHIELD, NVIDIA_SHIELD], rebalance_threshold=0.35
-        )
+        sim, config, placer, nodes = make_world([NVIDIA_SHIELD, NVIDIA_SHIELD])
         # Two identical boxes, identical commitments: nothing to do.
         import dataclasses
 
@@ -102,8 +100,7 @@ class TestRebalance:
 
     def test_cooldown_protects_recent_migrants(self, make_world):
         sim, config, placer, nodes = make_world(
-            [NVIDIA_SHIELD, DELL_OPTIPLEX_9010],
-            migration_cooldown_ms=2_000.0,
+            [NVIDIA_SHIELD, DELL_OPTIPLEX_9010]
         )
         shield = nodes[0]
         sess = session(sim, config, 0)

@@ -1,6 +1,7 @@
 """Device registry: heartbeats, liveness, membership hooks."""
 
 from repro.devices.profiles import MINIX_NEO_U1, NVIDIA_SHIELD
+from repro.fleet.registry import HEARTBEAT_INTERVAL_MS
 
 
 class TestHeartbeats:
@@ -51,7 +52,7 @@ class TestLiveness:
         sim.run(until=500.0)
         alive[0] = False
         # One missed beat is not enough (timeout is 3 intervals).
-        sim.run(until=sim.now + registry.config.heartbeat_interval_ms + 1)
+        sim.run(until=sim.now + HEARTBEAT_INTERVAL_MS + 1)
         assert registry.devices[NVIDIA_SHIELD.name].state == "up"
 
     def test_resumed_heartbeats_bring_the_device_back(self, make_registry):

@@ -201,9 +201,7 @@ def scenarios(draw, ties: bool):
         "spread_ms": 0.0,
         "apps": gap_apps(n),
     }
-    # A crash needs a second device: with every device down, ``submit``
-    # raises instead of queueing (in the loops and the runner alike).
-    if scenario["devices"] > 1 and draw(st.booleans()):
+    if draw(st.booleans()):
         scenario["crash_at"] = (
             float(draw(st.integers(5, 60)) * 10) if ties
             else draw(st.floats(50.0, 600.0))

@@ -39,6 +39,7 @@ from repro.fleet import (
     FrameTask,
     SessionRequest,
 )
+from repro.fleet.session import REPLAY_WARM_FACTOR
 from repro.sim.kernel import Simulator
 from repro.sim.resources import PriorityStore
 
@@ -165,9 +166,7 @@ class ReferenceSession(FleetSession):
                 self._gate = None
             commands = self.app.nominal_commands_per_frame
             if self.replay_warm:
-                commands = max(
-                    1, int(commands * self.config.replay_warm_factor)
-                )
+                commands = max(1, int(commands * REPLAY_WARM_FACTOR))
             task = FrameTask(
                 session_id=self.session_id,
                 seq=self._seq,
