@@ -13,6 +13,8 @@ import pytest
 
 DEFAULT_DURATION_MS = float(os.environ.get("REPRO_BENCH_DURATION_MS",
                                            240_000.0))
+#: worker processes for the Fig 5/6 matrices; rows do not depend on it
+MATRIX_WORKERS = min(2, os.cpu_count() or 1)
 
 
 @pytest.fixture

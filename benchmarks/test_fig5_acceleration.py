@@ -7,7 +7,7 @@ LG G5 the prototype barely moves the metrics.
 """
 
 import pytest
-from conftest import print_table
+from conftest import MATRIX_WORKERS, print_table
 
 from repro.apps.games import GAMES
 from repro.devices.profiles import LG_G5, LG_NEXUS_5
@@ -21,6 +21,7 @@ def test_fig5_matrix(run_once, session_duration_ms, device):
         run_figure5,
         duration_ms=session_duration_ms,
         devices=[device],
+        workers=MATRIX_WORKERS,
     )
     print_table(
         f"Fig 5 ({device.name}): median FPS / stability / response",

@@ -5,7 +5,7 @@ Paper: every game saves energy offloaded (action games the most, up to
 chunk of the saving (G1: 40% -> 65% normalized).
 """
 
-from conftest import print_table
+from conftest import MATRIX_WORKERS, print_table
 
 from repro.devices.profiles import LG_G5, LG_NEXUS_5
 from repro.experiments.energy import format_rows, run_figure6
@@ -16,6 +16,7 @@ def test_fig6_energy(run_once, session_duration_ms):
         run_figure6,
         duration_ms=session_duration_ms,
         devices=[LG_NEXUS_5],
+        workers=MATRIX_WORKERS,
     )
     print_table(
         "Fig 6: normalized energy on Nexus 5 "
@@ -53,6 +54,7 @@ def test_fig6_energy_new_device(run_once):
         duration_ms=120_000.0,
         devices=[LG_G5],
         games=["G1", "G3", "G5"],
+        workers=MATRIX_WORKERS,
     )
     print_table(
         "Fig 6 (LG G5): normalized energy",

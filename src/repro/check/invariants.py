@@ -100,6 +100,9 @@ class InvariantMonitor:
         self.violations: List[Violation] = []
         self.checks_run = 0
         self._checks: List[Tuple[str, CheckFn]] = []
+        #: every registered law's name, kept when :meth:`finalize` drops
+        #: the laws themselves
+        self.invariant_names: List[str] = []
         #: (invariant, message) -> Violation, for occurrence folding
         self._seen: Dict[Tuple[str, str], Violation] = {}
         #: recent TimerEvents registered by the kernel hook; pruned as the
@@ -113,14 +116,11 @@ class InvariantMonitor:
     def register(self, name: str, fn: CheckFn) -> None:
         """Add a conservation law; ``fn`` returns None or (message, details)."""
         self._checks.append((name, fn))
+        self.invariant_names.append(name)
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    @property
-    def invariant_names(self) -> List[str]:
-        return [name for name, _ in self._checks]
 
     # -- built-in law packs --------------------------------------------------
 
@@ -440,12 +440,17 @@ class InvariantMonitor:
         return fresh
 
     def finalize(self) -> List[Violation]:
-        """Stop the sweep, run the laws one final time, return everything."""
+        """Stop the sweep, run the laws one final time, return everything.
+
+        The laws are dropped after that last sweep: they close over what
+        they watch, which often holds the monitor in turn.
+        """
         if not self._finalized:
             self._finalized = True
             if self._proc is not None and self._proc.alive:
                 self._proc.kill()
             self.check_now()
+            self._checks = []
             if self.sim.monitor is self:
                 self.sim.monitor = None
         return self.violations

@@ -15,6 +15,7 @@ from repro.apps.games import GAMES
 from repro.core.config import GBoosterConfig
 from repro.core.session import run_local_session, run_offload_session
 from repro.devices.profiles import DeviceSpec, LG_G5, LG_NEXUS_5, NVIDIA_SHIELD
+from repro.sim.shard import run_parallel_jobs
 
 #: paper anchors for the Nexus 5 cells we calibrate against (median FPS)
 PAPER_NEXUS5_LOCAL = {"G1": 23, "G2": 22, "G5": 50}
@@ -75,20 +76,25 @@ def run_figure5(
     games: Optional[Sequence[str]] = None,
     devices: Optional[Sequence[DeviceSpec]] = None,
     seed: int = 0,
+    workers: int = 1,
 ) -> List[AccelerationRow]:
-    """The full Fig 5 matrix: 6 games x {Nexus 5, LG G5} x {local, boosted}."""
+    """The full Fig 5 matrix: 6 games x {Nexus 5, LG G5} x {local, boosted}.
+
+    Each cell is its own pair of sessions; ``workers`` processes run them,
+    rows in matrix order whatever the count.
+    """
     games = list(games or GAMES.keys())
     devices = list(devices if devices is not None else [LG_NEXUS_5, LG_G5])
-    rows: List[AccelerationRow] = []
-    for device in devices:
-        for short_name in games:
-            rows.append(
-                run_acceleration_cell(
-                    GAMES[short_name], device,
-                    duration_ms=duration_ms, seed=seed,
-                )
-            )
-    return rows
+    return run_parallel_jobs(
+        [
+            (run_acceleration_cell, (
+                GAMES[short_name], device, NVIDIA_SHIELD, duration_ms, seed,
+            ))
+            for device in devices
+            for short_name in games
+        ],
+        workers,
+    )
 
 
 def format_rows(rows: Sequence[AccelerationRow]) -> str:

@@ -179,6 +179,8 @@ def run_capacity_point(
     )
     report = run.run()
     hub.finalize()
+    violations = run.invariant_violations
+    run.close()
 
     adm = report["admission"]
     telemetry = hub.report()
@@ -222,7 +224,7 @@ def run_capacity_point(
             for name in sorted(telemetry["slos"])
         },
         "alerts": len(telemetry["alerts"]),
-        "invariant_violations": run.invariant_violations,
+        "invariant_violations": violations,
     }
 
 

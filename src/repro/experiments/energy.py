@@ -17,6 +17,7 @@ from repro.core.config import GBoosterConfig
 from repro.core.session import run_local_session, run_offload_session
 from repro.devices.profiles import DeviceSpec, LG_G5, LG_NEXUS_5
 from repro.metrics.energy import normalized_energy
+from repro.sim.shard import run_parallel_jobs
 
 
 @dataclass
@@ -78,17 +79,23 @@ def run_figure6(
     games: Optional[Sequence[str]] = None,
     devices: Optional[Sequence[DeviceSpec]] = None,
     seed: int = 0,
+    workers: int = 1,
 ) -> List[EnergyRow]:
+    """The Fig 6 matrix: games x devices, one cell per game and device.
+
+    ``workers`` processes run the cells, rows in matrix order whatever
+    the count.
+    """
     games = list(games or GAMES.keys())
     devices = list(devices if devices is not None else [LG_NEXUS_5, LG_G5])
-    rows: List[EnergyRow] = []
-    for device in devices:
-        for short_name in games:
-            rows.append(
-                run_energy_cell(GAMES[short_name], device,
-                                duration_ms=duration_ms, seed=seed)
-            )
-    return rows
+    return run_parallel_jobs(
+        [
+            (run_energy_cell, (GAMES[short_name], device, duration_ms, seed))
+            for device in devices
+            for short_name in games
+        ],
+        workers,
+    )
 
 
 def format_rows(rows: Sequence[EnergyRow]) -> str:

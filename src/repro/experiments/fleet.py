@@ -128,7 +128,8 @@ def run_fleet_point(
     ``crash`` injects :func:`default_fault_schedule`; a config that
     carries its own faults must leave it off.  Pass a pre-built ``sim``
     to keep hold of the kernel afterwards — the profiling harness reads
-    ``sim.spans`` / ``sim.metrics`` off it.
+    ``sim.spans`` / ``sim.metrics`` off it.  It comes back torn down
+    (:meth:`FleetRun.close`): readable, but it cannot run again.
     """
     if n_sessions < 1:
         raise ValueError(f"need at least one session, got {n_sessions}")
@@ -181,6 +182,7 @@ def run_fleet_point(
         digest=report["digest"],
         invariant_violations=run.invariant_violations,
     )
+    run.close()
     return point, report
 
 

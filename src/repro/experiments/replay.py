@@ -191,7 +191,7 @@ def run_replay_fleet(
     from repro.sim.kernel import Simulator
 
     def wave(replay: bool) -> Dict[str, Any]:
-        report = FleetRun(
+        run = FleetRun(
             Simulator(seed=seed), [NVIDIA_SHIELD, LG_G5],
             FleetConfig(replay=replay), duration_ms,
             [
@@ -199,7 +199,9 @@ def run_replay_fleet(
                 for i in range(n_sessions)
             ],
             horizon_ms=duration_ms * 4,
-        ).run()
+        )
+        report = run.run()
+        run.close()
         frames = sum(t["frames"] for t in report["tiers"].values())
         lost = sum(t["frames_lost"] for t in report["tiers"].values())
         mean_ms = 0.0

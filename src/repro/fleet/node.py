@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import costs
 from repro.devices.profiles import DeviceSpec
@@ -103,6 +103,9 @@ class FleetNode:
         self._arrivals = itertools.count()
         self._queued_fill_mp = 0.0
         self._encode_rate = costs.encode_mp_per_s(spec.cpu)
+        #: service charge per task shape ``(kind, commands, fill, width,
+        #: height)``; the charge is a pure function of shape and device
+        self._service_ms: Dict[Tuple[str, int, float, int, int], float] = {}
 
     # -- capacity model ------------------------------------------------------
 
@@ -129,14 +132,23 @@ class FleetNode:
         return max(0.0, min(1.0, self._queued_fill_mp / horizon_mp))
 
     def service_time_ms(self, task: FrameTask) -> float:
-        if task.kind == "state":
-            # replay only: nothing rendered, nothing encoded
-            return costs.decode_ms(self.spec.cpu, task.commands_nominal)
-        return costs.frame_ms(
-            self.spec.cpu, task.commands_nominal, task.fill_megapixels,
-            self.spec.gpu.fillrate_gpixels, task.width * task.height,
-            self._encode_rate,
+        key = (
+            task.kind, task.commands_nominal, task.fill_megapixels,
+            task.width, task.height,
         )
+        ms = self._service_ms.get(key)
+        if ms is None:
+            if task.kind == "state":
+                # replay only: nothing rendered, nothing encoded
+                ms = costs.decode_ms(self.spec.cpu, task.commands_nominal)
+            else:
+                ms = costs.frame_ms(
+                    self.spec.cpu, task.commands_nominal,
+                    task.fill_megapixels, self.spec.gpu.fillrate_gpixels,
+                    task.width * task.height, self._encode_rate,
+                )
+            self._service_ms[key] = ms
+        return ms
 
     # -- ingress -------------------------------------------------------------
 
@@ -222,11 +234,10 @@ class FleetNode:
         self._current = task
         now = self.sim.now
         if task.enqueued_at_ms is not None:
-            self.sim.spans.add(
-                "fleet.queue", "queue_wait",
-                task.enqueued_at_ms, now,
-                track=self.name, frame_id=task.seq,
-                session=task.session_id,
+            self.sim.spans.record(
+                "fleet.queue", "queue_wait", task.enqueued_at_ms, now,
+                self.name, task.seq, None, 0, False,
+                {"session": task.session_id},
             )
         busy = self.service_time_ms(task)
         self.sim.call_later(busy, self._done, task, now, busy)
@@ -243,12 +254,11 @@ class FleetNode:
             self.stats.busy_ms += busy
             task.completed = True
             task.completed_at_ms = self.sim.now
-            self.sim.spans.add(
+            self.sim.spans.record(
                 "fleet.execute",
                 "execute" if task.kind == "frame" else "state_replay",
-                started_at, self.sim.now,
-                track=self.name, frame_id=task.seq,
-                session=task.session_id,
+                started_at, self.sim.now, self.name, task.seq, None, 0,
+                False, {"session": task.session_id},
             )
             if task.kind == "state":
                 self.stats.state_replays += 1

@@ -38,6 +38,11 @@ from repro.sim.kernel import Simulator
 from repro.sim.shard import BarrierReport, ShardResult
 
 
+def _silent() -> None:
+    """The heartbeat probe of a closed run's devices."""
+    return None
+
+
 class Arrival(NamedTuple):
     """One session request of a launch wave."""
 
@@ -55,6 +60,10 @@ class FleetRun:
     sessions start only as earlier ones finish, so it covers the launch
     wave, two full session lengths and detection slack.  ``horizon_ms``
     replaces it with an absolute time.
+
+    Every run ends in :meth:`close`, after its report is read.  A closed
+    run holds no reference cycle, so refcounting frees it whole; its
+    simulator is torn down, and a torn-down simulator cannot run again.
     """
 
     def __init__(
@@ -131,6 +140,24 @@ class FleetRun:
     def invariant_violations(self) -> int:
         monitor = self.controller.monitor
         return len(monitor.violations) if monitor is not None else 0
+
+    def close(self) -> None:
+        """Leave no reference cycle, so refcounting frees the whole run.
+
+        Read the report, digests and invariant count first: this tears
+        the simulator down (a torn-down simulator cannot run again), then
+        drops the references that close cycles through the controller:
+        node answers, registry hooks and heartbeat probes.  Recorded
+        spans and metrics stay readable.
+        """
+        self.sim.teardown()
+        controller = self.controller
+        for node in controller.nodes.values():
+            node.on_complete = None
+        registry = controller.registry
+        registry.on_lost = registry.on_join = None
+        for dev in registry.devices.values():
+            dev.probe = _silent
 
 
 # -- the partitioned case -----------------------------------------------------
@@ -257,7 +284,7 @@ class ShardWorker(FleetRun):
             span_bank=span_bank(self.sim.spans),
             invariant_violations=self.invariant_violations,
         )
-        # Reap watchers and close generators: a sweep discards hundreds of
-        # kernels and must not accumulate suspended frames.
-        self.sim.teardown()
+        # A sweep discards hundreds of kernels and must not accumulate
+        # suspended frames or cyclic garbage.
+        self.close()
         return result

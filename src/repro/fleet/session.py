@@ -100,6 +100,8 @@ class FleetSession:
         self._gate: Optional[Tuple[int, Callable[[], None]]] = None
         self._end_ms = 0.0
         self._seq = 0
+        self._depth = config.pipeline_depth
+        self._period_ms = 1000.0 / config.serve_rate_hz
 
     # -- placement -----------------------------------------------------------
 
@@ -151,7 +153,7 @@ class FleetSession:
         if self.sim.now < self._end_ms:
             # Once the gate opens, the frame goes out without re-checking
             # the session's end.
-            self._wait_for(self.config.pipeline_depth, self._issue)
+            self._wait_for(self._depth, self._issue)
         else:
             # Wait until every outstanding frame has been answered
             # (possibly by a different node than the one it was issued to).
@@ -188,12 +190,13 @@ class FleetSession:
         # Queue the next tick before an idle node schedules this frame's
         # completion: when both fall due at one instant, the tick runs
         # first, as it did while service began a zero-delay step later.
-        self.sim.call_later(1000.0 / self.config.serve_rate_hz, self._tick)
+        self.sim.call_later(self._period_ms, self._tick)
         self.node.submit(task)
 
     def _finish(self) -> None:
         self.frames_lost = self.frames_issued - len(self.response_times_ms)
-        self.finished.trigger(self)
+        # No value: the event would point back at the session that owns it.
+        self.finished.trigger()
 
     # -- metrics -------------------------------------------------------------
 

@@ -119,7 +119,7 @@ class OpenSpan:
         self.closed = True
         recorder = self.recorder
         parent = self.parent
-        return recorder._record(
+        return recorder.record(
             self.category,
             self.name,
             self.start_ms,
@@ -168,12 +168,12 @@ class SpanRecorder:
         **args: Any,
     ) -> Optional[Span]:
         """Record a completed span with explicit timestamps."""
-        return self._record(
+        return self.record(
             category, name, start_ms, end_ms, track, frame_id, parent,
             depth, instant, args,
         )
 
-    def _record(
+    def record(
         self,
         category: str,
         name: str,
@@ -186,7 +186,8 @@ class SpanRecorder:
         instant: bool,
         args: Dict[str, Any],
     ) -> Optional[Span]:
-        """Seal one span into the ring; ``args`` is stored, not copied."""
+        """Seal one span into the ring: :meth:`add` with every field
+        positional and ``args`` a dict, stored, not copied."""
         if not self.enabled:
             return None
         if end_ms < start_ms:
@@ -226,7 +227,7 @@ class SpanRecorder:
     ) -> Optional[Span]:
         """An instant occurrence (zero-duration span) at the current clock."""
         now = self.clock()
-        return self._record(
+        return self.record(
             category, name, now, now, track, frame_id, None, 0, True, args
         )
 

@@ -424,6 +424,8 @@ class Simulator:
         self._streams: dict = {}
         self._processes: List[Process] = []
         self._composites: List[CompositeEvent] = []
+        #: set by :meth:`teardown`; a torn-down simulator cannot run again
+        self.torn_down = False
 
     def next_message_id(self) -> int:
         """The next sim-scoped network message id.
@@ -455,6 +457,7 @@ class Simulator:
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a new process; it first runs at the current time."""
+        self._check_live("spawn")
         proc = Process(self, gen, name=name)
         self._processes.append(proc)
         # Long sessions spawn one short-lived process per message/timer;
@@ -560,6 +563,14 @@ class Simulator:
         callback and clears the event queue.  After teardown the simulator
         holds no live coroutines, so a shard worker can discard thousands
         of finished kernels without leaking suspended generator frames.
+
+        The span clock is pinned at the final time and the armed
+        observers (telemetry, monitor, causal log, flight recorder,
+        digests) are detached, which drops the references that point back
+        at the simulator.  What was recorded stays readable, but a
+        torn-down simulator cannot run again: ``run``,
+        ``run_until_event``, ``call_later``, ``call_at`` and ``spawn``
+        raise :class:`SimulationError`.
         """
         for composite in self._composites:
             if not composite.triggered:
@@ -573,6 +584,11 @@ class Simulator:
             if entry[2].__class__ is TimerHandle:
                 entry[2].cancel()
         self._queue.clear()
+        self.torn_down = True
+        now = self.now
+        self.spans.clock = lambda: now
+        self.telemetry = self.monitor = self.causal = self.flight = None
+        self.digests = None
 
     def call_later(
         self, delay: float, fn: Callable[..., Any], *args: Any
@@ -589,6 +605,8 @@ class Simulator:
             raise SimulationError(
                 f"call_later with {_fault(delay)} delay {delay}"
             )
+        if self.torn_down:  # inline: this is the per-frame hot path
+            raise SimulationError("call_later on a torn-down simulator")
         handle = TimerHandle(fn, args)
         heappush(
             self._queue,
@@ -605,6 +623,7 @@ class Simulator:
         ``now + (when - now)``, so callbacks anchored to a shared epoch
         fire at bit-identical times whatever the current clock reads.
         """
+        self._check_live("call_at")
         if when != when:
             raise SimulationError(f"call_at({when}): time is NaN")
         if when < self.now:
@@ -638,6 +657,10 @@ class Simulator:
             self.now + delay, next(self._counter), proc, proc._gen, value
         ))
 
+    def _check_live(self, entry: str) -> None:
+        if self.torn_down:
+            raise SimulationError(f"{entry} on a torn-down simulator")
+
     @staticmethod
     def _check_limit(entry: str, limit: Optional[float]) -> None:
         if limit is not None and limit != limit:
@@ -650,6 +673,7 @@ class Simulator:
 
         Returns the final simulation time.
         """
+        self._check_live("run")
         self._check_limit("run", until)
         queue = self._queue
         while queue:
@@ -683,6 +707,7 @@ class Simulator:
         diluted by background processes (thermal loops, samplers) that
         would otherwise keep the queue alive forever.
         """
+        self._check_live("run_until_event")
         self._check_limit("run_until_event", limit)
         queue = self._queue
         while queue and not event.triggered:

@@ -4,10 +4,14 @@ import pytest
 
 from repro.apps.games import CANDY_CRUSH, GTA_SAN_ANDREAS
 from repro.devices.profiles import LG_G4, LG_NEXUS_5
-from repro.experiments.acceleration import format_rows, run_acceleration_cell
+from repro.experiments.acceleration import (
+    format_rows,
+    run_acceleration_cell,
+    run_figure5,
+)
 from repro.experiments.cloud_comparison import run_cloud_platform_average
 from repro.experiments.energy import format_rows as format_energy_rows
-from repro.experiments.energy import run_energy_cell
+from repro.experiments.energy import run_energy_cell, run_figure6
 from repro.experiments.multidevice import format_points, run_figure7
 from repro.experiments.overhead import run_overhead_experiment, run_table3
 from repro.experiments.thermal import run_figure1, run_motivation_power
@@ -49,6 +53,31 @@ class TestFig6Cell:
         assert row.normalized_with_switching < 1.0
         assert row.switching_benefit > 0.0
         assert "G1" in format_energy_rows([row])
+
+
+class TestPaperMatrixFanOut:
+    """The Fig 5/6 matrices run their cells on worker processes; the rows
+    must be the serial rows, in matrix order."""
+
+    MATRIX = dict(
+        duration_ms=2_000.0, games=["G1", "G5"], devices=[LG_NEXUS_5, LG_G4],
+    )
+
+    def test_fig5_two_workers_equal_serial(self):
+        parallel = run_figure5(workers=2, **self.MATRIX)
+        assert parallel == run_figure5(workers=1, **self.MATRIX)
+        assert [(r.device, r.game) for r in parallel] == [
+            (d.name, g) for d in self.MATRIX["devices"]
+            for g in self.MATRIX["games"]
+        ]
+
+    def test_fig6_two_workers_equal_serial(self):
+        parallel = run_figure6(workers=2, **self.MATRIX)
+        assert parallel == run_figure6(workers=1, **self.MATRIX)
+        assert [(r.device, r.game) for r in parallel] == [
+            (d.name, g) for d in self.MATRIX["devices"]
+            for g in self.MATRIX["games"]
+        ]
 
 
 class TestFig7:

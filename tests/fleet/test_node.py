@@ -1,10 +1,16 @@
 """Fleet node: serving, priorities, crash stranding."""
 
+import itertools
+
 import pytest
 
+from repro.apps.games import GAMES
 from repro.core import costs
-from repro.devices.profiles import DELL_M4600, NVIDIA_SHIELD
-from repro.fleet import FrameTask, STATE_PRIORITY
+from repro.devices.profiles import DELL_M4600, NVIDIA_SHIELD, SERVICE_DEVICES
+from repro.experiments.fleet import make_fleet_pool
+from repro.fleet import FleetNode, FrameTask, STATE_PRIORITY
+from repro.fleet.controller import MIGRATION_STATE_FACTOR
+from repro.fleet.session import REPLAY_WARM_FACTOR
 
 
 def frame(seq, priority=0.0, fill=50.0, session="s0"):
@@ -13,6 +19,52 @@ def frame(seq, priority=0.0, fill=50.0, session="s0"):
         commands_nominal=1000, width=1280, height=720,
         priority=priority, issued_at_ms=0.0,
     )
+
+
+class TestServiceMemo:
+    """The memoized charge equals the pure cost model on every shape."""
+
+    @staticmethod
+    def shapes():
+        """Each title's command counts (cold, replay-warm, migration
+        snapshot) with its fill and none, at its size and halved in either
+        dimension, as frame and as state: every shape a fleet issues, and
+        shapes that differ in one field only."""
+        for app in GAMES.values():
+            cold = app.nominal_commands_per_frame
+            warm = max(1, int(cold * REPLAY_WARM_FACTOR))
+            snapshot = int(cold * MIGRATION_STATE_FACTOR)
+            w, h = app.render_width, app.render_height
+            for commands, fill, (width, height), kind in itertools.product(
+                (cold, warm, snapshot),
+                (app.fill_mp_per_frame, 0.0),
+                ((w, h), (w // 2, h), (w, h // 2)),
+                ("frame", "state"),
+            ):
+                yield FrameTask(
+                    session_id=app.short_name, seq=0,
+                    fill_megapixels=fill, commands_nominal=commands,
+                    width=width, height=height,
+                    priority=0.0, issued_at_ms=0.0, kind=kind,
+                )
+
+    @pytest.mark.parametrize(
+        "spec", make_fleet_pool(len(SERVICE_DEVICES)),
+        ids=lambda spec: spec.name,
+    )
+    def test_memo_equals_the_direct_charge(self, sim, spec):
+        node = FleetNode(sim, spec)
+        tasks = list(self.shapes())
+        for task in tasks + tasks:        # the second pass reads the memo
+            if task.kind == "state":
+                expected = costs.decode_ms(spec.cpu, task.commands_nominal)
+            else:
+                expected = costs.frame_ms(
+                    spec.cpu, task.commands_nominal, task.fill_megapixels,
+                    spec.gpu.fillrate_gpixels, task.width * task.height,
+                    costs.encode_mp_per_s(spec.cpu),
+                )
+            assert node.service_time_ms(task) == expected
 
 
 class TestServing:

@@ -153,7 +153,9 @@ class TestCancellation:
         evt = sim.timeout(8.0)
         sim.teardown()
         assert not handle.alive and not evt.timer.alive
-        assert sim.run() == 0.0
+        assert sim._queue == []
+        with pytest.raises(SimulationError):
+            sim.run()
         assert fired == [] and not evt.triggered
 
 

@@ -629,3 +629,46 @@ class TestAllOfReaping:
         combined.abandon()
         assert never_a._waiters == []
         assert never_b._waiters == []
+
+
+class TestTornDown:
+    """A torn-down simulator keeps what it recorded but cannot run again."""
+
+    @staticmethod
+    def torn_down() -> Simulator:
+        sim = Simulator()
+        sim.call_later(3.0, lambda: sim.spans.mark("test", "tick"))
+        sim.run()
+        sim.teardown()
+        return sim
+
+    @pytest.mark.parametrize("entry", [
+        lambda sim: sim.run(),
+        lambda sim: sim.run(until=10.0),
+        lambda sim: sim.run_until_event(sim.event("never")),
+        lambda sim: sim.call_later(1.0, print),
+        lambda sim: sim.call_at(5.0, print),
+        lambda sim: sim.spawn(iter(())),
+        lambda sim: sim.timeout(1.0),
+    ], ids=[
+        "run", "run_until", "run_until_event", "call_later", "call_at",
+        "spawn", "timeout",
+    ])
+    def test_every_entry_raises(self, entry):
+        sim = self.torn_down()
+        with pytest.raises(SimulationError, match="torn-down"):
+            entry(sim)
+        assert sim._queue == []
+
+    def test_recorded_spans_stay_readable_on_a_pinned_clock(self):
+        sim = self.torn_down()
+        assert [s.name for s in sim.spans.spans] == ["tick"]
+        assert sim.spans.mark("test", "late").start_ms == 3.0
+
+    def test_teardown_detaches_the_observers(self):
+        sim = Simulator()
+        sim.telemetry = sim.monitor = sim.causal = sim.flight = object()
+        sim.digests = object()
+        sim.teardown()
+        assert (sim.telemetry, sim.monitor, sim.causal, sim.flight,
+                sim.digests) == (None,) * 5
