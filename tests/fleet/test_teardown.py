@@ -8,10 +8,9 @@ finds nothing.  One cycle left anywhere in the run would hold the whole
 run as garbage for the collector to walk.
 
 Each case runs twice and measures the second run, so objects that only a
-first call creates and keeps (lazy imports, module caches) do not count.
+first call creates and keeps (lazy imports, module caches) do not count
+(``tests.gc_guard``, shared with the session guard).
 """
-
-import gc
 
 import pytest
 
@@ -19,18 +18,7 @@ from repro.experiments.capacity import run_capacity_point, steady
 from repro.experiments.fleet import run_fleet_point
 from repro.experiments.fleet_shard import plan_fleet_shards
 from repro.experiments.replay import run_replay_fleet
-
-
-def garbage_left_by(run) -> int:
-    """Objects the cyclic collector frees after ``run()`` with it off."""
-    run()
-    gc.collect()
-    gc.disable()
-    try:
-        run()
-        return gc.collect()
-    finally:
-        gc.enable()
+from tests.gc_guard import assert_frees_itself
 
 
 def fleet_point():
@@ -58,4 +46,4 @@ def one_shard():
     ids=lambda run: run.__name__,
 )
 def test_a_finished_run_leaves_no_cyclic_garbage(run):
-    assert garbage_left_by(run) == 0
+    assert_frees_itself(run)
