@@ -603,6 +603,9 @@ class GBoosterClient:
         """
         for seq, req in self.reorder.push(request.request_id, request):
             self._outstanding.pop(seq, None)
+            # Only re-dispatch of an outstanding frame reads the wire
+            # message, and it points back at the request.
+            req.metadata.pop("wire_message", None)
             event = self._completions.pop(seq, None)
             if event is not None and not event.triggered:
                 event.trigger(req)

@@ -5,7 +5,8 @@ points the experiments, examples and benchmarks use: build a simulator,
 instantiate the user device and (for offload) the service devices with
 their links, transports, multicast group and switching controller, run a
 game engine session, and return a :class:`SessionResult` bundling every
-metric the paper reports.
+metric the paper reports.  Both end in one close step that leaves no
+reference cycle, so refcounting frees a finished session.
 """
 
 from __future__ import annotations
@@ -161,6 +162,33 @@ def _make_policy(config: GBoosterConfig):
     return AlwaysWifiPolicy()
 
 
+def _close_session(
+    sim: Simulator,
+    engine: GameEngine,
+    links: Sequence[NetworkLink] = (),
+    transports: Sequence[Transport] = (),
+    client: Optional[GBoosterClient] = None,
+) -> None:
+    """Leave no reference cycle, so refcounting frees the whole session.
+
+    Runs after the result is built: it tears the simulator down (a
+    torn-down simulator cannot run again), then drops the wiring edges
+    that close cycles through the client, the service nodes and the
+    engine: link receivers, transport callbacks, the scheduler's observer
+    and the touch generator's callback.  What was recorded stays
+    readable.
+    """
+    sim.teardown()
+    for link in links:
+        link.receiver = None
+    for transport in transports:
+        transport.on_deliver = transport.on_ack = None
+    if client is not None:
+        client.scheduler.on_assign = None
+    if engine.touch is not None:
+        engine.touch.on_touch = None
+
+
 def run_local_session(
     app: ApplicationSpec,
     user_device: DeviceSpec,
@@ -173,6 +201,9 @@ def run_local_session(
     ``config`` is consulted only for the correctness switches (``check``,
     ``deterministic_content``) — the local path has no transport/cache
     pipeline to configure.
+
+    The returned simulator (``result.engine.sim``) is torn down: its
+    spans, metrics and tracer stay readable, but it cannot run again.
     """
     sim = Simulator(seed=seed)
     check: Optional[SessionCheck] = None
@@ -205,7 +236,7 @@ def run_local_session(
     if check is not None:
         check.monitor.finalize()
     frames = engine.presented_frames()
-    return SessionResult(
+    result = SessionResult(
         app=app,
         mode="local",
         fps=compute_fps_metrics(frames),
@@ -216,6 +247,8 @@ def run_local_session(
         device=device,
         check=check,
     )
+    _close_session(sim, engine)
+    return result
 
 
 def run_offload_session(
@@ -237,6 +270,11 @@ def run_offload_session(
     one (records, but nothing to replay from).  ``replay_session_id``
     distinguishes sessions sharing a hub — a recorder never replays its
     own unverified intervals.
+
+    The returned simulator (``result.engine.sim``) is torn down, so
+    refcounting frees the session once its result is dropped: spans,
+    metrics, tracer, telemetry, flight bundles and check artifacts stay
+    readable, but the simulator cannot run again.
     """
     config = config or GBoosterConfig()
     config.validate()
@@ -474,7 +512,7 @@ def run_offload_session(
         + (sum(down_lat) / len(down_lat) if down_lat else 0.0)
         + encode_mean
     )
-    return SessionResult(
+    result = SessionResult(
         app=app,
         mode="gbooster",
         fps=compute_fps_metrics(frames),
@@ -495,3 +533,10 @@ def run_offload_session(
         causal=causal,
         flight=flight,
     )
+    _close_session(
+        sim, engine,
+        links=[*down_links.values(), *uplink_links],
+        transports=[downlink, *uplinks.values()],
+        client=client,
+    )
+    return result

@@ -187,7 +187,10 @@ class GPUDevice:
             )
             if self.on_complete is not None:
                 self.on_complete(done)
-            reply: Optional[Event] = request.metadata.get("completion_event")
+            # Popped, not read: the event's value holds this request.
+            reply: Optional[Event] = request.metadata.pop(
+                "completion_event", None
+            )
             if reply is not None and not reply.triggered:
                 reply.trigger(done)
 

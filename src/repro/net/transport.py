@@ -240,7 +240,11 @@ class Transport:
                     "transport.delivery_ms", latency, transport=self.name,
                 )
             self._record_delivery_span(message)
-            delivered: Optional[Event] = message.metadata.get("delivered_event")
+            # Popped, not read: the event's value is this message, so
+            # leaving it in the metadata would make the two a cycle.
+            delivered: Optional[Event] = message.metadata.pop(
+                "delivered_event", None
+            )
             if delivered is not None and not delivered.triggered:
                 delivered.trigger(message)
             if self.on_deliver is not None:

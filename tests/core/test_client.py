@@ -167,3 +167,45 @@ def test_redispatch_weighs_the_base_fill(monkeypatch):
     # Some re-dispatched requests had reached the failed node.
     assert any(fill != base for _, base, fill in offered)
     assert all(workload == base for workload, base, _ in offered)
+
+
+def test_a_presented_request_drops_its_wire_message(monkeypatch):
+    """The wire message points back at its request; presentation ends
+    the only reader, so the request lets it go."""
+    presented = []
+    complete = GBoosterClient._complete_request
+
+    def spy(self, request):
+        complete(self, request)
+        presented.append(request)
+
+    monkeypatch.setattr(GBoosterClient, "_complete_request", spy)
+    result = run_offload_session(
+        GTA_SAN_ANDREAS, LG_NEXUS_5, duration_ms=1_500.0, seed=2,
+    )
+    assert len(presented) >= result.client_stats.frames_presented > 10
+    assert not any("wire_message" in r.metadata for r in presented)
+
+
+def test_redispatch_after_a_crash_finds_every_wire_message(monkeypatch):
+    """Frames outstanding on a crashed node still carry their wire
+    message, so each re-sends to a surviving node, none renders locally."""
+    found = []
+    redispatch = GBoosterClient._redispatch
+
+    def spy(self, request):
+        found.append(request.metadata.get("wire_message") is not None)
+        redispatch(self, request)
+
+    monkeypatch.setattr(GBoosterClient, "_redispatch", spy)
+    result = run_offload_session(
+        GTA_SAN_ANDREAS, LG_G5,
+        service_devices=[NVIDIA_SHIELD, DELL_OPTIPLEX_9010],
+        config=GBoosterConfig(
+            frame_timeout_ms=300.0,
+            faults=FaultSchedule().crash(at_ms=1_000.0, node=0),
+        ),
+        duration_ms=2_500.0, seed=1,
+    )
+    assert found and all(found)
+    assert result.engine.sim.tracer.count("client", "redispatch") == len(found)

@@ -59,6 +59,8 @@ class TestExecution:
         sim.run(until=50.0)
         assert evt.triggered
         assert evt.value.request.request_id == 0
+        # The event's value holds the request: the request drops it.
+        assert "completion_event" not in request.metadata
 
     def test_pending_workload_tracks_queue(self):
         sim = Simulator()

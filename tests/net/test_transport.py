@@ -53,6 +53,18 @@ def test_delivered_event_fires():
     assert evt.triggered
 
 
+def test_delivery_drops_the_delivered_event():
+    """The event's value is the message, so the message must not keep it."""
+    sim = Simulator(seed=3)
+    transport, _radio, delivered = build(sim, loss=0.3)
+    for _ in range(20):
+        transport.send(Message.of_size(500))
+    sim.run(until=60_000.0)
+    assert len(delivered) == 20
+    assert transport.stats.retransmissions > 0
+    assert not any("delivered_event" in m.metadata for m in delivered)
+
+
 def test_rudp_faster_than_tcp():
     def latency_with(cls):
         sim = Simulator()
