@@ -241,7 +241,12 @@ class TestSessionIntegration:
             for v in controller.monitor.violations
         )
 
-    def test_unchecked_session_pays_nothing(self):
+    def test_unchecked_session_pays_nothing(self, monkeypatch):
+        # Closing a session detaches its observers; skip the close so the
+        # simulator shows what the session armed.
+        monkeypatch.setattr(
+            "repro.core.session._close_session", lambda *a, **k: None
+        )
         result = run_offload_session(
             GTA_SAN_ANDREAS, LG_NEXUS_5, [NVIDIA_SHIELD],
             duration_ms=1_000.0,

@@ -86,7 +86,12 @@ class TestSessionScenarios:
         f = faulted["telemetry"]["slos"]["frame_p99_latency"]["attainment"]
         assert f < c
 
-    def test_unarmed_session_has_no_telemetry(self):
+    def test_unarmed_session_has_no_telemetry(self, monkeypatch):
+        # Closing a session detaches its observers; skip the close so the
+        # simulator shows what the session armed.
+        monkeypatch.setattr(
+            "repro.core.session._close_session", lambda *a, **k: None
+        )
         result = run_offload_session(
             GAMES["G3"], LG_NEXUS_5, [NVIDIA_SHIELD],
             config=GBoosterConfig(),      # telemetry off by default
