@@ -19,11 +19,12 @@ conservation laws that must hold between any two process steps:
   capacity never goes negative or exceeds active demand.
 
 Violations are structured (:class:`Violation`): they carry the law's name,
-the simulation time, the offending numbers, and the tail of the trace ring
-at detection time so a failure is diagnosable without re-running.  The
-monitor is armed by ``GBoosterConfig.check`` / ``FleetConfig.check`` in
-experiments and used directly in tier-1 tests; ``strict=True`` raises
-:class:`InvariantError` at the moment of detection.
+the simulation time, the offending numbers, and the newest marks of the
+span ring at detection time so a failure is diagnosable without
+re-running.  The monitor is armed by ``GBoosterConfig.check`` /
+``FleetConfig.check`` in experiments and used directly in tier-1 tests;
+``strict=True`` raises :class:`InvariantError` at the moment of
+detection.
 
 This module is imported by the session runners, so it deliberately imports
 nothing above :mod:`repro.sim` — every ``watch_*`` helper takes its
@@ -45,7 +46,7 @@ DEFAULT_INTERVAL_MS = 250.0
 #: tolerance for float accumulators (committed capacity, fill gauges)
 EPS = 1e-6
 
-#: how many trailing trace records a violation carries for diagnosis
+#: how many trailing span-ring marks a violation carries for diagnosis
 TRACE_TAIL = 8
 
 #: a CheckFn returns None when the law holds, else (message, details)
@@ -60,7 +61,7 @@ class Violation:
     at_ms: float
     message: str
     details: Dict[str, Any] = field(default_factory=dict)
-    #: tail of the trace ring at detection time (category/event/data dicts)
+    #: newest span-ring marks at detection time, as dicts
     trace: List[Dict[str, Any]] = field(default_factory=list)
     occurrences: int = 1
 
@@ -426,12 +427,11 @@ class InvariantMonitor:
                 self.violations.append(violation)
                 fresh.append(violation)
             self.sim.metrics.counter("check.violations").inc()
-            self.sim.tracer.record(
-                self.sim.now, "check", "violation",
-                invariant=name, message=message,
+            self.sim.spans.mark(
+                "check", "violation", invariant=name, message=message,
             )
             # A fresh conservation-law break is flight-recorder trigger
-            # material: the evidence is still warm in the ring tracer.
+            # material: the evidence is still warm in the span ring.
             flight = getattr(self.sim, "flight", None)
             if flight is not None:
                 flight.on_violation(violation)
@@ -484,17 +484,14 @@ class InvariantMonitor:
         self._timers.extend(kept)
 
     def _trace_tail(self) -> List[Dict[str, Any]]:
-        tracer = self.sim.tracer
-        records = tracer.records() if callable(
-            getattr(tracer, "records", None)
-        ) else tracer.records
-        tail = list(records)[-TRACE_TAIL:]
         return [
             {
-                "time": r.time,
-                "category": r.category,
-                "event": r.event,
-                "data": dict(r.data),
+                "time": mark.start_ms,
+                "category": mark.category,
+                "event": mark.name,
+                "track": mark.track,
+                "frame_id": mark.frame_id,
+                "data": dict(mark.args),
             }
-            for r in tail
+            for mark in self.sim.spans.tail_marks(TRACE_TAIL)
         ]

@@ -429,9 +429,8 @@ class GBoosterClient:
             return
         self._failed_nodes.add(node_name)
         self.stats.nodes_failed += 1
-        self.sim.tracer.record(
-            self.sim.now, "client", "node_failed",
-            node=node_name, cause=cause,
+        self.sim.spans.mark(
+            "client", "node_failed", node=node_name, cause=cause,
         )
         stranded = [
             r for r in self._outstanding.values()
@@ -445,9 +444,7 @@ class GBoosterClient:
         """Re-admit a rejoined node to dispatch."""
         if node_name in self._failed_nodes:
             self._failed_nodes.discard(node_name)
-            self.sim.tracer.record(
-                self.sim.now, "client", "node_recovered", node=node_name
-            )
+            self.sim.spans.mark("client", "node_recovered", node=node_name)
 
     def _heard_from(
         self, node_name: str, message: Optional[Message] = None
@@ -539,8 +536,8 @@ class GBoosterClient:
         node = next(n for n in healthy if n.name == chosen.name)
         request.metadata["node"] = node.name
         message.metadata["node"] = node.name
-        self.sim.tracer.record(
-            self.sim.now, "client", "redispatch",
+        self.sim.spans.mark(
+            "client", "redispatch",
             node=node.name, request_id=request.request_id,
         )
         # The re-sent bytes are offered load like any other transmission.

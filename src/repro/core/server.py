@@ -106,8 +106,7 @@ class ServiceNode:
         self.failed = True
         self._queued_fill_mp = 0.0
         self.runtime.halt()
-        self.sim.tracer.record(self.sim.now, "service", "failed",
-                               node=self.name)
+        self.sim.spans.mark("service", "failed", node=self.name)
 
     def rejoin(self) -> None:
         """The device comes back (power restored, daemon restarted): it
@@ -116,8 +115,7 @@ class ServiceNode:
         if not self.failed:
             return
         self.failed = False
-        self.sim.tracer.record(self.sim.now, "service", "rejoined",
-                               node=self.name)
+        self.sim.spans.mark("service", "rejoined", node=self.name)
 
     # -- ingress -----------------------------------------------------------------
 
@@ -229,8 +227,8 @@ class ServiceNode:
             return reconstructed, outcome
         if self.replay_store is not None:
             self.replay_store.demote(info["digest"])
-        self.sim.tracer.record(
-            self.sim.now, "replay", "divergence",
+        self.sim.spans.mark(
+            "replay", "divergence",
             node=self.name, digest=info["digest"][:16],
         )
         if self.sim.causal is not None:

@@ -203,7 +203,7 @@ def run_local_session(
     pipeline to configure.
 
     The returned simulator (``result.engine.sim``) is torn down: its
-    spans, metrics and tracer stay readable, but it cannot run again.
+    spans and metrics stay readable, but it cannot run again.
     """
     sim = Simulator(seed=seed)
     check: Optional[SessionCheck] = None
@@ -273,7 +273,7 @@ def run_offload_session(
 
     The returned simulator (``result.engine.sim``) is torn down, so
     refcounting frees the session once its result is dropped: spans,
-    metrics, tracer, telemetry, flight bundles and check artifacts stay
+    metrics, telemetry, flight bundles and check artifacts stay
     readable, but the simulator cannot run again.
     """
     config = config or GBoosterConfig()

@@ -124,8 +124,11 @@ def run_chaos_point(
 
 
 def _total_retransmissions(result: SessionResult) -> int:
-    events = result.engine.sim.tracer.query("transport", "retransmit")
-    return len(events)
+    # The counter, not the retransmit marks: the span ring is bounded, so
+    # counting its marks undercounts once it wraps.
+    return int(
+        result.engine.sim.metrics.counter("transport.retransmissions").value
+    )
 
 
 def run_chaos_sweep(

@@ -172,8 +172,7 @@ class FaultInjector:
             InjectedFault(time_ms=self.sim.now, kind=kind, phase=phase,
                           detail=dict(detail))
         )
-        self.sim.tracer.record(self.sim.now, "fault", f"{kind}.{phase}",
-                               **detail)
+        self.sim.spans.mark("fault", f"{kind}.{phase}", **detail)
 
     def applied(self, kind: Optional[str] = None) -> List[InjectedFault]:
         """The faults actually fired so far, optionally filtered by kind."""

@@ -107,36 +107,20 @@ class AdmissionController:
         fits = committed_mp_per_ms + demand <= budget
         if placeable and capacity_mp_per_ms > 0 and fits:
             self.stats.count(request.tier, "admitted")
-            self.sim.tracer.record(
-                self.sim.now, "fleet", "session_admitted",
-                session=request.session_id, tier=request.tier,
-            )
             return "admit"
         if capacity_mp_per_ms > 0 and demand > budget:
             # Could never fit even an empty pool; queueing it would wedge
             # the strict-priority head of line forever.
             self.stats.count(request.tier, "rejected")
-            self.sim.tracer.record(
-                self.sim.now, "fleet", "session_rejected",
-                session=request.session_id, tier=request.tier,
-            )
             return "reject"
         if len(self._waiting) >= self.config.max_wait_queue:
             self.stats.count(request.tier, "rejected")
-            self.sim.tracer.record(
-                self.sim.now, "fleet", "session_rejected",
-                session=request.session_id, tier=request.tier,
-            )
             return "reject"
         heapq.heappush(
             self._waiting, (request.priority, self._seq, request)
         )
         self._seq += 1
         self.stats.count(request.tier, "queued")
-        self.sim.tracer.record(
-            self.sim.now, "fleet", "session_queued",
-            session=request.session_id, tier=request.tier,
-        )
         return "queue"
 
     def pop_eligible(
@@ -165,10 +149,6 @@ class AdmissionController:
             # the sessions offered.
             self.stats.count_dequeued(request.tier)
             self.stats.wait_times_ms.append(self.sim.now - request.arrival_ms)
-            self.sim.tracer.record(
-                self.sim.now, "fleet", "session_dequeued",
-                session=request.session_id, tier=request.tier,
-            )
             out.append(request)
         return out
 

@@ -180,10 +180,6 @@ class FleetController:
                     ad.device, rtt_ms=ad.rtt_ms,
                     probe=self._make_probe(node),
                 )
-        self.sim.tracer.record(
-            self.sim.now, "fleet", "bootstrap_complete",
-            registered=len(self.registry.devices),
-        )
         self.sim.spans.mark(
             "fleet.state", "bootstrap_complete", track="fleet",
             registered=len(self.registry.devices),
@@ -340,10 +336,6 @@ class FleetController:
             self._watch_session(session),
             name=f"fleet.watch.{session.session_id}",
         )
-        self.sim.tracer.record(
-            self.sim.now, "fleet", "session_started",
-            session=session.session_id, node=node.name, tier=session.tier,
-        )
 
     def _watch_session(self, session: FleetSession) -> Generator:
         yield session.finished
@@ -497,11 +489,6 @@ class FleetController:
                 session=session.session_id, source=old,
                 target=target.name, reason=reason,
             )
-        self.sim.tracer.record(
-            self.sim.now, "fleet", "session_migrated",
-            session=session.session_id, source=old, target=target.name,
-            reason=reason,
-        )
         return target
 
     # -- the control loop ----------------------------------------------------

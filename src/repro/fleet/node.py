@@ -172,8 +172,6 @@ class FleetNode:
             return
         self.failed = True
         self.sim.spans.mark("fleet.state", "node_failed", track=self.name)
-        self.sim.tracer.record(self.sim.now, "fleet", "node_failed",
-                               node=self.name)
 
     def rejoin(self) -> None:
         """Power restored: the daemon starts clean and serves new work."""
@@ -182,8 +180,6 @@ class FleetNode:
         self.failed = False
         stranded, self.stranded = self.stranded, []
         self.sim.spans.mark("fleet.state", "node_rejoined", track=self.name)
-        self.sim.tracer.record(self.sim.now, "fleet", "node_rejoined",
-                               node=self.name)
         # A glitch shorter than the heartbeat timeout is never detected,
         # so nobody rescues the stranded work — serve it ourselves.
         for task in stranded:

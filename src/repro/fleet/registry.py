@@ -100,9 +100,7 @@ class DeviceRegistry:
         self.sim.spawn(
             self._heartbeat_loop(dev), name=f"fleet.hb.{spec.name}"
         )
-        self.sim.tracer.record(
-            self.sim.now, "fleet", "device_registered", device=spec.name
-        )
+        self.sim.spans.mark("fleet", "device_registered", device=spec.name)
         if self.on_join is not None:
             self.on_join(dev)
         return dev
@@ -143,9 +141,7 @@ class DeviceRegistry:
             if dev.state == "down":
                 dev.state = "up"
                 dev.joins += 1
-                self.sim.tracer.record(
-                    self.sim.now, "fleet", "device_up", device=dev.name
-                )
+                self.sim.spans.mark("fleet", "device_up", device=dev.name)
                 if self.on_join is not None:
                     self.on_join(dev)
 
@@ -159,8 +155,8 @@ class DeviceRegistry:
                 if silent_ms >= HEARTBEAT_TIMEOUT_MS:
                     dev.state = "down"
                     dev.losses += 1
-                    self.sim.tracer.record(
-                        self.sim.now, "fleet", "device_down", device=dev.name
+                    self.sim.spans.mark(
+                        "fleet", "device_down", device=dev.name
                     )
                     if self.on_lost is not None:
                         self.on_lost(dev)

@@ -15,8 +15,7 @@ models exactly that boundary:
 * :mod:`repro.gles.egl` — the EGL layer: surfaces, double buffering,
   ``eglSwapBuffers`` and ``eglGetProcAddress``.
 * :mod:`repro.gles.trace_file` — apitrace-style capture/replay containers
-  (:class:`TraceFileRecord` rows; distinct from the simulator's
-  :class:`repro.sim.trace.TraceRecord` event rows).
+  of timestamped :class:`TraceFileRecord` command rows.
 """
 
 from repro.gles.commands import (

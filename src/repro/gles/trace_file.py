@@ -41,12 +41,7 @@ class TraceError(ValueError):
 
 @dataclass(frozen=True)
 class TraceFileRecord:
-    """One timestamped command inside a trace container.
-
-    (Named distinctly from :class:`repro.sim.trace.TraceRecord` — the
-    simulator's structured-event row — so the two never shadow each other
-    in modules that touch both tracing facilities.)
-    """
+    """One timestamped command inside a trace container."""
 
     timestamp_ms: float
     command: GLCommand

@@ -176,13 +176,12 @@ class GPUDevice:
                 freq_mhz=self.governor.freq_mhz,
             )
             self.completed.append(done)
-            self.sim.tracer.record(
-                self.sim.now,
+            self.sim.spans.mark(
                 "gpu",
                 "render_complete",
+                frame_id=request.frame_id,
                 device=self.name,
                 request_id=request.request_id,
-                frame_id=request.frame_id,
                 execution_ms=done.execution_ms,
             )
             if self.on_complete is not None:
@@ -207,8 +206,7 @@ class GPUDevice:
                 (self.sim.now, new_freq, self.thermal.temperature_c)
             )
             if new_freq != old_freq:
-                self.sim.tracer.record(
-                    self.sim.now,
+                self.sim.spans.mark(
                     "gpu",
                     "dvfs",
                     device=self.name,

@@ -153,15 +153,15 @@ class WirelessInterface:
                 "outside (0, 1]"
             )
         self._degradations.append(bandwidth_factor)
-        self.sim.tracer.record(
-            self.sim.now, "radio", "degrade",
+        self.sim.spans.mark(
+            "radio", "degrade",
             radio=self.name, factor=bandwidth_factor,
         )
 
     def restore(self, bandwidth_factor: float) -> None:
         self._degradations.remove(bandwidth_factor)
-        self.sim.tracer.record(
-            self.sim.now, "radio", "restore",
+        self.sim.spans.mark(
+            "radio", "restore",
             radio=self.name, factor=bandwidth_factor,
         )
 
@@ -185,7 +185,7 @@ class WirelessInterface:
         self._off_since = self.sim.now
         self._usable = self.sim.event(name=f"{self.name}.usable")
         self._set_power(self.spec.off_power_w)
-        self.sim.tracer.record(self.sim.now, "radio", "off", radio=self.name)
+        self.sim.spans.mark("radio", "off", radio=self.name)
 
     def power_on(self) -> Event:
         """Begin waking the radio; returns the event that fires when usable.
@@ -208,8 +208,8 @@ class WirelessInterface:
         self.wake_count += 1
         self._set_power(self.spec.idle_power_w)  # radio draws power while waking
         usable = self._usable
-        self.sim.tracer.record(
-            self.sim.now, "radio", "waking", radio=self.name, delay_ms=delay
+        self.sim.spans.mark(
+            "radio", "waking", radio=self.name, delay_ms=delay
         )
 
         def _wake() -> Generator:
@@ -219,9 +219,7 @@ class WirelessInterface:
                 self._set_power(self.spec.idle_power_w)
                 if not usable.triggered:
                     usable.trigger(None)
-                self.sim.tracer.record(
-                    self.sim.now, "radio", "awake", radio=self.name
-                )
+                self.sim.spans.mark("radio", "awake", radio=self.name)
 
         self.sim.spawn(_wake(), name=f"radio.{self.name}.wake")
         return usable

@@ -97,8 +97,8 @@ class NetworkLink:
         """Accept a message from a radio and schedule its arrival."""
         if self.rng.bernoulli(self.effective_loss):
             self.dropped += 1
-            self.sim.tracer.record(
-                self.sim.now, "link", "drop",
+            self.sim.spans.mark(
+                "link", "drop",
                 link=self.spec.name, message_id=message.message_id,
             )
             return

@@ -110,8 +110,8 @@ class NetworkManager:
     def _apply_route(self, interface_name: str) -> None:
         self.active_name = interface_name
         self.switch_log.append((self.sim.now, interface_name))
-        self.sim.tracer.record(
-            self.sim.now, "netman", "switch", name=self.name, to=interface_name
+        self.sim.spans.mark(
+            "netman", "switch", manager=self.name, to=interface_name
         )
 
     def power_down_idle(self) -> None:

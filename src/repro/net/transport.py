@@ -155,9 +155,8 @@ class Transport:
             self._rto_timers.pop(seq, None)
             return
         if attempt + 1 > self.max_retries:
-            self.sim.tracer.record(
-                self.sim.now, "transport", "give_up",
-                transport=self.name, seq=seq,
+            self.sim.spans.mark(
+                "transport", "give_up", transport=self.name, seq=seq,
             )
             self.sim.metrics.counter("transport.give_ups").inc()
             if self.sim.telemetry is not None:
@@ -183,8 +182,8 @@ class Transport:
                 trace_id=trace_id,
                 transport=self.name,
             )
-        self.sim.tracer.record(
-            self.sim.now, "transport", "retransmit",
+        self.sim.spans.mark(
+            "transport", "retransmit",
             transport=self.name, seq=seq, attempt=attempt + 1,
             **({"trace_id": trace_id} if trace_id else {}),
         )

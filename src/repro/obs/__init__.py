@@ -1,12 +1,11 @@
-"""Observability: bounded tracing, hierarchical spans, metrics, exporters.
+"""Observability: the span ring, metrics, telemetry and exporters.
 
 ``repro.obs`` is the instrumentation layer the rest of the simulator
 reports into:
 
-* :class:`RingTracer` — bounded ring-buffer event tracer with
-  per-category indexes (the default ``sim.tracer``);
-* :class:`SpanRecorder` / :class:`Span` — hierarchical frame-stage spans
-  (``sim.spans``), aggregated by ``repro.metrics.spans`` and exported as
+* :class:`SpanRecorder` / :class:`Span` — the run's one event log
+  (``sim.spans``), a bounded ring of hierarchical frame-stage spans and
+  instant marks, aggregated by ``repro.metrics.spans`` and exported as
   Chrome trace-event JSON by :func:`chrome_trace`;
 * :class:`MetricsRegistry` — counters, gauges and histograms
   (``sim.metrics``) wired into transport retransmissions, switching
@@ -50,7 +49,6 @@ from repro.obs.registry import (
     metric_key,
     percentile,
 )
-from repro.obs.ring import RingTracer
 from repro.obs.slo import Alert, SloSpec, SloTracker
 from repro.obs.spans import OpenSpan, Span, SpanRecorder
 from repro.obs.telemetry import (
@@ -77,7 +75,6 @@ __all__ = [
     "MetricsRegistry",
     "OpenSpan",
     "ResidualDriftDetector",
-    "RingTracer",
     "SloSpec",
     "SloTracker",
     "Span",

@@ -2,13 +2,13 @@
 
 A :class:`FlightRecorder` armed on a simulator (``sim.flight``) keeps no
 state of its own until something goes wrong — the *pre-trigger buffer* is
-the instrumentation the run already carries (the bounded ring tracer,
+the instrumentation the run already carries (the marks in the span ring,
 the causal log, the metrics registry, the telemetry hub).  The moment a
 page-level SLO alert fires, an invariant violation is recorded, or the
 planner re-plans mid-session, the recorder freezes a **postmortem
-bundle**: the ring-trace tail, a metrics snapshot, the registered
-evidence sources (admission ledger, plan decision log, replay store
-stats), and the triggering frame's full causal trace.
+bundle**: the newest marks of the span ring, a metrics snapshot, the
+registered evidence sources (admission ledger, plan decision log, replay
+store stats), and the triggering frame's full causal trace.
 
 Bundles are schema-versioned, JSON-able, and byte-identical per seed:
 every value is rounded deterministically and every key sorted, and the
@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional
 #: bundle schema identifier, bumped on incompatible changes
 FLIGHT_SCHEMA = "repro.flight_bundle/1"
 
-#: ring-trace records captured behind the trigger point
+#: span-ring marks captured behind the trigger point
 DEFAULT_TRACE_TAIL = 256
 
 #: bundles kept before suppression kicks in
@@ -57,8 +57,11 @@ class FlightRecorder:
         trace_tail: int = DEFAULT_TRACE_TAIL,
         max_bundles: int = DEFAULT_MAX_BUNDLES,
     ):
-        if trace_tail <= 0:
-            raise ValueError(f"trace_tail must be positive, got {trace_tail}")
+        if not 0 < trace_tail <= sim.spans.capacity:
+            raise ValueError(
+                f"trace_tail must be in (0, {sim.spans.capacity}], "
+                f"got {trace_tail}"
+            )
         if max_bundles <= 0:
             raise ValueError(
                 f"max_bundles must be positive, got {max_bundles}"
@@ -72,11 +75,6 @@ class FlightRecorder:
         #: named evidence providers sampled at trigger time (admission
         #: ledger, plan decision log, replay store stats, ...)
         self._sources: Dict[str, Callable[[], Any]] = {}
-        # Guarantee the pre-trigger buffer actually holds a full tail:
-        # a tracer sized below the tail cannot testify about it.
-        tracer = sim.tracer
-        if hasattr(tracer, "resize") and tracer.capacity < trace_tail:
-            tracer.resize(trace_tail)
         sim.flight = self
 
     # -- evidence sources ----------------------------------------------------
@@ -148,12 +146,14 @@ class FlightRecorder:
             },
             "ring_tail": [
                 {
-                    "at_ms": round(r.time, 4),
-                    "category": r.category,
-                    "event": r.event,
-                    "data": _jsonable(dict(r.data)),
+                    "at_ms": round(mark.start_ms, 4),
+                    "category": mark.category,
+                    "event": mark.name,
+                    "track": mark.track,
+                    "frame_id": mark.frame_id,
+                    "data": _jsonable(mark.args),
                 }
-                for r in self._tracer_tail()
+                for mark in sim.spans.tail_marks(self.trace_tail)
             ],
             "metrics": sim.metrics.snapshot(),
         }
@@ -185,12 +185,6 @@ class FlightRecorder:
         )
         sim.metrics.counter("flight.triggers", kind=kind).inc()
         return bundle
-
-    def _tracer_tail(self):
-        tracer = self.sim.tracer
-        if hasattr(tracer, "tail"):
-            return tracer.tail(self.trace_tail)
-        return list(getattr(tracer, "records", ()))[-self.trace_tail:]
 
     # -- reporting -----------------------------------------------------------
 

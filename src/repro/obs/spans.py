@@ -13,6 +13,10 @@ Hierarchy is explicit: a stage span opened with ``parent=<handle>`` carries
 its parent's qualified name and ``depth + 1``, so tests can assert nesting
 and trace viewers can group a frame's stages under its root span.
 
+Instant *marks* (a radio waking, a fault firing, a session admitted) ride
+the same ring, so it is the run's one event log: the flight recorder's
+and the invariant monitor's evidence tails are its newest marks.
+
 Storage is a bounded ring (newest kept, ``dropped`` counted) so tracing is
 safe to leave on for arbitrarily long sessions.
 """
@@ -20,6 +24,7 @@ safe to leave on for arbitrarily long sessions.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional
 
 #: default span-ring size; a 60 s offload session emits ~15 k spans
@@ -147,10 +152,8 @@ class SpanRecorder:
         self.clock = clock or (lambda: 0.0)
         self.capacity = capacity
         self.spans: Deque[Span] = deque()
-        self.enabled = True
         #: spans evicted once the ring filled (newest are kept)
         self.dropped = 0
-        #: instant marks (zero-duration occurrences) ride the same ring
 
     # -- recording -----------------------------------------------------------
 
@@ -166,7 +169,7 @@ class SpanRecorder:
         depth: int = 0,
         instant: bool = False,
         **args: Any,
-    ) -> Optional[Span]:
+    ) -> Span:
         """Record a completed span with explicit timestamps."""
         return self.record(
             category, name, start_ms, end_ms, track, frame_id, parent,
@@ -185,11 +188,9 @@ class SpanRecorder:
         depth: int,
         instant: bool,
         args: Dict[str, Any],
-    ) -> Optional[Span]:
+    ) -> Span:
         """Seal one span into the ring: :meth:`add` with every field
         positional and ``args`` a dict, stored, not copied."""
-        if not self.enabled:
-            return None
         if end_ms < start_ms:
             start_ms = end_ms
         span = _tuple_new(Span, (
@@ -224,7 +225,7 @@ class SpanRecorder:
         track: str = "main",
         frame_id: Optional[int] = None,
         **args: Any,
-    ) -> Optional[Span]:
+    ) -> Span:
         """An instant occurrence (zero-duration span) at the current clock."""
         now = self.clock()
         return self.record(
@@ -244,6 +245,12 @@ class SpanRecorder:
 
     def stage_names(self) -> List[str]:
         return sorted({s.name for s in self.spans})
+
+    def tail_marks(self, n: int) -> List[Span]:
+        """The newest ``n`` instant marks in the ring, oldest first."""
+        tail = list(islice((s for s in reversed(self.spans) if s.instant), n))
+        tail.reverse()
+        return tail
 
     def __len__(self) -> int:
         return len(self.spans)

@@ -17,7 +17,6 @@ from repro.sim.kernel import (
 )
 from repro.sim.random import RandomStream
 from repro.sim.resources import Gauge, Resource, Store
-from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "Event",
@@ -31,6 +30,4 @@ __all__ = [
     "Store",
     "TimerEvent",
     "TimerHandle",
-    "TraceRecord",
-    "Tracer",
 ]

@@ -24,7 +24,6 @@ from typing import (
 )
 
 from repro.sim.random import RandomStream
-from repro.sim.trace import Tracer
 
 
 class SimulationError(RuntimeError):
@@ -379,13 +378,11 @@ class Simulator:
     def __init__(
         self,
         seed: int = 0,
-        tracer: Optional[Tracer] = None,
         shard_id: int = 0,
     ):
         # Deferred import: repro.obs sits above repro.sim in the layer
         # diagram; importing it at module scope would be circular.
         from repro.obs.registry import MetricsRegistry
-        from repro.obs.ring import RingTracer
         from repro.obs.spans import SpanRecorder
 
         if shard_id < 0:
@@ -396,8 +393,7 @@ class Simulator:
         #: (shard 0 keeps the legacy single-kernel derivation exactly)
         self.shard_id = shard_id
         self.now = 0.0
-        self.tracer = tracer or RingTracer()
-        #: frame/stage span recorder; substrates emit hierarchical spans here
+        #: the run's one event log: frame/stage spans and instant marks
         self.spans = SpanRecorder(clock=lambda: self.now)
         #: counters / gauges / histograms registry
         self.metrics = MetricsRegistry()

@@ -208,4 +208,4 @@ def test_redispatch_after_a_crash_finds_every_wire_message(monkeypatch):
         duration_ms=2_500.0, seed=1,
     )
     assert found and all(found)
-    assert result.engine.sim.tracer.count("client", "redispatch") == len(found)
+    assert len(result.engine.sim.spans.by_name("redispatch")) == len(found)

@@ -92,7 +92,7 @@ def _readout(result):
         pipeline_breakdown(sim.spans),
         len(sim.spans),
         sim.metrics.snapshot(),
-        [(r.category, r.event, r.time) for r in sim.tracer.records],
+        sim.spans.tail_marks(len(sim.spans)),
         result.telemetry.report(),
         result.flight.summary(),
         result.causal.summary(),

@@ -8,6 +8,8 @@ from repro.experiments.chaos import (
     run_chaos_point,
     run_chaos_sweep,
 )
+from repro.net.transport import Transport
+from repro.sim.kernel import Simulator
 
 SHORT = 15_000.0
 
@@ -61,6 +63,34 @@ class TestChaosSweep:
         assert all(p.survived for p in points)
         text = format_points(points)
         assert "zero lost frames" in text
+
+
+def test_retransmissions_are_counted_past_a_wrapped_ring(monkeypatch):
+    """The bounded span ring forgets old retransmit marks; the count
+    must not."""
+    sims, transports = [], []
+    sim_init, transport_init = Simulator.__init__, Transport.__init__
+
+    def small_ring(self, *args, **kwargs):
+        sim_init(self, *args, **kwargs)
+        self.spans.capacity = 64
+        sims.append(self)
+
+    def collect(self, *args, **kwargs):
+        transport_init(self, *args, **kwargs)
+        transports.append(self)
+
+    monkeypatch.setattr(Simulator, "__init__", small_ring)
+    monkeypatch.setattr(Transport, "__init__", collect)
+    point = run_chaos_point(
+        loss_probability=0.3, outage_ms=0.0, crash=False,
+        duration_ms=4_000.0,
+    )
+    (sim,) = sims
+    total = sum(t.stats.retransmissions for t in transports)
+    assert sim.spans.dropped > 0
+    assert len(sim.spans.by_name("retransmit")) < total
+    assert point.retransmissions == total
 
 
 def test_build_schedule_composes_requested_faults():

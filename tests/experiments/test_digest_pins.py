@@ -26,17 +26,17 @@ BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
 #: the point behind ``repro fleet --smoke --workers 2``
 SHARDED_SMOKE_DIGEST = (
-    "347efe1ad9e72509f5a6283c49b25677edc295c794856f44ee263ce639196aae"
+    "894cabc2f61bc2f075880356ea3a7cd668bca75efe487aae05dbdb4318bd44d1"
 )
 
 #: 24 provisioned sessions on 24 devices over two shards, per curve
 CURVE_POINT_DIGESTS = {
     "steady":
-        "8589aa8a42d5ac036e43d4b29051c07c90a8e27f61d5673a7cff9340bbc01bc2",
+        "01bcb2bb7cca7ea33caf066fa83b50c088f596eb247bb79cd7e848f7dd0e8038",
     "diurnal":
-        "cde52132772d7bf72c54ded2dd86650153fcb649f61045a388b9325b96065e5d",
+        "f88843dd658075e690eb62bfdde340052e6f3318f9ce1880c96c6d6b090c9a51",
     "flash":
-        "034920b8ebcaa9760d3e2177768fd09caffbc1d5d3820879664f13a458790d81",
+        "b92e989a980dea504a676c7113a7a93ca9974656b692d9c9b5073a4e71891284",
 }
 
 

@@ -151,12 +151,13 @@ def test_invalid_schedule_rejected_at_construction():
         FaultInjector(sim, schedule, nodes=[StubNode()])
 
 
-def test_faults_recorded_in_tracer():
+def test_faults_recorded_as_marks():
     sim = Simulator()
     schedule = FaultSchedule().loss_burst(at_ms=1.0, duration_ms=2.0)
     link = make_link(sim)
     injector = FaultInjector(sim, schedule, nodes=[], uplink_links=[link])
     injector.arm()
     sim.run()
-    events = sim.tracer.query("fault")
-    assert [e.event for e in events] == ["loss_burst.start", "loss_burst.end"]
+    marks = sim.spans.by_category("fault")
+    assert [m.name for m in marks] == ["loss_burst.start", "loss_burst.end"]
+    assert all(m.instant for m in marks)

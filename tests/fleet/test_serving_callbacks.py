@@ -67,8 +67,6 @@ class ReferenceNode(FleetNode):
                 self.queue.put(task, priority=task.priority)
         self.stranded.clear()
         self.sim.spans.mark("fleet.state", "node_rejoined", track=self.name)
-        self.sim.tracer.record(self.sim.now, "fleet", "node_rejoined",
-                               node=self.name)
 
     def strand_all(self) -> List[FrameTask]:
         out = [t for t in self.queue.drain() if not t.completed]

@@ -36,16 +36,6 @@ class TestRoundTrip:
         ]
         assert [r.timestamp_ms for r in records] == [0.0, 16.0, 32.0, 48.0]
 
-    def test_record_class_does_not_shadow_sim_trace_record(self):
-        """The two tracing facilities must keep distinct class names."""
-        from repro.sim.trace import TraceRecord as SimTraceRecord
-
-        assert TraceFileRecord.__name__ != SimTraceRecord.__name__
-        assert not hasattr(
-            __import__("repro.gles.trace_file", fromlist=["x"]),
-            "TraceRecord",
-        )
-
     def test_empty_trace(self):
         reader = TraceReader(TraceWriter().to_bytes())
         assert reader.count == 0

@@ -129,7 +129,7 @@ def test_acceptance_scenario_crash_plus_lossy_link(failure_config):
     assert result.client_stats.nodes_failed == 1
     assert result.client_stats.failovers > 0
     # The burst forced the reliable transport to retransmit.
-    assert result.engine.sim.tracer.count("transport", "retransmit") > 0
+    assert result.engine.sim.spans.by_name("retransmit")
     # Both faults show up in the injector's applied log.
     kinds = {e.kind for e in result.faults.applied()}
     assert kinds == {"loss_burst", "crash"}

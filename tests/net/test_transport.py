@@ -103,7 +103,7 @@ def test_gives_up_after_max_retries():
     transport.bind(lambda: radio, {"wifi": link}, lambda m: delivered.append(m))
     transport.send(Message.of_size(100))
     sim.run(until=60_000.0)
-    give_ups = sim.tracer.query("transport", "give_up")
+    give_ups = sim.spans.by_name("give_up")
     assert transport.stats.retransmissions <= 3 or give_ups
 
 

@@ -15,7 +15,7 @@ from repro.sim.kernel import Simulator
 
 def make_sim():
     sim = Simulator(seed=3)
-    sim.tracer.record(0.0, "boot", "hello")
+    sim.spans.mark("boot", "hello")
     return sim
 
 
@@ -35,11 +35,17 @@ class TestTriggers:
     def test_trigger_captures_ring_tail(self):
         sim = make_sim()
         for i in range(10):
-            sim.tracer.record(float(i), "cat", "evt", i=i)
+            sim.now = float(i)
+            sim.spans.mark("cat", "evt", i=i)
+            sim.spans.add("cat", "stage", float(i), float(i) + 0.5)
         flight = FlightRecorder(sim, session_id="s", trace_tail=4)
         bundle = flight.trigger("manual", source="test")
-        assert len(bundle["ring_tail"]) == 4
-        assert bundle["ring_tail"][-1]["data"] == {"i": 9}
+        # Only instants, newest last: the timed spans between them are not
+        # evidence rows.
+        assert [r["data"] for r in bundle["ring_tail"]] == [
+            {"i": 6}, {"i": 7}, {"i": 8}, {"i": 9},
+        ]
+        assert bundle["ring_tail"][-1]["at_ms"] == 9.0
 
     def test_trigger_falls_back_to_frame_in_flight(self):
         sim = make_sim()
@@ -62,12 +68,13 @@ class TestTriggers:
         assert flight.suppressed == 1
         assert flight.summary()["suppressed"] == 1
 
-    def test_recorder_resizes_undersized_tracer(self):
-        from repro.obs.ring import RingTracer
-
-        sim = Simulator(seed=0, tracer=RingTracer(capacity=16))
-        FlightRecorder(sim, session_id="s", trace_tail=64)
-        assert sim.tracer.capacity == 64
+    def test_tail_longer_than_the_ring_is_refused(self):
+        # The ring cannot testify to a tail longer than itself.
+        sim = make_sim()
+        sim.spans.capacity = 16
+        with pytest.raises(ValueError):
+            FlightRecorder(sim, trace_tail=17)
+        assert FlightRecorder(sim, trace_tail=16).trace_tail == 16
 
     def test_invalid_parameters(self):
         sim = make_sim()
@@ -132,7 +139,7 @@ class TestBundleDigest:
             log = CausalLog(sim, session_id="s")
             trace = log.frame_trace(1)
             log.event("client", "intercept", trace=trace, frame=1)
-            sim.tracer.record(0.0, "cat", "evt", i=1)
+            sim.spans.mark("cat", "evt", i=1)
             flight = FlightRecorder(sim, session_id="s")
             return flight.trigger("manual", source="test")
 
