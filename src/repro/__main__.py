@@ -209,9 +209,9 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> None:
     """``fleet --workers N``: the sharded kernel path.
 
     The determinism contract asserted here is the one ``repro.sim.shard``
-    guarantees: at fixed ``(seed, shards)``, the merged report digest is
-    byte-identical for every worker count — parallelism is transport, not
-    semantics.
+    guarantees: at fixed ``(seed, shards)``, the merged report's simulated
+    ``digest`` and its observation ``obs_digest`` are byte-identical for
+    every worker count — parallelism is transport, not semantics.
     """
     from repro.experiments.fleet_shard import (
         format_sharded_points,
@@ -234,12 +234,13 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> None:
             crash=not args.no_crash, window_ms=args.window * 1000.0,
         )
         print(format_sharded_points([point]))
-        if point.digest != serial.digest:
-            raise SystemExit(
-                f"fleet parallel smoke: workers={args.workers} digest "
-                f"{point.digest[:16]} != workers=1 digest "
-                f"{serial.digest[:16]}"
-            )
+        for key in ("digest", "obs_digest"):
+            ours, theirs = getattr(point, key), getattr(serial, key)
+            if ours != theirs:
+                raise SystemExit(
+                    f"fleet parallel smoke: workers={args.workers} {key} "
+                    f"{ours[:16]} != workers=1 {key} {theirs[:16]}"
+                )
         if report["session_digests"] != serial_report["session_digests"]:
             raise SystemExit(
                 "fleet parallel smoke: per-session frame digests differ "
@@ -261,7 +262,8 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> None:
         print(
             f"fleet parallel smoke: ok "
             f"(shards={args.shards}, workers={args.workers}, "
-            f"digest {point.digest[:16]})"
+            f"digest {point.digest[:16]}, "
+            f"obs_digest {point.obs_digest[:16]})"
         )
         return
     points = run_sharded_fleet_sweep(

@@ -23,18 +23,17 @@ Every point runs its own kernel, so the grid fans across processes via
 and arrival schedules are per-session-seeded, making the artifact
 byte-identical for any ``--workers`` count.  The CI smoke gate
 (:data:`SPEC`) asserts exactly that, then diffs ``BENCH_CAPACITY.json``
-against the committed baseline.
+against the committed baseline: any drift fails, and the failure names
+each value that moved.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.apps.games import GAMES
 from repro.experiments.fleet import make_fleet_pool
-from repro.experiments.gate import BenchSpec
+from repro.experiments.gate import BenchSpec, seal
 from repro.fleet import (
     Arrival,
     ArrivalCurve,
@@ -64,10 +63,6 @@ ATTAINMENT_TARGET = 0.99
 #: land in quiet parts of the schedule and can dilute an unlucky
 #: cluster.  The *envelope* (running minimum) is gated exactly.
 MONOTONE_EPS = 0.02
-
-#: per-point attainment may drop this much below baseline before the
-#: regression gate fails the build
-ATTAINMENT_TOLERANCE = 0.05
 
 #: apps per genre, as indices into the ``GAMES`` Table II cycle
 GENRE_TITLES: Dict[str, Tuple[int, ...]] = {
@@ -353,15 +348,13 @@ def run_capacity_bench(
         "points": results,
         "frontier": frontier,
     }
-    blob = json.dumps(bench, sort_keys=True).encode()
-    bench["digest"] = hashlib.sha256(blob).hexdigest()
-    return {"schema": BENCH_CAPACITY_SCHEMA, "deterministic": bench}
+    return {"schema": BENCH_CAPACITY_SCHEMA, "deterministic": seal(bench)}
 
 
 # -- validation --------------------------------------------------------------
 
 
-#: keys the checks and the regression diff read from each record
+#: keys the checks read from each record
 POINT_KEYS = ("devices", "curve", "mix", "sessions", "service_attainment")
 FRONTIER_KEYS = ("devices", "curve", "mix", "sustained")
 
@@ -451,49 +444,6 @@ def _checks(det: Dict[str, Any]) -> List[str]:
     return problems
 
 
-# -- the regression gate -----------------------------------------------------
-
-
-def _regressions(cur: Dict[str, Any], base: Dict[str, Any]) -> List[str]:
-    """Per-point attainment drops and frontier falls against a baseline."""
-    regressions: List[str] = []
-
-    def keyed(det: Dict[str, Any]) -> Dict[Tuple, Dict[str, Any]]:
-        return {
-            (p["devices"], p["curve"], p["mix"], p["sessions"]): p
-            for p in det.get("points", [])
-        }
-
-    cur_points, base_points = keyed(cur), keyed(base)
-    for key in sorted(base_points):
-        if key not in cur_points:
-            continue
-        cur_att = cur_points[key]["service_attainment"]
-        base_att = base_points[key]["service_attainment"]
-        if cur_att < base_att - ATTAINMENT_TOLERANCE:
-            regressions.append(
-                f"devices={key[0]} curve={key[1]} mix={key[2]} "
-                f"sessions={key[3]}: attainment fell "
-                f"{base_att:.4f} -> {cur_att:.4f}"
-            )
-    cur_frontier = {
-        (f["devices"], f["curve"], f["mix"]): f
-        for f in cur.get("frontier", [])
-    }
-    for f in base.get("frontier", []):
-        key = (f["devices"], f["curve"], f["mix"])
-        match = cur_frontier.get(key)
-        if match is None:
-            continue
-        if match["sustained"] < f["sustained"]:
-            regressions.append(
-                f"frontier devices={key[0]} curve={key[1]} mix={key[2]}: "
-                f"sustained load fell {f['sustained']} -> "
-                f"{match['sustained']}"
-            )
-    return regressions
-
-
 # -- output ------------------------------------------------------------------
 
 
@@ -525,6 +475,5 @@ SPEC = BenchSpec(
     artifact="BENCH_CAPACITY.json",
     run=run_capacity_bench,
     checks=_checks,
-    regressions=_regressions,
     format=format_bench,
 )

@@ -22,8 +22,6 @@ Determinism contract (asserted by tests and the CI parallel-smoke job):
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -35,6 +33,7 @@ from repro.experiments.fleet import (
     launch_wave,
     make_fleet_pool,
 )
+from repro.experiments.gate import digest_of
 from repro.fleet import FleetConfig
 from repro.fleet.runner import ShardJob
 from repro.obs.merge import merge_metric_snapshots, merge_span_banks
@@ -75,8 +74,11 @@ class ShardedFleetPoint:
     window_ms: float
     mean_wait_ms: float
     tier_response_ms: Dict[str, float] = field(default_factory=dict)
-    #: sha256 over the merged report (workers-independent by construction)
+    #: sha256 over the merged report's simulated sections
+    #: (workers-independent by construction)
     digest: str = ""
+    #: sha256 over the merged ``metrics`` and ``spans`` bank
+    obs_digest: str = ""
     #: per-session frame-content digests, sorted by (shard, session)
     session_digests: Dict[str, str] = field(default_factory=dict)
     invariant_violations: int = 0
@@ -194,7 +196,10 @@ def merge_shard_results(
 
     Everything here is a pure function of the shard results and the
     coordinator summary — consumed in shard order, keyed sorted — so the
-    digest at the bottom is stable across transports and worker counts.
+    digests at the bottom are stable across transports and worker counts.
+    ``digest`` covers the simulated sections only; ``obs_digest`` covers
+    what observed them (the ``metrics`` snapshot and the ``spans`` bank),
+    so a new span or mark moves ``obs_digest`` and never ``digest``.
     """
     ordered = sorted(results, key=lambda r: r.shard_id)
     tiers: Dict[str, Dict[str, float]] = {}
@@ -285,15 +290,18 @@ def merge_shard_results(
             "count": summary.barriers,
             "window_ms": summary.window_ms,
         },
-        "metrics": merge_metric_snapshots([r.metrics for r in ordered]),
-        "spans": merge_span_banks([r.span_bank for r in ordered]),
         "session_digests": session_digests,
         "per_shard_digests": {
             str(r.shard_id): r.report["digest"] for r in ordered
         },
     }
-    blob = json.dumps(merged, sort_keys=True).encode()
-    merged["digest"] = hashlib.sha256(blob).hexdigest()
+    observed = {
+        "metrics": merge_metric_snapshots([r.metrics for r in ordered]),
+        "spans": merge_span_banks([r.span_bank for r in ordered]),
+    }
+    merged["digest"] = digest_of(merged)
+    merged["obs_digest"] = digest_of(observed)
+    merged.update(observed)
     return merged
 
 
@@ -356,6 +364,7 @@ def run_sharded_fleet_point(
             for tier, t in report["tiers"].items()
         },
         digest=report["digest"],
+        obs_digest=report["obs_digest"],
         session_digests=dict(report["session_digests"]),
         invariant_violations=sum(
             r.invariant_violations for r in results

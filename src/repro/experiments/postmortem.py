@@ -22,21 +22,20 @@ artifact is byte-identical across same-seed runs and worker counts:
 
 The harness doubles as a CI gate: :data:`SPEC` compares the artifact
 digest — which covers the frozen bundle byte-for-byte — against the
-committed baseline (``benchmarks/baselines/BENCH_POSTMORTEM.json``) and
-calls out a drifted bundle digest explicitly.
+committed baseline (``benchmarks/baselines/BENCH_POSTMORTEM.json``).  Any
+drift fails, and the failure names each value that moved (a drifted
+bundle shows as ``deterministic.incident.bundle.digest``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Dict, List, Optional
 
 from repro.apps.games import GAMES
 from repro.core.config import GBoosterConfig
 from repro.core.session import run_offload_session
 from repro.devices.profiles import LG_NEXUS_5, NVIDIA_SHIELD
-from repro.experiments.gate import BenchSpec, write_chrome, write_json
+from repro.experiments.gate import BenchSpec, seal, write_chrome, write_json
 from repro.faults.schedule import FaultSchedule
 from repro.metrics.spans import pipeline_breakdown
 from repro.obs.export import merged_chrome_trace
@@ -284,11 +283,9 @@ def run_postmortem_bench(
         "control": control,
         "shards": shards,
     }
-    blob = json.dumps(bench, sort_keys=True).encode()
-    bench["digest"] = hashlib.sha256(blob).hexdigest()
     return {
         "schema": BENCH_POSTMORTEM_SCHEMA,
-        "deterministic": bench,
+        "deterministic": seal(bench),
         "chrome": incident["chrome"],
     }
 
@@ -366,27 +363,6 @@ def _checks(det: Dict[str, Any]) -> List[str]:
     return problems
 
 
-# -- the regression gate -----------------------------------------------------
-
-
-def _regressions(cur: Dict[str, Any], base: Dict[str, Any]) -> List[str]:
-    """Name a drifted flight bundle; the gate's digest rule does the rest.
-
-    The deterministic digest covers the frozen bundle byte-for-byte, so
-    digest equality is the whole gate; this hook only makes the most
-    likely cause of a drift explicit.
-    """
-    cur_bundle = (cur.get("incident") or {}).get("bundle") or {}
-    base_bundle = (base.get("incident") or {}).get("bundle") or {}
-    if cur_bundle.get("digest") == base_bundle.get("digest"):
-        return []
-    return [
-        "flight bundle digest drifted: "
-        f"{base_bundle.get('digest', '')[:16]} -> "
-        f"{cur_bundle.get('digest', '')[:16]}"
-    ]
-
-
 # -- output ------------------------------------------------------------------
 
 
@@ -454,7 +430,6 @@ SPEC = BenchSpec(
     artifact="BENCH_POSTMORTEM.json",
     run=run_postmortem_bench,
     checks=_checks,
-    regressions=_regressions,
     format=format_bench,
     side_files=(
         ("--bundle-out", "POSTMORTEM_BUNDLE.json", write_bundle),

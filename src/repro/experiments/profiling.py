@@ -19,15 +19,13 @@ same-seed mismatch or a drift from the committed baseline.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Dict, List, Tuple
 
 from repro.apps.games import GAMES
 from repro.core.session import run_offload_session
 from repro.devices.profiles import LG_G5, NVIDIA_SHIELD
 from repro.experiments.fleet import run_fleet_point
-from repro.experiments.gate import BenchSpec, write_chrome
+from repro.experiments.gate import BenchSpec, seal, write_chrome
 from repro.metrics.spans import PIPELINE_STAGES, pipeline_breakdown
 from repro.obs.export import chrome_trace, trace_categories
 from repro.sim.kernel import Simulator
@@ -107,11 +105,9 @@ def run_profile(seed: int = 0, smoke: bool = False) -> Dict[str, Any]:
         "session": session,
         "fleet": fleet,
     }
-    blob = json.dumps(deterministic, sort_keys=True).encode()
-    deterministic["digest"] = hashlib.sha256(blob).hexdigest()
     return {
         "schema": BENCH_SCHEMA,
-        "deterministic": deterministic,
+        "deterministic": seal(deterministic),
         "chrome": trace,
     }
 
@@ -172,5 +168,4 @@ SPEC = BenchSpec(
     format=format_bench,
     side_files=(("--trace-out", "BENCH_TRACE.json", write_chrome),),
     parallel=False,
-    problem_label="benchmark schema drift",
 )

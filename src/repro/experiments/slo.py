@@ -8,17 +8,15 @@ per-frame critical-path attribution, all in simulated time so the
 artifact is byte-identical across same-seed runs (it carries a sha256
 digest over itself).
 
-The harness doubles as the CI perf-regression gate: :data:`SPEC` runs
-it through :func:`repro.experiments.gate.gate`, which diffs the artifact
-against the committed baseline (``benchmarks/baselines/BENCH_SLO.json``)
-and fails on regressions — frame p99 latency beyond the tolerance, SLO
-attainment drops, newly breached objectives — or digest drift.
+The harness doubles as a CI gate: :data:`SPEC` runs it through
+:func:`repro.experiments.gate.gate`, which diffs the artifact against the
+committed baseline (``benchmarks/baselines/BENCH_SLO.json``).  Any drift
+fails — a frame p99, an attainment, an SLO state — and the failure names
+each value that moved.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Dict, List, Optional
 
 from repro.apps.games import GAMES
@@ -26,7 +24,7 @@ from repro.core.config import GBoosterConfig
 from repro.core.session import run_offload_session
 from repro.devices.profiles import LG_NEXUS_5, NVIDIA_SHIELD
 from repro.experiments.fleet import run_fleet_point
-from repro.experiments.gate import BenchSpec
+from repro.experiments.gate import BenchSpec, seal
 from repro.faults.schedule import FaultSchedule
 from repro.metrics.spans import dominant_stage, pipeline_critical_path
 from repro.obs.telemetry import TelemetryHub, default_fleet_slos
@@ -43,14 +41,6 @@ REQUIRED_SESSION_SLOS = (
     "retransmission_rate",
 )
 REQUIRED_FLEET_SLOS = ("admission_reject_rate", "admission_wait")
-
-#: frame p99 latency may grow this fraction over the baseline before the
-#: gate fails (plus an absolute 1 ms floor so micro-jitter never trips it)
-P99_TOLERANCE = 0.10
-P99_FLOOR_MS = 1.0
-
-#: per-SLO attainment may drop this much below the baseline
-ATTAINMENT_TOLERANCE = 0.05
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -162,9 +152,7 @@ def run_slo_bench(
         "faulted_session": faulted,
         "fleet": fleet,
     }
-    blob = json.dumps(bench, sort_keys=True).encode()
-    bench["digest"] = hashlib.sha256(blob).hexdigest()
-    return {"schema": BENCH_SLO_SCHEMA, "deterministic": bench}
+    return {"schema": BENCH_SLO_SCHEMA, "deterministic": seal(bench)}
 
 
 def _checks(det: Dict[str, Any]) -> List[str]:
@@ -199,47 +187,6 @@ def _checks(det: Dict[str, Any]) -> List[str]:
     if isinstance(fleet, dict) and not fleet.get("rejected"):
         problems.append("fleet: overload wave produced no rejections")
     return problems
-
-
-# -- the regression gate -----------------------------------------------------
-
-
-def _regressions(cur: Dict[str, Any], base: Dict[str, Any]) -> List[str]:
-    """Tolerance breaches of a run against a comparable baseline."""
-    regressions: List[str] = []
-    for scenario in ("session", "faulted_session"):
-        cur_p99 = cur.get(scenario, {}).get("frame_response", {}).get("p99")
-        base_p99 = base.get(scenario, {}).get("frame_response", {}).get("p99")
-        if cur_p99 is None or base_p99 is None:
-            continue
-        limit = base_p99 * (1.0 + P99_TOLERANCE) + P99_FLOOR_MS
-        if cur_p99 > limit:
-            regressions.append(
-                f"{scenario}: frame p99 {cur_p99:.2f} ms exceeds baseline "
-                f"{base_p99:.2f} ms by more than {P99_TOLERANCE:.0%}"
-            )
-    for scenario in ("session", "fleet"):
-        cur_slos = cur.get(scenario, {}).get("telemetry", {}).get("slos", {})
-        base_slos = base.get(scenario, {}).get("telemetry", {}).get("slos", {})
-        for name in sorted(cur_slos):
-            if name not in base_slos:
-                continue
-            cur_att = cur_slos[name].get("attainment", 1.0)
-            base_att = base_slos[name].get("attainment", 1.0)
-            if cur_att < base_att - ATTAINMENT_TOLERANCE:
-                regressions.append(
-                    f"{scenario}: SLO {name} attainment fell "
-                    f"{base_att:.4f} -> {cur_att:.4f}"
-                )
-            if (
-                cur_slos[name].get("state") == "breached"
-                and base_slos[name].get("state") != "breached"
-            ):
-                regressions.append(
-                    f"{scenario}: SLO {name} newly breached "
-                    f"(was {base_slos[name].get('state')})"
-                )
-    return regressions
 
 
 # -- output ------------------------------------------------------------------
@@ -281,8 +228,5 @@ SPEC = BenchSpec(
     artifact="BENCH_SLO.json",
     run=run_slo_bench,
     checks=_checks,
-    regressions=_regressions,
     format=format_bench,
-    problem_label="benchmark schema drift",
-    regression_label="performance regression",
 )

@@ -8,7 +8,6 @@ single run seed, so a simulation is fully reproducible.
 
 from repro.sim.kernel import (
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -21,7 +20,6 @@ from repro.sim.resources import Gauge, Resource, Store
 __all__ = [
     "Event",
     "Gauge",
-    "Interrupt",
     "Process",
     "RandomStream",
     "Resource",

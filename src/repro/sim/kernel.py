@@ -30,18 +30,6 @@ class SimulationError(RuntimeError):
     """Raised for kernel misuse (double triggers, time travel, ...)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process that is interrupted while waiting.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 def _fault(value: float) -> str:
     """What is wrong with a rejected delay."""
     return "NaN" if value != value else "negative"
@@ -148,7 +136,7 @@ class TimerEvent(Event):
     :meth:`Simulator.run` alive for the rest of its delay — the same leak
     class the transport's RTO timers had before they became cancellable.
     ``cancel`` abandons a pending timer outright without triggering it,
-    which is how :meth:`Simulator.any_of` reaps losing timeouts.
+    which is how :meth:`CompositeEvent.abandon` reaps orphaned timeouts.
     """
 
     def __init__(self, sim: "Simulator", name: str = ""):
@@ -181,15 +169,14 @@ class TimerEvent(Event):
 
 
 class CompositeEvent(Event):
-    """An event combined from other events (``any_of`` / ``all_of``).
+    """An event combined from other events (:meth:`Simulator.all_of`).
 
     Besides behaving like a plain :class:`Event`, it keeps handles on its
     watcher processes and source events so it can be *abandoned*:
     :meth:`abandon` kills watchers still parked on sources that may never
     fire (they would otherwise sit in waiter lists forever, pinning the
     partially-filled values of an ``all_of``) and reaps orphaned pending
-    timeouts, mirroring the reaping ``any_of`` performs when a winner
-    fires.  :meth:`Simulator.teardown` abandons every still-pending
+    timeouts.  :meth:`Simulator.teardown` abandons every still-pending
     composite, so a discarded simulator never leaks watcher processes.
     """
 
@@ -236,13 +223,11 @@ class Process:
         self._result: Any = None
         self.alive = True
         self._waiting_on: Optional[Event] = None
-        self._pending_interrupt: Optional[Interrupt] = None
         #: resume generation.  Every queue entry is stamped with the
-        #: generation current when it was scheduled; interrupting or
-        #: killing the process bumps it, so a resumption that was already
-        #: sitting in the queue (a delay sleep has no ``_waiting_on`` to
-        #: detach from) is recognized as stale and discarded instead of
-        #: waking the process a second time with a spurious ``None``.
+        #: generation current when it was scheduled; killing the process
+        #: bumps it, so a resumption that was already sitting in the queue
+        #: (a delay sleep has no ``_waiting_on`` to detach from) is
+        #: recognized as stale and discarded instead of waking the process.
         self._gen = 0
 
     @property
@@ -267,28 +252,15 @@ class Process:
         if self._done is not None:
             self._done.trigger(value)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.alive:
-            return
-        if self._waiting_on is not None:
-            self._waiting_on.remove_waiter(self)
-            self._waiting_on = None
-        # Invalidate whatever resumption is already queued (a plain delay
-        # sleep keeps one there); only the interrupt resume below is live.
-        self._gen += 1
-        self._pending_interrupt = Interrupt(cause)
-        self.sim._schedule_resume(self, None)
-
     def kill(self) -> None:
         """Tear the process down immediately, without running it again.
 
-        Unlike :meth:`interrupt`, no resumption is scheduled: the process is
-        detached from whatever it was waiting on, its generator is closed,
-        and any stale entry it still has in the event queue is skipped by
-        the run loop *without advancing the clock*.  This is the primitive
-        behind cancellable timers — an ACKed retransmission timeout must not
-        keep ``Simulator.run()`` alive until its expiry.
+        The process is detached from whatever it was waiting on, its
+        generator is closed, and any stale entry it still has in the event
+        queue is skipped by the run loop *without advancing the clock*.
+        This is the primitive behind cancellable timers — an ACKed
+        retransmission timeout must not keep ``Simulator.run()`` alive
+        until its expiry.
         """
         if not self.alive:
             return
@@ -297,7 +269,6 @@ class Process:
             self._waiting_on = None
         self.alive = False
         self._gen += 1
-        self._pending_interrupt = None
         self.gen.close()
         self._finish(None)
 
@@ -309,18 +280,9 @@ class Process:
         """
         self._waiting_on = None
         try:
-            if self._pending_interrupt is not None:
-                exc = self._pending_interrupt
-                self._pending_interrupt = None
-                target = self.gen.throw(exc)
-            else:
-                target = self.gen.send(value)
+            target = self.gen.send(value)
         except StopIteration as stop:
             self._finish(stop.value)
-            return
-        except Interrupt:
-            # Interrupt escaped the generator: treat as a clean cancel.
-            self._finish(None)
             return
         cls = target.__class__
         if cls is float:
@@ -485,49 +447,13 @@ class Simulator:
             self.monitor.note_timer(evt)
         return evt
 
-    def any_of(self, events: Iterable[Event], name: str = "any") -> Event:
-        """An event that fires when the first of ``events`` fires.
-
-        The composite value is ``(index, value)`` of the winning event.
-        Once a winner fires, the losing watcher processes are killed so they
-        do not sit forever in the waiter lists of events that never trigger,
-        and losing *timeouts* nobody else is waiting on are reaped too — a
-        race against a 10-second timeout must not keep :meth:`run` alive
-        for 10 seconds after the data arrived.
-        """
-        events = list(events)
-        combined = CompositeEvent(self, events, name=name)
-        watchers = combined._watchers
-
-        def _watch(idx: int, evt: Event) -> Generator:
-            value = yield evt
-            if not combined.triggered:
-                combined.trigger((idx, value))
-                for loser in watchers:
-                    if loser is not watchers[idx]:
-                        loser.kill()
-                for j, other in enumerate(events):
-                    if (
-                        j != idx
-                        and isinstance(other, TimerEvent)
-                        and not other.triggered
-                        and not other._waiters
-                    ):
-                        other.cancel()
-
-        for idx, evt in enumerate(events):
-            watchers.append(self.spawn(_watch(idx, evt), name=f"_anyof.{name}.{idx}"))
-        self._composites.append(combined)
-        return combined
-
     def all_of(self, events: Iterable[Event], name: str = "all") -> Event:
         """An event that fires when every one of ``events`` has fired.
 
-        The returned :class:`CompositeEvent` gets the same reaping
-        discipline ``any_of`` has: if one of the sources never triggers,
-        ``abandon()`` (or :meth:`teardown`) kills the watcher processes so
-        they do not sit in waiter lists forever pinning the partially
-        filled values list.
+        The returned :class:`CompositeEvent` can be reaped: if one of the
+        sources never triggers, ``abandon()`` (or :meth:`teardown`) kills
+        the watcher processes so they do not sit in waiter lists forever
+        pinning the partially filled values list.
         """
         events = list(events)
         combined = CompositeEvent(self, events, name=name)
@@ -676,9 +602,8 @@ class Simulator:
             when, _order, proc, gen, value = queue[0]
             if not proc.alive or gen != proc._gen:
                 # Stale resumption of a killed process or a cancelled
-                # callback (e.g. an ACKed retransmission timer), or of an
-                # interrupted delay sleep: discard without touching the
-                # clock.
+                # callback (e.g. an ACKed retransmission timer): discard
+                # without touching the clock.
                 heappop(queue)
                 continue
             if until is not None and when > until:

@@ -21,6 +21,7 @@ from repro.experiments.fleet_shard import (
     plan_fleet_shards,
     run_sharded_fleet_point,
 )
+from repro.experiments.gate import seal
 from repro.fleet import FleetConfig, arrival_offsets
 from repro.sim.shard import ShardError
 
@@ -207,8 +208,8 @@ class TestValidationGate:
         bench = run_capacity_bench(seed=0, smoke=True, workers=1)
         other = json.loads(json.dumps(bench))
         other["deterministic"]["seed"] = 9
-        regressions, skip = SPEC.diff(bench, other)
-        assert regressions == [] and skip is not None
+        drift, skip = SPEC.diff(bench, other)
+        assert drift == [] and skip is not None
 
     def test_baseline_diff_catches_frontier_regression(self):
         bench = run_capacity_bench(seed=0, smoke=True, workers=1)
@@ -217,10 +218,18 @@ class TestValidationGate:
             entry["sustained"] = 0
         for p in worse["deterministic"]["points"]:
             p["service_attainment"] = 0.0
-        regressions, skip = SPEC.diff(worse, bench)
+        seal(worse["deterministic"])
+        drift, skip = SPEC.diff(worse, bench)
         assert skip is None
-        assert any("sustained load fell" in r for r in regressions)
-        assert any("attainment fell" in r for r in regressions)
+        assert any(
+            r.startswith("deterministic.frontier[0].sustained: ")
+            and r.endswith("→ 0")
+            for r in drift
+        )
+        assert any(
+            r.startswith("deterministic.points[0].service_attainment: ")
+            for r in drift
+        )
 
 
 class TestShardedArrivals:

@@ -4,39 +4,47 @@ Each case reruns a seeded fleet artifact and compares its digest with a
 fixed value: the sharded smoke point that ``fleet --smoke --workers 2``
 prints, a two-shard point under each arrival curve (epoch-anchored
 offsets), and the capacity and replay smoke artifacts against their
-committed baselines.  A change that claims to leave simulated output
-alone must leave all of them unchanged.  A change that moves them on
-purpose updates the pin here (or regenerates the baseline) and records
-the old -> new digest with its reason.
+committed baselines.  The sharded pins are the simulated ``digest``
+only: a span or mark moves the merged ``obs_digest`` and none of them.
+A change that claims to leave simulated output alone must leave all of
+them unchanged.  A change that moves them on purpose updates the pin
+here (or regenerates the baseline) and records the old -> new digest
+with its reason.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.capacity import run_capacity_bench, standard_curves
-from repro.experiments.fleet_shard import run_sharded_fleet_point
+from repro.experiments.fleet_shard import (
+    merge_shard_results,
+    plan_fleet_shards,
+    run_sharded_fleet_point,
+)
 from repro.experiments.replay import run_replay_bench
 from repro.fleet import FleetConfig, arrival_offsets
+from repro.sim.shard import run_shards
 
 BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
 #: the point behind ``repro fleet --smoke --workers 2``
 SHARDED_SMOKE_DIGEST = (
-    "894cabc2f61bc2f075880356ea3a7cd668bca75efe487aae05dbdb4318bd44d1"
+    "5e5c401ad0cac1e39fe11260c5d89b2692a9907ac94c3e5f6e70d28b75b0452a"
 )
 
 #: 24 provisioned sessions on 24 devices over two shards, per curve
 CURVE_POINT_DIGESTS = {
     "steady":
-        "01bcb2bb7cca7ea33caf066fa83b50c088f596eb247bb79cd7e848f7dd0e8038",
+        "8d54ed8823e486a54bfdf24d0bb0a1a374ca0249414bceec153419460bb64d86",
     "diurnal":
-        "f88843dd658075e690eb62bfdde340052e6f3318f9ce1880c96c6d6b090c9a51",
+        "c3b5cb5aaf7ec3198d7e4931d76b91e1326226df04cc6c66d730223b9d4b9b3e",
     "flash":
-        "b92e989a980dea504a676c7113a7a93ca9974656b692d9c9b5073a4e71891284",
+        "39b56c17f3cabe732b995ce87dd37585ef53176d018bf639006a6d96f7884674",
 }
 
 
@@ -63,6 +71,27 @@ def test_two_shard_point_under_curve_offsets(curve):
         arrival_offsets=arrival_offsets(curve, 24, seed=0),
     )
     assert point.digest == CURVE_POINT_DIGESTS[curve.key]
+
+
+def test_a_mark_moves_obs_digest_and_not_digest():
+    jobs = plan_fleet_shards(
+        n_sessions=8, n_devices=4, shards=2, seed=0, duration_ms=1_000.0
+    )
+    results, summary = run_shards(jobs)
+    bank = results[0].span_bank
+    marked = dict(
+        bank,
+        total=bank["total"] + 1,
+        by_category={**bank["by_category"], "test": 1},
+        by_name={**bank["by_name"], "test.mark": 1},
+    )
+    plain = merge_shard_results(results, summary)
+    observed = merge_shard_results(
+        [replace(results[0], span_bank=marked), *results[1:]], summary
+    )
+    assert observed["spans"] != plain["spans"]
+    assert observed["digest"] == plain["digest"]
+    assert observed["obs_digest"] != plain["obs_digest"]
 
 
 def test_capacity_smoke_matches_its_baseline():

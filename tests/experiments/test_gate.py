@@ -1,7 +1,6 @@
 """The one gate every ``BENCH_*`` experiment goes through."""
 
 import argparse
-import hashlib
 import json
 import re
 from pathlib import Path
@@ -11,10 +10,12 @@ import pytest
 from repro.experiments import capacity, planner
 from repro.experiments.gate import (
     BASELINE_DIR,
+    MAX_MOVED,
     BenchSpec,
     bench_specs,
     check_baseline,
     gate,
+    seal,
 )
 
 REPO = Path(__file__).resolve().parents[2]
@@ -22,9 +23,7 @@ REPO = Path(__file__).resolve().parents[2]
 
 def artifact(value, seed=0, smoke=True, schema="test.fake/1"):
     det = {"seed": seed, "smoke": smoke, "value": value}
-    blob = json.dumps(det, sort_keys=True).encode()
-    det["digest"] = hashlib.sha256(blob).hexdigest()
-    return {"schema": schema, "deterministic": det}
+    return {"schema": schema, "deterministic": seal(det)}
 
 
 def fake_spec(*values, schema="test.fake/1"):
@@ -36,12 +35,7 @@ def fake_spec(*values, schema="test.fake/1"):
         return artifact(value, seed, smoke, schema)
 
     def checks(det):
-        return ["value is negative"] if det["value"] < 0 else []
-
-    def regressions(cur, base):
-        if cur["value"] > base["value"] * 1.10:
-            return [f"value regressed {base['value']} -> {cur['value']}"]
-        return []
+        return ["value is negative"] if det["value"] == -1 else []
 
     def write_note(path, bench):
         Path(path).write_text(str(bench["deterministic"]["value"]))
@@ -52,7 +46,6 @@ def fake_spec(*values, schema="test.fake/1"):
         artifact="BENCH_FAKE.json",
         run=run,
         checks=checks,
-        regressions=regressions,
         format=lambda bench: f"value {bench['deterministic']['value']}",
         side_files=(("--note-out", "FAKE_NOTE.txt", write_note),),
     )
@@ -118,33 +111,52 @@ class TestGateExits:
         message = run_gate(fake_spec(10, 11))
         assert message == "fake smoke: same seed, different artifact"
 
-    def test_tolerance_regression_fails(self):
-        commit_baseline(artifact(10))
-        message = run_gate(fake_spec(20))
-        assert message.startswith(
-            f"fake: regression vs {BASELINE_DIR}/BENCH_FAKE.json:"
-        )
-        assert "value regressed 10 -> 20" in message
-
     def test_stale_baseline_digest_fails(self):
         stale = artifact(10)
         stale["deterministic"]["digest"] = "0" * 64
         commit_baseline(stale)
         message = run_gate(fake_spec(10))
+        assert message.startswith(
+            f"fake: baseline {BASELINE_DIR}/BENCH_FAKE.json is invalid:"
+        )
+        assert "'deterministic.digest' does not match its content" in message
+
+    def test_hand_edited_baseline_with_its_old_digest_is_invalid(self):
+        edited = artifact(10)
+        edited["deterministic"]["value"] = 10.5
+        commit_baseline(edited)
+        message = run_gate(fake_spec(10))
+        assert "is invalid" in message
+        assert "'deterministic.digest' does not match its content" in message
+
+    def test_changed_leaf_fails_with_its_path_and_values(self):
+        commit_baseline(artifact({"a": [1, 2], "b": "x"}))
+        message = run_gate(fake_spec({"a": [1, 3], "c": True}))
+        assert message.startswith(
+            f"fake: drift from {BASELINE_DIR}/BENCH_FAKE.json:"
+        )
         assert "artifact digest drifted" in message
-        assert "0000000000000000 ->" in message
-        assert "section" not in message      # only the digest moved
+        assert "deterministic.value.a[1]: 2 → 3" in message
+        assert 'deterministic.value.b: "x" → (absent)' in message
+        assert "deterministic.value.c: (absent) → true" in message
+        assert "deterministic.value.a[0]" not in message
+        assert "deterministic.digest:" not in message
         assert (
             f"python -m repro fake --smoke --out {BASELINE_DIR}/BENCH_FAKE.json"
             in message
         )
 
-    def test_drift_within_tolerance_names_the_moved_section(self):
-        commit_baseline(artifact(10))
-        message = run_gate(fake_spec(10.5))
-        assert "value regressed" not in message
-        assert "artifact digest drifted" in message
-        assert "section 'value' differs from baseline" in message
+    def test_drift_names_at_most_the_cap_then_counts_the_rest(self):
+        n = MAX_MOVED + 7
+        commit_baseline(artifact(list(range(n))))
+        message = run_gate(fake_spec([i + 1 for i in range(n)]))
+        moved = [line for line in message.splitlines() if "→" in line]
+        # the digest headline plus MAX_MOVED named values
+        assert len(moved) == 1 + MAX_MOVED
+        assert f"deterministic.value[{MAX_MOVED - 1}]" in message
+        assert f"deterministic.value[{MAX_MOVED}]" not in message
+        assert "… and 7 more" in message
+        assert message.rstrip().endswith("and record the old -> new digest")
 
     def test_missing_baseline_fails_under_smoke(self):
         message = run_gate(fake_spec(10))
@@ -164,6 +176,12 @@ class TestGateExits:
         message = run_gate(fake_spec(10))
         assert "is invalid" in message
         assert "missing 'deterministic' section" in message
+
+    def test_baseline_of_another_schema_is_invalid(self):
+        commit_baseline(artifact(10, schema="test.fake/0"))
+        message = run_gate(fake_spec(10))
+        assert "is invalid" in message
+        assert "'schema' must be 'test.fake/1'" in message
 
     def test_seed_mismatch_skips_the_diff(self, capsys):
         commit_baseline(artifact(10))

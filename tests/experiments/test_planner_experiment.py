@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.experiments.gate import seal
 from repro.experiments.planner import (
     MATRIX_CELLS,
     SPEC,
@@ -101,17 +102,19 @@ class TestHarness:
         assert any("always_wifi" in p for p in SPEC.validate(broken))
 
     def test_baseline_diff_self_is_clean(self, bench):
-        regressions, skip = SPEC.diff(bench, bench)
+        drift, skip = SPEC.diff(bench, bench)
         assert skip is None
-        assert regressions == []
+        assert drift == []
 
     def test_baseline_diff_flags_score_regression(self, bench):
         worse = json.loads(json.dumps(bench))
         cell = worse["deterministic"]["matrix"]["cells"][0]
         cell["policies"]["planner"]["score"] *= 1.5
-        regressions, skip = SPEC.diff(worse, bench)
+        seal(worse["deterministic"])
+        drift, skip = SPEC.diff(worse, bench)
         assert skip is None
-        assert any(cell["name"] in r for r in regressions)
+        path = "deterministic.matrix.cells[0].policies.planner.score"
+        assert any(r.startswith(path + ": ") for r in drift)
 
     def test_baseline_diff_skips_incomparable_runs(self, bench):
         other = json.loads(json.dumps(bench))

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.experiments.gate import seal
 from repro.experiments.replay import (
     BENCH_REPLAY_SCHEMA,
     MIN_SPEEDUP,
@@ -67,7 +68,7 @@ class TestDivergence:
 
 
 def make_bench(seed=0, smoke=True):
-    """Minimal artifact satisfying every validate_bench gate."""
+    """Minimal sealed artifact satisfying every validate_bench gate."""
     def session(replay):
         return {
             "frames": 100,
@@ -79,10 +80,9 @@ def make_bench(seed=0, smoke=True):
 
     return {
         "schema": BENCH_REPLAY_SCHEMA,
-        "deterministic": {
+        "deterministic": seal({
             "seed": seed,
             "smoke": smoke,
-            "digest": "ab" * 32,
             "pair": {
                 "cold": session({"hits": 0, "records": 50}),
                 "warm": session({"hits": 90, "promotions": 40}),
@@ -104,7 +104,7 @@ def make_bench(seed=0, smoke=True):
                 },
                 "response_speedup": 1.1,
             },
-        },
+        }),
     }
 
 
@@ -153,37 +153,25 @@ class TestValidateBench:
 class TestBaselineDiff:
     def test_identical_artifacts_pass(self):
         bench = make_bench()
-        regressions, skip = SPEC.diff(bench, copy.deepcopy(bench))
-        assert regressions == [] and skip is None
+        drift, skip = SPEC.diff(bench, copy.deepcopy(bench))
+        assert drift == [] and skip is None
 
-    def test_within_tolerance_passes(self):
+    def test_warm_cost_drift_fails_and_is_named(self):
         current = make_bench()
-        baseline = make_bench()
         current["deterministic"]["pair"]["warm"][
             "uplink_bytes_per_frame"
         ] = 500.0 * 1.05
-        regressions, skip = SPEC.diff(current, baseline)
-        assert regressions == [] and skip is None
-
-    def test_regression_beyond_tolerance_fails(self):
-        current = make_bench()
-        baseline = make_bench()
-        current["deterministic"]["pair"]["warm"][
-            "uplink_bytes_per_frame"
-        ] = 500.0 * 1.25
-        regressions, skip = SPEC.diff(current, baseline)
+        seal(current["deterministic"])
+        drift, skip = SPEC.diff(current, make_bench())
         assert skip is None
-        assert any("uplink_bytes_per_frame" in r for r in regressions)
-
-    def test_schema_mismatch_skips(self):
-        baseline = make_bench()
-        baseline["schema"] = "repro.bench_replay/0"
-        regressions, skip = SPEC.diff(make_bench(), baseline)
-        assert regressions == [] and skip is not None
+        assert (
+            "deterministic.pair.warm.uplink_bytes_per_frame: 500.0 → 525.0"
+            in drift
+        )
 
     def test_seed_mismatch_skips(self):
-        regressions, skip = SPEC.diff(
+        drift, skip = SPEC.diff(
             make_bench(seed=0), make_bench(seed=7)
         )
-        assert regressions == [] and skip is not None
+        assert drift == [] and skip is not None
         assert "not comparable" in skip

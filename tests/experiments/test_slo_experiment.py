@@ -18,7 +18,7 @@ from repro.experiments.slo import (
     run_slo_fleet,
     run_slo_session,
 )
-from repro.experiments.gate import write_artifact
+from repro.experiments.gate import seal, write_artifact
 from repro.faults.schedule import FaultSchedule
 
 DURATION_MS = 6_000.0
@@ -175,30 +175,31 @@ class TestRegressionGate:
         return run_slo_bench(seed=5, smoke=True)
 
     def test_identical_artifacts_pass(self, bench):
-        regressions, skip = SPEC.diff(bench, bench)
-        assert regressions == [] and skip is None
+        drift, skip = SPEC.diff(bench, bench)
+        assert drift == [] and skip is None
 
     def test_seed_mismatch_skips_not_fails(self, bench):
         other = copy.deepcopy(bench)
         other["deterministic"]["seed"] = 99
-        regressions, skip = SPEC.diff(bench, other)
-        assert regressions == []
+        drift, skip = SPEC.diff(bench, other)
+        assert drift == []
         assert skip is not None and "seed" in skip
+
+    @staticmethod
+    def drift_of(changed, bench):
+        seal(changed["deterministic"])
+        drift, skip = SPEC.diff(changed, bench)
+        assert skip is None
+        return drift
 
     def test_p99_regression_detected(self, bench):
         worse = copy.deepcopy(bench)
         fr = worse["deterministic"]["session"]["frame_response"]
-        fr["p99"] = fr["p99"] * 1.25 + 5.0
-        regressions, skip = SPEC.diff(worse, bench)
-        assert skip is None
-        assert any("frame p99" in r for r in regressions)
-
-    def test_p99_within_tolerance_passes(self, bench):
-        slightly = copy.deepcopy(bench)
-        fr = slightly["deterministic"]["session"]["frame_response"]
-        fr["p99"] = fr["p99"] * 1.05
-        regressions, _ = SPEC.diff(slightly, bench)
-        assert regressions == []
+        old, fr["p99"] = fr["p99"], fr["p99"] * 1.25 + 5.0
+        assert (
+            f"deterministic.session.frame_response.p99: {old} → {fr['p99']}"
+            in self.drift_of(worse, bench)
+        )
 
     def test_attainment_drop_detected(self, bench):
         worse = copy.deepcopy(bench)
@@ -206,13 +207,18 @@ class TestRegressionGate:
             "fps_floor"
         ]
         slo["attainment"] = max(0.0, slo["attainment"] - 0.20)
-        regressions, _ = SPEC.diff(worse, bench)
-        assert any("fps_floor" in r for r in regressions)
+        path = "deterministic.session.telemetry.slos.fps_floor.attainment"
+        assert any(
+            r.startswith(path + ": ") for r in self.drift_of(worse, bench)
+        )
 
     def test_new_breach_detected(self, bench):
         worse = copy.deepcopy(bench)
         worse["deterministic"]["session"]["telemetry"]["slos"][
             "switch_flap_rate"
         ]["state"] = "breached"
-        regressions, _ = SPEC.diff(worse, bench)
-        assert any("newly breached" in r for r in regressions)
+        path = "deterministic.session.telemetry.slos.switch_flap_rate.state"
+        assert any(
+            r.startswith(path + ": ") and r.endswith('→ "breached"')
+            for r in self.drift_of(worse, bench)
+        )

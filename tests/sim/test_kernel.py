@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import Event, Interrupt, SimulationError, Simulator
+from repro.sim.kernel import Event, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -154,22 +154,6 @@ def test_timeout_event():
     assert got == [(10.0, "done")]
 
 
-def test_any_of_returns_first_winner():
-    sim = Simulator()
-    slow = sim.timeout(10.0, value="slow")
-    fast = sim.timeout(4.0, value="fast")
-    combined = sim.any_of([slow, fast])
-    got = []
-
-    def waiter():
-        value = yield combined
-        got.append((sim.now, value))
-
-    sim.spawn(waiter())
-    sim.run()
-    assert got == [(4.0, (1, "fast"))]
-
-
 def test_all_of_waits_for_every_event():
     sim = Simulator()
     events = [sim.timeout(t, value=t) for t in (3.0, 9.0, 6.0)]
@@ -190,39 +174,6 @@ def test_all_of_empty_triggers_immediately():
     combined = sim.all_of([])
     assert combined.triggered
     assert combined.value == []
-
-
-def test_interrupt_raises_in_waiting_process():
-    sim = Simulator()
-    caught = []
-
-    def sleeper():
-        try:
-            yield 100.0
-        except Interrupt as exc:
-            caught.append((sim.now, exc.cause))
-
-    proc = sim.spawn(sleeper())
-
-    def interrupter():
-        yield 5.0
-        proc.interrupt("stop")
-
-    sim.spawn(interrupter())
-    sim.run()
-    assert caught == [(5.0, "stop")]
-
-
-def test_interrupt_dead_process_is_noop():
-    sim = Simulator()
-
-    def quick():
-        yield 1.0
-
-    proc = sim.spawn(quick())
-    sim.run()
-    proc.interrupt("late")  # must not raise
-    assert not proc.alive
 
 
 def test_kill_waiting_process_detaches_from_event():
@@ -279,22 +230,6 @@ def test_kill_is_idempotent_and_safe_when_done():
     proc.kill()  # already finished: must be a no-op
     proc.kill()
     assert not proc.alive
-
-
-def test_any_of_cleans_up_loser_watchers():
-    """The losing watchers must not wait forever on events that never fire."""
-    sim = Simulator()
-    never = sim.event("never")
-    fast = sim.timeout(4.0, value="fast")
-    combined = sim.any_of([never, fast])
-    sim.run()
-    assert combined.triggered
-    assert combined.value == (1, "fast")
-    # The watcher parked on the never-firing event has been torn down.
-    assert never._waiters == []
-    assert not any(
-        p.alive and p.name.startswith("_anyof.") for p in sim._processes
-    )
 
 
 def test_run_until_limit_stops_clock():
@@ -436,42 +371,6 @@ class TestCancellableTimeouts:
         sim.run()
         assert log == [(7.0, "tick")]
 
-    def test_any_of_reaps_losing_timeout(self):
-        sim = Simulator()
-        log = []
-
-        def proc():
-            winner = sim.timeout(5.0, value="fast")
-            loser = sim.timeout(60_000.0, value="slow")
-            idx, value = yield sim.any_of([winner, loser])
-            log.append((sim.now, idx, value))
-
-        sim.spawn(proc())
-        end = sim.run()
-        assert log == [(5.0, 0, "fast")]
-        # Pre-fix, the losing timer kept the queue busy for a minute.
-        assert end == pytest.approx(5.0)
-
-    def test_any_of_keeps_timeout_someone_else_awaits(self):
-        sim = Simulator()
-        log = []
-        shared = sim.timeout(50.0, value="shared")
-
-        def racer():
-            yield sim.any_of([sim.timeout(5.0), shared])
-            log.append(("race", sim.now))
-
-        def other():
-            yield shared
-            log.append(("other", sim.now))
-
-        sim.spawn(racer())
-        sim.spawn(other())
-        end = sim.run()
-        assert ("race", 5.0) in log
-        assert ("other", 50.0) in log
-        assert end == pytest.approx(50.0)
-
     def test_no_residual_timer_processes_after_run(self):
         sim = Simulator()
         timers = []
@@ -487,82 +386,9 @@ class TestCancellableTimeouts:
         assert [t.alive for t in timers] == [False]
 
 
-class TestSpuriousWakeups:
-    """Regression tests: interrupting a process that sleeps on a plain
-    ``yield delay`` used to leave the original delayed resumption in the
-    queue, waking the process a second time with a spurious ``None``."""
-
-    def test_interrupt_delay_sleep_resumes_exactly_once(self):
-        sim = Simulator()
-        never = sim.event("never")
-        resumes = []
-
-        def sleeper():
-            try:
-                yield 100.0
-                resumes.append(("timeout", sim.now))
-            except Interrupt as exc:
-                resumes.append(("interrupt", sim.now, exc.cause))
-            # Park forever: a stale resumption would wake this yield with
-            # a spurious None instead of the event's value.
-            value = yield never
-            resumes.append(("spurious", sim.now, value))
-
-        proc = sim.spawn(sleeper())
-
-        def poker():
-            yield 5.0
-            proc.interrupt("stop")
-
-        sim.spawn(poker())
-        end = sim.run()
-        assert resumes == [("interrupt", 5.0, "stop")]
-        # The stale entry must neither wake anyone nor drag the clock to
-        # the old wake time.
-        assert end == 5.0
-
-    def test_interrupted_then_resleeping_process_keeps_clean_timeline(self):
-        sim = Simulator()
-        log = []
-
-        def sleeper():
-            try:
-                yield 50.0
-            except Interrupt:
-                pass
-            yield 10.0  # a fresh sleep after the interrupt
-            log.append(sim.now)
-
-        proc = sim.spawn(sleeper())
-        sim.call_at(5.0, lambda: proc.interrupt())
-        sim.run()
-        # Pre-fix the stale 50 ms resumption fired mid-second-sleep.
-        assert log == [15.0]
-
-    def test_back_to_back_interrupts_deliver_each_once(self):
-        sim = Simulator()
-        causes = []
-
-        def sleeper():
-            while True:
-                try:
-                    yield 1_000.0
-                except Interrupt as exc:
-                    causes.append((sim.now, exc.cause))
-                    if exc.cause == "second":
-                        return
-
-        proc = sim.spawn(sleeper())
-        sim.call_at(2.0, lambda: proc.interrupt("first"))
-        sim.call_at(4.0, lambda: proc.interrupt("second"))
-        end = sim.run()
-        assert causes == [(2.0, "first"), (4.0, "second")]
-        assert end == 4.0
-
-
 class TestAllOfReaping:
     """Regression tests: ``all_of`` watchers must be reapable when one of
-    the source events never triggers (the leak ``any_of`` already fixed)."""
+    the source events never triggers."""
 
     def _alive_watchers(self, sim):
         return [
@@ -619,17 +445,6 @@ class TestAllOfReaping:
         assert combined.value == [1.0, 2.0]
         sim.teardown()
         assert combined.value == [1.0, 2.0]
-
-    def test_any_of_composite_abandon_also_reaps(self):
-        sim = Simulator()
-        never_a = sim.event("never_a")
-        never_b = sim.event("never_b")
-        combined = sim.any_of([never_a, never_b], name="undecided")
-        sim.run()
-        combined.abandon()
-        assert never_a._waiters == []
-        assert never_b._waiters == []
-
 
 class TestTornDown:
     """A torn-down simulator keeps what it recorded but cannot run again."""
