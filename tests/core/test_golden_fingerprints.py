@@ -21,8 +21,14 @@ from typing import Callable, Dict
 
 import pytest
 
-from repro import GBoosterConfig, run_offload_session
-from repro.apps.games import GTA_SAN_ANDREAS, STAR_WARS_KOTOR
+from repro import GBoosterConfig, run_local_session, run_offload_session
+from repro.apps.games import (
+    CANDY_CRUSH,
+    GTA_SAN_ANDREAS,
+    MODERN_COMBAT,
+    STAR_WARS_KOTOR,
+)
+from repro.core.multiuser import run_multiuser_session
 from repro.devices.profiles import (
     LG_G5,
     LG_NEXUS_5,
@@ -68,6 +74,34 @@ def _session(app, user, services, duration_ms=SESSION_MS, **switches):
     return run
 
 
+def _local(app, user, duration_ms=SESSION_MS):
+    def run(seed: int) -> str:
+        result = run_local_session(app, user, duration_ms=duration_ms, seed=seed)
+        return _sha(
+            [
+                (f.frame_id, f.issued_at, f.presented_at)
+                for f in result.engine.frames
+            ],
+            result.energy.total_j,
+            result.gpu_mean_utilization,
+        )
+
+    return run
+
+
+def _multiuser(apps, duration_ms=3_000.0, **switches):
+    # Users' frames count from the engine's 2 s warmup on, so a 1 s
+    # session would present none.
+    def run(seed: int) -> str:
+        result = run_multiuser_session(
+            apps, config=GBoosterConfig(**switches),
+            duration_ms=duration_ms, seed=seed, shared_wifi_channel=True,
+        )
+        return _sha([(u.priority, u.fps) for u in result.users])
+
+    return run
+
+
 def _fleet(
     sessions: int, devices: int, duration_ms: float, **config: bool
 ) -> Callable[[int], str]:
@@ -87,7 +121,10 @@ def _fleet(
 #: one, one at the benchmark's shape (many same-spec nodes, so the most
 #: chances of an equal-timestamp tie), and one with the planner (title
 #: probe, telemetry), record-once replay (warm sessions) and the
-#: invariant monitor armed.
+#: invariant monitor armed.  Two more cover the paths those miss: a
+#: local session (the GPU's completion is the presentation) and two users
+#: on one service device under the priority queue, their radios sharing
+#: one channel.
 CASES: Dict[str, Callable[[int], str]] = {
     "g3_g5_shield": _session(STAR_WARS_KOTOR, LG_G5, [NVIDIA_SHIELD]),
     "g1_n5_multi_wire": _session(
@@ -112,6 +149,10 @@ CASES: Dict[str, Callable[[int], str]] = {
     # just submitted, so it and the presentation share one trigger.
     "g1_n5_blocking_swap": _session(
         GTA_SAN_ANDREAS, LG_NEXUS_5, [NVIDIA_SHIELD], async_swap=False,
+    ),
+    "g3_g5_local": _local(STAR_WARS_KOTOR, LG_G5),
+    "multiuser_priority_shared_channel": _multiuser(
+        [MODERN_COMBAT, CANDY_CRUSH], service_queue_policy="priority",
     ),
     "fleet_8x2_crash": _fleet(8, 2, 3_000.0),
     "fleet_128x16_crash": _fleet(128, 16, 10_000.0),
@@ -155,6 +196,16 @@ GOLDEN: Dict[str, Dict[int, str]] = {
         0: "7603045ee20514bcbdf797e7c641611e3246c40666888427d62951dc37c9206a",
         1: "80754ebbe1612c2b6ae7c2eb82b063eea1f078b3a9889b4ccfa17642262eb013",
         2: "c88ba82a1919cb46949a5911b1d024ee622ddb94df139882facfa793157cbdd8",
+    },
+    "g3_g5_local": {
+        0: "53a3924e03b3827d0297288161f0b5c4fc24b22a528913bd851ecc6600e039b2",
+        1: "aff9ef075ca7706a9858a85c3c7d84f8bae6a36c01ae31a4c625e87a3ea0bf68",
+        2: "2a05ca67c1038c9439c644c42946cfab3dc012ccf8ab45b31e9ac13b36fd1aaf",
+    },
+    "multiuser_priority_shared_channel": {
+        0: "ab11551d91c1b4575240f8472669484ee3010a32cff1e4521c0971f708b28d32",
+        1: "cab3d65bfd7d9e1bebc9f04e931c024400dbe8d1060f582c7ce6040407707837",
+        2: "683b488746db9329c6716dbc6c1622e4a3102fd1f71e6a87bc1ad3954b70c31e",
     },
     "g3_g5_shield": {
         0: "c6fe8e789be567a67d83ddfab44a5dfb34525310d0f98b276f20411bcd8ed842",
