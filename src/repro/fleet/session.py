@@ -132,12 +132,9 @@ class FleetSession:
         gate = self._gate
         if gate is not None:
             self._gate = None
-            if self.sim.due_now():
-                # Queue behind what else is due now, as a woken process
-                # would, so equal-timestamp events keep their order.
-                self.sim.call_later(0.0, self._wait_for, *gate)
-            else:
-                self._wait_for(*gate)
+            # Where a woken process would run, so equal-timestamp events
+            # keep their order.
+            self.sim.soon(self._wait_for, *gate)
 
     # -- migration -----------------------------------------------------------
 

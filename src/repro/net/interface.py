@@ -12,12 +12,13 @@ switching.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.net.message import Message
 from repro.sim.kernel import Event, Simulator
-from repro.sim.resources import Gauge, Resource, Store
+from repro.sim.resources import Gauge
 
 
 class SharedMedium:
@@ -32,17 +33,33 @@ class SharedMedium:
     def __init__(self, sim: Simulator, name: str = "medium"):
         self.sim = sim
         self.name = name
-        self._channel = Resource(sim, capacity=1, name=f"{name}.air")
         self.airtime_ms = 0.0
         self.transmissions = 0
+        self._held = False
+        self._waiting: Deque[Tuple[Callable[..., Any], Tuple[Any, ...]]] = (
+            deque()
+        )
 
-    def acquire(self) -> Event:
-        return self._channel.acquire()
+    def acquire(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` once the air is clear.
+
+        Each grant, at once or when the holder releases, is a zero-time
+        hop, so granted radios resume in queue order.
+        """
+        if self._held:
+            self._waiting.append((fn, args))
+        else:
+            self._held = True
+            self.sim.call_later(0.0, fn, *args)
 
     def release(self, tx_ms: float) -> None:
         self.airtime_ms += tx_ms
         self.transmissions += 1
-        self._channel.release()
+        if self._waiting:
+            fn, args = self._waiting.popleft()
+            self.sim.call_later(0.0, fn, *args)
+        else:
+            self._held = False
 
     def utilization(self, elapsed_ms: float) -> float:
         if elapsed_ms <= 0:
@@ -104,10 +121,11 @@ BLUETOOTH_CLASSIC = RadioSpec(
 class WirelessInterface:
     """A radio with an outbound FIFO, a power gauge and a wake/sleep FSM.
 
-    ``send`` enqueues a message; the drain process serializes messages at
-    link bandwidth and invokes the attached link's ``deliver``.  While the
-    radio is OFF or WAKING, messages queue and their latency grows — the
-    effect the predictive switcher exists to avoid.
+    ``send`` enqueues a message; the radio serializes messages at link
+    bandwidth, one transmit timer each, and invokes the attached link's
+    ``deliver``.  While the radio is OFF or WAKING, messages queue and
+    their latency grows — the effect the predictive switcher exists to
+    avoid.
     """
 
     def __init__(
@@ -123,7 +141,11 @@ class WirelessInterface:
         self.medium = medium
         self.state = RadioState.IDLE
         self.power = Gauge(sim, spec.idle_power_w, name=f"{self.name}.power")
-        self.queue: Store = Store(sim, name=f"{self.name}.txq")
+        #: ``(message, egress override)`` waiting behind the one on air
+        self._txq: Deque[Tuple[Message, Any]] = deque()
+        #: a message is on air, waiting for the radio or the medium, or
+        #: about to start
+        self._busy = False
         self.link = None  # set via attach_link
         self._usable = sim.event(name=f"{self.name}.usable")
         self._usable.trigger(None)
@@ -136,7 +158,6 @@ class WirelessInterface:
         #: (RF degradation: interference, distance, a microwave oven);
         #: each ``degrade`` is undone by one ``restore`` of the same factor.
         self._degradations: List[float] = []
-        sim.spawn(self._drain(), name=f"radio.{self.name}")
 
     # -- link attachment ----------------------------------------------------
 
@@ -226,22 +247,18 @@ class WirelessInterface:
 
     # -- data path ---------------------------------------------------------------
 
-    def send(self, message: Message, link=None) -> Event:
-        """Queue a message; returns an event fired when it leaves the radio.
+    def send(self, message: Message, link=None) -> None:
+        """Queue a message for transmission.
 
         ``link`` overrides the attached link for this message only (used by
         multicast fan-out, which is a different egress for the same radio).
         """
-        sent = self.sim.event(name=f"{self.name}.sent.{message.message_id}")
-        message.metadata["_radio_sent_event"] = sent
-        if link is not None:
-            message.metadata["_override_link"] = link
         message.metadata.setdefault("radio_enqueued_at", self.sim.now)
-        self.queue.put(message)
-        return sent
-
-    def queued_bytes(self) -> int:
-        return sum(m.size_bytes for m in self.queue.peek_all())
+        if self._busy:
+            self._txq.append((message, link))
+        else:
+            self._busy = True
+            self.sim.soon(self._start, message, link)
 
     def energy_joules(self) -> float:
         return self.power.integral() / 1000.0
@@ -251,30 +268,39 @@ class WirelessInterface:
     def _set_power(self, watts: float) -> None:
         self.power.set(watts)
 
-    def _drain(self) -> Generator:
-        while True:
-            message: Message = yield self.queue.get()
-            # Block until the radio is usable (models queueing during wake).
-            while not self.is_on:
-                yield self._usable
-            wire = message.wire_bytes(self.spec.per_packet_header_bytes)
-            tx_ms = self.spec.tx_time_ms(wire) / self.bandwidth_scale
-            if self.medium is not None:
-                # Contend for the shared channel (CSMA): wait for clear air.
-                yield self.medium.acquire()
-            self.state = RadioState.TX
-            self._set_power(self.spec.tx_power_w)
-            yield tx_ms
-            if self.medium is not None:
-                self.medium.release(tx_ms)
-            self.state = RadioState.IDLE
-            self._set_power(self.spec.idle_power_w)
-            self.bytes_sent += wire
-            self.messages_sent += 1
-            self.tx_log.append((self.sim.now, wire))
-            sent_event = message.metadata.pop("_radio_sent_event", None)
-            if sent_event is not None and not sent_event.triggered:
-                sent_event.trigger(None)
-            egress = message.metadata.pop("_override_link", self.link)
-            if egress is not None:
-                egress.deliver(message, via=self)
+    def _start(self, message: Message, link) -> None:
+        # Hold the message until the radio is usable (models queueing
+        # during wake), re-checking after each wake.
+        if not self.is_on:
+            self._usable.on_trigger(self._start, message, link)
+            return
+        wire = message.wire_bytes(self.spec.per_packet_header_bytes)
+        tx_ms = self.spec.tx_time_ms(wire) / self.bandwidth_scale
+        if self.medium is not None:
+            # Contend for the shared channel (CSMA): wait for clear air.
+            self.medium.acquire(self._transmit, message, link, wire, tx_ms)
+        else:
+            self._transmit(message, link, wire, tx_ms)
+
+    def _transmit(
+        self, message: Message, link, wire: int, tx_ms: float
+    ) -> None:
+        self.state = RadioState.TX
+        self._set_power(self.spec.tx_power_w)
+        self.sim.call_later(tx_ms, self._sent, message, link, wire, tx_ms)
+
+    def _sent(self, message: Message, link, wire: int, tx_ms: float) -> None:
+        if self.medium is not None:
+            self.medium.release(tx_ms)
+        self.state = RadioState.IDLE
+        self._set_power(self.spec.idle_power_w)
+        self.bytes_sent += wire
+        self.messages_sent += 1
+        self.tx_log.append((self.sim.now, wire))
+        egress = link if link is not None else self.link
+        if egress is not None:
+            egress.deliver(message, via=self)
+        if self._txq:
+            self.sim.soon(self._start, *self._txq.popleft())
+        else:
+            self._busy = False

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.net.link import NetworkLink
 from repro.net.message import Message
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import Simulator
 
 
 @dataclass
@@ -50,27 +50,24 @@ class MulticastGroup:
     def member_count(self) -> int:
         return len(self._members)
 
-    def send(self, message: Message) -> Event:
+    def send(self, message: Message) -> None:
         """One transmission; every member's link receives a copy.
 
-        Returns the radio's sent event.  Member deliveries then ride each
-        member's own link latency; there is no per-member radio cost —
-        that's the §VI-B bandwidth saving, and ``unicast_equivalent_bytes``
-        vs ``multicast_bytes`` quantifies it.
+        Member deliveries ride each member's own link latency; there is no
+        per-member radio cost — that's the §VI-B bandwidth saving, and
+        ``unicast_equivalent_bytes`` vs ``multicast_bytes`` quantifies it.
         """
         if self._radio_provider is None:
             raise RuntimeError(f"{self.name}: no radio bound")
         if not self._members:
-            evt = self.sim.event(name=f"{self.name}.noop")
-            evt.trigger(None)
-            return evt
+            return
         radio = self._radio_provider()
         self.messages_sent += 1
         self.multicast_bytes += message.size_bytes
         self.unicast_equivalent_bytes += message.size_bytes * len(self._members)
 
         # The radio transmits once; on completion, fan out over member links.
-        return radio.send(message, link=_FanOut(list(self._members.values())))
+        radio.send(message, link=_FanOut(list(self._members.values())))
 
 
 class _FanOut:

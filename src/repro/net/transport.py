@@ -24,7 +24,7 @@ from repro.net.message import (
     TCP_IP_HEADER_BYTES,
     UDP_IP_HEADER_BYTES,
 )
-from repro.sim.kernel import Event, Simulator, TimerHandle
+from repro.sim.kernel import Simulator, TimerHandle
 
 
 @dataclass
@@ -110,8 +110,8 @@ class Transport:
 
     # -- sending ---------------------------------------------------------------------
 
-    def send(self, message: Message) -> Event:
-        """Send reliably; the returned event fires at in-order delivery."""
+    def send(self, message: Message) -> None:
+        """Send reliably; ``on_deliver`` sees it at in-order delivery."""
         if self._radio_provider is None:
             raise RuntimeError(f"{self.name}: transport not bound")
         seq = self._next_seq
@@ -121,13 +121,10 @@ class Transport:
         # Assignment, not accumulation: the same Message object may be
         # re-sent (failover re-dispatch) without compounding the header.
         message.transport_overhead_bytes = self._header_overhead()
-        delivered = self.sim.event(name=f"{self.name}.delivered.{seq}")
-        message.metadata["delivered_event"] = delivered
         self._unacked.add(seq)
         self.stats.messages_sent += 1
         self.stats.bytes_offered += message.framed_bytes
         self._transmit(message, attempt=0)
-        return delivered
 
     def _header_overhead(self) -> int:
         return RUDP_HEADER_BYTES
@@ -239,13 +236,6 @@ class Transport:
                     "transport.delivery_ms", latency, transport=self.name,
                 )
             self._record_delivery_span(message)
-            # Popped, not read: the event's value is this message, so
-            # leaving it in the metadata would make the two a cycle.
-            delivered: Optional[Event] = message.metadata.pop(
-                "delivered_event", None
-            )
-            if delivered is not None and not delivered.triggered:
-                delivered.trigger(message)
             if self.on_deliver is not None:
                 self.on_deliver(message)
 

@@ -1,9 +1,10 @@
 """Deterministic discrete-event simulation kernel.
 
-Every GBooster substrate (GPU, radios, transports, applications) runs as a
-process on this kernel.  Time is a float number of milliseconds; all
-randomness is drawn from named :class:`RandomStream` objects derived from a
-single run seed, so a simulation is fully reproducible.
+Every GBooster substrate (GPU, radios, transports, applications) runs on
+this kernel, as a process or as callbacks.  Time is a float number of
+milliseconds; all randomness is drawn from named :class:`RandomStream`
+objects derived from a single run seed, so a simulation is fully
+reproducible.
 """
 
 from repro.sim.kernel import (
@@ -15,17 +16,15 @@ from repro.sim.kernel import (
     TimerHandle,
 )
 from repro.sim.random import RandomStream
-from repro.sim.resources import Gauge, Resource, Store
+from repro.sim.resources import Gauge
 
 __all__ = [
     "Event",
     "Gauge",
     "Process",
     "RandomStream",
-    "Resource",
     "SimulationError",
     "Simulator",
-    "Store",
     "TimerEvent",
     "TimerHandle",
 ]

@@ -10,6 +10,11 @@ style of SimPy, kept intentionally small and fully deterministic:
   :meth:`Simulator.call_later` / :meth:`Simulator.call_at` or parked on an
   event with :meth:`Event.on_trigger`: one-shot "sleep, then do X" work
   without a generator, a process or a completion event.
+* :meth:`Simulator.soon` runs a callback that a waiter would have woken
+  for: at once when nothing else is due at the current instant, otherwise
+  queued behind what is (the position a woken process's resumption takes).
+  A pipeline stage hands its next item on with it instead of a zero-time
+  hop through a queue.
 * Ties in the event queue are broken by insertion order, never by object
   identity, so two runs with the same seed replay identically.  Callbacks
   and process resumptions share one queue and one ``(time, seq)`` order.
@@ -45,9 +50,6 @@ class TimerHandle:
     """
 
     __slots__ = ("fn", "args", "alive")
-
-    #: queue entries carry a resume generation; a callback has only one
-    _gen = 0
 
     def __init__(self, fn: Callable[..., Any], args: Tuple[Any, ...]):
         self.fn = fn
@@ -223,12 +225,6 @@ class Process:
         self._result: Any = None
         self.alive = True
         self._waiting_on: Optional[Event] = None
-        #: resume generation.  Every queue entry is stamped with the
-        #: generation current when it was scheduled; killing the process
-        #: bumps it, so a resumption that was already sitting in the queue
-        #: (a delay sleep has no ``_waiting_on`` to detach from) is
-        #: recognized as stale and discarded instead of waking the process.
-        self._gen = 0
 
     @property
     def done(self) -> Event:
@@ -256,8 +252,10 @@ class Process:
         """Tear the process down immediately, without running it again.
 
         The process is detached from whatever it was waiting on, its
-        generator is closed, and any stale entry it still has in the event
-        queue is skipped by the run loop *without advancing the clock*.
+        generator is closed, and any entry it still has in the event queue
+        (a delay sleep has no event to detach from) is skipped by the run
+        loop *without advancing the clock*: a killed process is not
+        ``alive``, and it never becomes alive again.
         This is the primitive behind cancellable timers — an ACKed
         retransmission timeout must not keep ``Simulator.run()`` alive
         until its expiry.
@@ -268,7 +266,6 @@ class Process:
             self._waiting_on.remove_waiter(self)
             self._waiting_on = None
         self.alive = False
-        self._gen += 1
         self.gen.close()
         self._finish(None)
 
@@ -291,14 +288,14 @@ class Process:
             sim = self.sim
             heappush(
                 sim._queue,
-                (sim.now + target, next(sim._counter), self, self._gen, None),
+                (sim.now + target, next(sim._counter), self, None),
             )
         elif cls is Event:
             self._waiting_on = target
             if target.triggered:
                 sim = self.sim
                 heappush(sim._queue, (
-                    sim.now, next(sim._counter), self, self._gen, target.value
+                    sim.now, next(sim._counter), self, target.value
                 ))
             else:
                 target._waiters.append(self)
@@ -373,9 +370,9 @@ class Simulator:
         #: optional repro.obs.flight.FlightRecorder; alert/violation/
         #: replan triggers freeze postmortem bundles here when armed
         self.flight: Optional[Any] = None
-        #: ``(time, seq, process or callback, resume generation, value)``
+        #: ``(time, seq, process or callback, value)``
         self._queue: List[
-            Tuple[float, int, Union[Process, TimerHandle], int, Any]
+            Tuple[float, int, Union[Process, TimerHandle], Any]
         ] = []
         self._counter = itertools.count()
         self._message_seq = itertools.count(1)
@@ -532,7 +529,7 @@ class Simulator:
         handle = TimerHandle(fn, args)
         heappush(
             self._queue,
-            (self.now + float(delay), next(self._counter), handle, 0, None),
+            (self.now + float(delay), next(self._counter), handle, None),
         )
         return handle
 
@@ -554,30 +551,33 @@ class Simulator:
             )
         handle = TimerHandle(fn, args)
         heappush(
-            self._queue, (float(when), next(self._counter), handle, 0, None)
+            self._queue, (float(when), next(self._counter), handle, None)
         )
         return handle
 
-    def due_now(self) -> bool:
-        """Whether another queue entry is due at the current instant.
+    def soon(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` where a woken waiter would run.
 
-        A callback that wakes a waiter may act for it at once when nothing
-        else is due now, because a woken process would run next anyway.
-        When something is due, the waiter should queue behind it with
-        ``call_later(0.0, ...)``, as a woken process would.  Cancelled and
-        stale entries count too, which only errs towards queueing.
+        A woken process resumes behind every entry already due at the
+        current instant.  When nothing is due, it would run next anyway,
+        so ``fn`` runs at once; otherwise it is queued behind those entries
+        with ``call_later(0.0, ...)``.  Cancelled entries count as due,
+        which only errs towards queueing.
         """
         queue = self._queue
-        return bool(queue) and queue[0][0] <= self.now
+        if queue and queue[0][0] <= self.now:
+            self.call_later(0.0, fn, *args)
+        else:
+            fn(*args)
 
     # -- scheduling internals ------------------------------------------------
 
     def _schedule_resume(
         self, proc: Process, value: Any, delay: float = 0.0
     ) -> None:
-        heappush(self._queue, (
-            self.now + delay, next(self._counter), proc, proc._gen, value
-        ))
+        heappush(
+            self._queue, (self.now + delay, next(self._counter), proc, value)
+        )
 
     def _check_live(self, entry: str) -> None:
         if self.torn_down:
@@ -599,8 +599,8 @@ class Simulator:
         self._check_limit("run", until)
         queue = self._queue
         while queue:
-            when, _order, proc, gen, value = queue[0]
-            if not proc.alive or gen != proc._gen:
+            when, _order, proc, value = queue[0]
+            if not proc.alive:
                 # Stale resumption of a killed process or a cancelled
                 # callback (e.g. an ACKed retransmission timer): discard
                 # without touching the clock.
@@ -632,11 +632,11 @@ class Simulator:
         self._check_limit("run_until_event", limit)
         queue = self._queue
         while queue and not event.triggered:
-            when, _order, proc, gen, value = heappop(queue)
-            if not proc.alive or gen != proc._gen:
+            when, _order, proc, value = heappop(queue)
+            if not proc.alive:
                 continue
             if when > limit:
-                heappush(queue, (when, _order, proc, gen, value))
+                heappush(queue, (when, _order, proc, value))
                 self.now = max(self.now, limit)
                 break
             if when < self.now - 1e-9:

@@ -9,64 +9,8 @@ from repro.core.multiuser import (
     run_multiuser_experiment,
     run_multiuser_session,
 )
-from repro.sim.resources import PriorityStore
 
 DURATION = 30_000.0
-
-
-class TestPriorityStore:
-    def test_lowest_priority_value_first(self, sim):
-        store = PriorityStore(sim)
-        store.put("tolerant", priority=2.0)
-        store.put("urgent", priority=0.0)
-        store.put("mid", priority=1.0)
-        got = []
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item)
-
-        sim.spawn(consumer())
-        sim.run()
-        assert got == ["urgent", "mid", "tolerant"]
-
-    def test_fifo_within_priority(self, sim):
-        store = PriorityStore(sim)
-        for i in range(4):
-            store.put(i, priority=1.0)
-        got = []
-
-        def consumer():
-            for _ in range(4):
-                got.append((yield store.get()))
-
-        sim.spawn(consumer())
-        sim.run()
-        assert got == [0, 1, 2, 3]
-
-    def test_blocked_getter_woken_by_put(self, sim):
-        store = PriorityStore(sim)
-        got = []
-
-        def consumer():
-            got.append((yield store.get()))
-
-        def producer():
-            yield 5.0
-            store.put("late", priority=0.0)
-
-        sim.spawn(consumer())
-        sim.spawn(producer())
-        sim.run()
-        assert got == ["late"]
-
-    def test_peek_all_sorted(self, sim):
-        store = PriorityStore(sim)
-        store.put("b", priority=1.0)
-        store.put("a", priority=0.0)
-        assert store.peek_all() == ["a", "b"]
-        assert len(store) == 2
 
 
 class TestAppPriority:

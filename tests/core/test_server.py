@@ -107,6 +107,22 @@ def test_fcfs_ordering(sim):
     assert returned == [0, 1, 2, 3, 4]
 
 
+def test_priority_policy_serves_most_urgent_first(sim):
+    """Under the "priority" policy, work queued behind a busy daemon is
+    served lowest priority value first, FIFO within one priority; the
+    item that arrived at an idle daemon goes first regardless."""
+    node, downlink = make_node(
+        sim, config=GBoosterConfig(service_queue_policy="priority")
+    )
+    for i, priority in enumerate([2.0, 2.0, 0.0, 1.0, 0.0, 2.0]):
+        msg = frame_message(request_id=i)
+        msg.metadata["request"].metadata["priority"] = priority
+        node.on_frame_message(msg)
+    sim.run(until=5_000.0)
+    returned = [m.metadata["request"].request_id for m in downlink.sent]
+    assert returned == [0, 2, 4, 3, 1, 5]
+
+
 def test_queued_workload_drops_as_frames_finish(sim):
     node, _ = make_node(sim)
     for i in range(4):

@@ -187,3 +187,28 @@ class TestPlannerPolicy:
         a, b = run(), run()
         assert a.fps.median_fps == b.fps.median_fps
         assert a.switching.epochs_on_wifi == b.switching.epochs_on_wifi
+
+
+def test_frame_path_runs_without_stage_processes(monkeypatch):
+    """The radios, the GPUs and the service daemon serve as callbacks:
+    a 1 s offload session spawns no process for any of their loops."""
+    from repro.sim.kernel import Simulator
+
+    spawned = []
+    spawn = Simulator.spawn
+
+    def record(self, gen, name=""):
+        spawned.append(gen.__qualname__)
+        return spawn(self, gen, name=name)
+
+    monkeypatch.setattr(Simulator, "spawn", record)
+    result = run_offload_session(
+        GTA_SAN_ANDREAS, LG_NEXUS_5, [NVIDIA_SHIELD, DELL_OPTIPLEX_9010],
+        duration_ms=1_000.0,
+    )
+    assert result.client_stats.frames_presented > 0
+    assert "GameEngine._run" in spawned  # the recorder sees spawns
+    stage_loops = {
+        "WirelessInterface._drain", "GPUDevice._run", "ServiceNode._run",
+    }
+    assert stage_loops.isdisjoint(spawned)

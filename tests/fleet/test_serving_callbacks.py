@@ -1,8 +1,7 @@
 """Fleet nodes and sessions serve as callbacks: the coroutine loops as oracle.
 
 ``FleetNode`` and ``FleetSession`` used to run one coroutine each: a
-serving loop over a :class:`~repro.sim.resources.PriorityStore` and a
-frame-issue loop behind a pipeline gate event.  Both now act inside the
+serving loop over a priority store and a frame-issue loop behind a pipeline gate event.  Both now act inside the
 kernel callback that brings them work or an answer.  This module keeps
 those loops, verbatim, as test-local reference subclasses and checks that
 the callbacks replay them: same tasks, completion times, owners and
@@ -14,7 +13,9 @@ callbacks must keep, and the tie orders that changed.
 
 from __future__ import annotations
 
+import heapq
 import random
+from collections import deque
 from dataclasses import replace
 from typing import Generator, List
 
@@ -40,11 +41,44 @@ from repro.fleet import (
     SessionRequest,
 )
 from repro.fleet.session import REPLAY_WARM_FACTOR
-from repro.sim.kernel import Simulator
-from repro.sim.resources import PriorityStore
+from repro.sim.kernel import Event, Simulator
 
 
 # -- the reference: the coroutine loops the callbacks replaced -------------
+
+
+class PriorityStore:
+    """The priority store the old serving loop read: ``get`` returns an
+    event fired with the most urgent item (lowest priority, FIFO within
+    one), handed straight to the oldest waiting getter on ``put``."""
+
+    def __init__(self, sim, name=""):
+        self.sim = sim
+        self.name = name or "pstore"
+        self._heap = []
+        self._counter = 0
+        self._getters = deque()
+
+    def put(self, item, priority=0.0):
+        if self._getters:
+            self._getters.popleft().trigger(item)
+            return
+        heapq.heappush(self._heap, (priority, self._counter, item))
+        self._counter += 1
+
+    def get(self):
+        evt = Event(self.sim, name=f"{self.name}.get")
+        if self._heap:
+            evt.trigger(heapq.heappop(self._heap)[2])
+        else:
+            self._getters.append(evt)
+        return evt
+
+    def drain(self):
+        """Remove and return every queued item, most urgent first."""
+        out = [item for _p, _s, item in sorted(self._heap)]
+        self._heap.clear()
+        return out
 
 
 class ReferenceNode(FleetNode):

@@ -49,28 +49,26 @@ class TestExecution:
         assert done[0][0] == 0
         assert done[1][1] >= done[0][1] + 1.0
 
-    def test_completion_event_metadata(self):
+    def test_then_runs_at_completion(self):
+        """Each request's continuation runs the instant it finishes, with
+        its own completed render, before the next request starts."""
         sim = Simulator()
         gpu = GPUDevice(sim, ADRENO_330)
-        request = make_request(0, fill_mp=3.6)
-        evt = sim.event()
-        request.metadata["completion_event"] = evt
-        gpu.submit(request)
+        log = []
+        gpu.on_complete = lambda c: log.append(("complete", sim.now))
+        for i in range(2):
+            gpu.submit(
+                make_request(i, fill_mp=3.6),
+                lambda done: log.append(
+                    (done.request.request_id, done.finished_at, sim.now,
+                     gpu.busy.value)
+                ),
+            )
         sim.run(until=50.0)
-        assert evt.triggered
-        assert evt.value.request.request_id == 0
-        # The event's value holds the request: the request drops it.
-        assert "completion_event" not in request.metadata
-
-    def test_pending_workload_tracks_queue(self):
-        sim = Simulator()
-        gpu = GPUDevice(sim, ADRENO_330)
-        for i in range(3):
-            gpu.submit(make_request(i, fill_mp=36.0))
-        # Before running, everything is queued.
-        assert gpu.pending_workload() == pytest.approx(108.0)
-        sim.run(until=500.0)
-        assert gpu.pending_workload() == pytest.approx(0.0)
+        (_c0, t0), first, (_c1, t1), second = log
+        assert first == (0, t0, t0, 0.0)
+        assert second == (1, t1, t1, 0.0)
+        assert t1 == pytest.approx(2 * t0)
 
     def test_faster_gpu_finishes_sooner(self):
         def run_on(spec):

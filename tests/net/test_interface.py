@@ -43,22 +43,15 @@ def test_messages_serialize_fifo():
     radio = WirelessInterface(sim, BLUETOOTH_CLASSIC)
     link = SinkLink()
     radio.attach_link(link)
-    sent_times = []
-
-    def watch(msg):
-        evt = radio.send(msg)
-
-        def _w():
-            yield evt
-            sent_times.append(sim.now)
-
-        sim.spawn(_w())
-
-    for _ in range(3):
-        watch(Message.of_size(26_250))  # 10 ms each on BT
+    messages = [Message.of_size(26_250 + i) for i in range(3)]  # ~10 ms each
+    for msg in messages:
+        radio.send(msg)
     sim.run(until=1000.0)
+    assert link.received == messages
+    sent_times = [t for t, _wire in radio.tx_log]
     assert len(sent_times) == 3
     assert sent_times[1] - sent_times[0] == pytest.approx(10.0, rel=0.05)
+    assert sent_times[2] - sent_times[1] == pytest.approx(10.0, rel=0.05)
 
 
 def test_energy_charged_for_transmission():

@@ -61,9 +61,11 @@ def test_empty_group_send_is_noop():
     radio = WirelessInterface(sim, WIFI_80211N)
     group = MulticastGroup(sim)
     group.bind_radio(lambda: radio)
-    evt = group.send(Message.of_size(100))
-    assert evt.triggered
+    group.send(Message.of_size(100))
+    sim.run()
     assert radio.messages_sent == 0
+    assert group.messages_sent == 0
+    assert sim.now == 0.0  # nothing was queued
 
 
 def test_join_duplicate_rejected():

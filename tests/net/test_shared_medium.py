@@ -15,33 +15,29 @@ class SinkLink:
         self.received.append(message)
 
 
-def run_pair(shared):
-    """Two radios each send one 10 ms message at t=0."""
+def send_at_once(count, shared):
+    """``count`` radios each send one 10 ms message at t=0; returns the
+    sorted times their transmissions ended, and the medium."""
     sim = Simulator()
     medium = SharedMedium(sim) if shared else None
-    finish_times = []
-    for i in range(2):
+    radios = []
+    for i in range(count):
         radio = WirelessInterface(sim, WIFI_80211N, name=f"r{i}",
                                   medium=medium)
         radio.attach_link(SinkLink())
-        sent = radio.send(Message.of_size(187_500))  # ~10 ms at 150 Mbps
-
-        def watch(evt=sent):
-            yield evt
-            finish_times.append(sim.now)
-
-        sim.spawn(watch())
+        radio.send(Message.of_size(187_500))  # ~10 ms at 150 Mbps
+        radios.append(radio)
     sim.run(until=1_000.0)
-    return sorted(finish_times), medium
+    return sorted(t for radio in radios for t, _wire in radio.tx_log), medium
 
 
 def test_independent_radios_overlap():
-    times, _ = run_pair(shared=False)
+    times, _ = send_at_once(2, shared=False)
     assert times[0] == pytest.approx(times[1], abs=0.5)
 
 
 def test_shared_medium_serializes_transmissions():
-    times, medium = run_pair(shared=True)
+    times, medium = send_at_once(2, shared=True)
     # The second transmission waits for the first: ~2x the airtime apart.
     assert times[1] >= times[0] + 9.0
     assert medium.transmissions == 2
@@ -50,22 +46,10 @@ def test_shared_medium_serializes_transmissions():
 
 def test_aggregate_throughput_bounded_by_channel():
     """Four radios on one channel cannot exceed one channel's rate."""
-    sim = Simulator()
-    medium = SharedMedium(sim)
-    done = []
-    for i in range(4):
-        radio = WirelessInterface(sim, WIFI_80211N, name=f"r{i}",
-                                  medium=medium)
-        radio.attach_link(SinkLink())
-        evt = radio.send(Message.of_size(187_500))  # 10 ms each
-
-        def watch(evt=evt):
-            yield evt
-            done.append(sim.now)
-
-        sim.spawn(watch())
-    sim.run(until=1_000.0)
+    done, medium = send_at_once(4, shared=True)
+    assert len(done) == 4
     assert max(done) >= 40.0  # serialized: ~4 x 10 ms
+    assert medium.airtime_ms == pytest.approx(max(done), rel=0.01)
 
 
 def test_medium_utilization():

@@ -6,7 +6,7 @@ from repro.net.interface import WIFI_80211N, WirelessInterface
 from repro.net.link import LinkSpec, NetworkLink
 from repro.net.message import Message
 from repro.net.transport import ReliableUdpTransport, TcpTransport
-from repro.sim.kernel import Simulator, TimerHandle
+from repro.sim.kernel import Event, Simulator, TimerHandle
 
 
 def build(sim, loss=0.0, transport_cls=ReliableUdpTransport, rto_ms=30.0):
@@ -46,15 +46,20 @@ def test_in_order_delivery_under_loss():
 
 
 def test_delivered_event_fires():
+    """Delivery reaches ``on_deliver`` with the very message sent."""
     sim = Simulator()
-    transport, _radio, _delivered = build(sim)
-    evt = transport.send(Message.of_size(100))
+    transport, _radio, delivered = build(sim)
+    message = Message.of_size(100)
+    assert transport.send(message) is None
     sim.run(until=100.0)
-    assert evt.triggered
+    assert delivered == [message]
+    assert transport.stats.messages_delivered == 1
+    assert transport.delivered(message)
 
 
 def test_delivery_drops_the_delivered_event():
-    """The event's value is the message, so the message must not keep it."""
+    """A delivered message, retransmitted or not, holds no event: nothing
+    in its metadata points back at the simulator's events."""
     sim = Simulator(seed=3)
     transport, _radio, delivered = build(sim, loss=0.3)
     for _ in range(20):
@@ -62,7 +67,10 @@ def test_delivery_drops_the_delivered_event():
     sim.run(until=60_000.0)
     assert len(delivered) == 20
     assert transport.stats.retransmissions > 0
-    assert not any("delivered_event" in m.metadata for m in delivered)
+    assert not any(
+        isinstance(value, Event)
+        for m in delivered for value in m.metadata.values()
+    )
 
 
 def test_rudp_faster_than_tcp():

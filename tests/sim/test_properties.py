@@ -2,26 +2,52 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.net.interface import BLUETOOTH_CLASSIC, WirelessInterface
+from repro.net.message import Message
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Gauge, Store
+from repro.sim.resources import Gauge
+
+
+class _Sink:
+    def __init__(self):
+        self.received = []
+
+    def deliver(self, message, via=None):
+        self.received.append(message)
 
 
 @settings(max_examples=50, deadline=None)
-@given(items=st.lists(st.integers(), min_size=1, max_size=50))
-def test_store_preserves_fifo_for_any_sequence(items):
+@given(
+    sends=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=50_000),     # bytes
+            st.floats(min_value=0.0, max_value=20.0),       # gap before
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_radio_preserves_fifo_for_any_sequence(sends):
+    """Whatever the sizes and arrival gaps, a radio sends in arrival
+    order, one message on air at a time."""
     sim = Simulator()
-    store = Store(sim)
-    for item in items:
-        store.put(item)
-    got = []
+    radio = WirelessInterface(sim, BLUETOOTH_CLASSIC)
+    sink = _Sink()
+    radio.attach_link(sink)
+    messages = [Message.of_size(size) for size, _gap in sends]
 
-    def consumer():
-        for _ in range(len(items)):
-            got.append((yield store.get()))
+    def sender():
+        for message, (_size, gap) in zip(messages, sends):
+            yield gap
+            radio.send(message)
 
-    sim.spawn(consumer())
+    sim.spawn(sender())
     sim.run()
-    assert got == items
+    assert sink.received == messages
+    ends = [t for t, _wire in radio.tx_log]
+    for (end, wire), later in zip(radio.tx_log[1:], ends):
+        # Each transmission starts no earlier than the previous ended.
+        assert end - BLUETOOTH_CLASSIC.tx_time_ms(wire) >= later - 1e-9
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,177 +1,9 @@
-"""Store, Resource and Gauge behaviour."""
+"""Gauge behaviour."""
 
 import pytest
 
-from repro.sim.kernel import SimulationError, Simulator
-from repro.sim.resources import Gauge, Resource, Store
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append(item)
-
-        store.put("x")
-        sim.spawn(consumer())
-        sim.run()
-        assert got == ["x"]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((sim.now, item))
-
-        def producer():
-            yield 5.0
-            store.put("late")
-
-        sim.spawn(consumer())
-        sim.spawn(producer())
-        sim.run()
-        assert got == [(5.0, "late")]
-
-    def test_fifo_ordering_of_items(self):
-        sim = Simulator()
-        store = Store(sim)
-        for i in range(5):
-            store.put(i)
-        got = []
-
-        def consumer():
-            for _ in range(5):
-                item = yield store.get()
-                got.append(item)
-
-        sim.spawn(consumer())
-        sim.run()
-        assert got == [0, 1, 2, 3, 4]
-
-    def test_fifo_ordering_of_getters(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer(tag):
-            item = yield store.get()
-            got.append((tag, item))
-
-        sim.spawn(consumer("a"))
-        sim.spawn(consumer("b"))
-
-        def producer():
-            yield 1.0
-            store.put(1)
-            store.put(2)
-
-        sim.spawn(producer())
-        sim.run()
-        assert got == [("a", 1), ("b", 2)]
-
-    def test_capacity_blocks_putter(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        timeline = []
-
-        def producer():
-            yield store.put("a")
-            timeline.append(("put-a", sim.now))
-            yield store.put("b")
-            timeline.append(("put-b", sim.now))
-
-        def consumer():
-            yield 10.0
-            item = yield store.get()
-            timeline.append((f"got-{item}", sim.now))
-
-        sim.spawn(producer())
-        sim.spawn(consumer())
-        sim.run()
-        assert ("put-a", 0.0) in timeline
-        assert ("put-b", 10.0) in timeline  # blocked until the get freed space
-
-    def test_try_put_respects_capacity(self):
-        sim = Simulator()
-        store = Store(sim, capacity=2)
-        assert store.try_put(1)
-        assert store.try_put(2)
-        assert not store.try_put(3)
-
-    def test_try_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        ok, item = store.try_get()
-        assert not ok and item is None
-        store.put("v")
-        ok, item = store.try_get()
-        assert ok and item == "v"
-
-    def test_invalid_capacity(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)
-
-    def test_peek_all_does_not_consume(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert store.peek_all() == [1, 2]
-        assert len(store) == 2
-
-
-class TestResource:
-    def test_acquire_release(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def user(tag, hold):
-            yield res.acquire()
-            order.append((tag, "in", sim.now))
-            yield hold
-            res.release()
-            order.append((tag, "out", sim.now))
-
-        sim.spawn(user("a", 5.0))
-        sim.spawn(user("b", 3.0))
-        sim.run()
-        assert order == [
-            ("a", "in", 0.0),
-            ("a", "out", 5.0),
-            ("b", "in", 5.0),
-            ("b", "out", 8.0),
-        ]
-
-    def test_capacity_two_allows_concurrency(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        entries = []
-
-        def user(tag):
-            yield res.acquire()
-            entries.append((tag, sim.now))
-            yield 5.0
-            res.release()
-
-        for tag in range(3):
-            sim.spawn(user(tag))
-        sim.run()
-        assert entries == [(0, 0.0), (1, 0.0), (2, 5.0)]
-
-    def test_release_idle_raises(self):
-        sim = Simulator()
-        res = Resource(sim)
-        with pytest.raises(SimulationError):
-            res.release()
+from repro.sim.kernel import Simulator
+from repro.sim.resources import Gauge
 
 
 class TestGauge:
@@ -212,11 +44,17 @@ class TestGauge:
         gauge.add(-3.0)
         assert gauge.value == 0.0
 
-    def test_history_records_changes(self):
+    def test_mean_spans_the_gauge_lifetime(self):
+        """A gauge made mid-run averages from its creation, not from 0,
+        and re-setting an unchanged value leaves the integral alone."""
         sim = Simulator()
-        gauge = Gauge(sim, initial=0.0)
+        sim.run(until=10.0)
+        gauge = Gauge(sim, initial=1.0)
+        assert gauge.mean() == 1.0  # no time has passed yet
+        sim.run(until=20.0)
         gauge.set(1.0)
-        gauge.set(1.0)  # no-op: unchanged value not recorded twice
-        gauge.set(2.0)
-        values = [v for _t, v in gauge.history]
-        assert values == [0.0, 1.0, 2.0]
+        sim.run(until=30.0)
+        gauge.set(4.0)
+        sim.run(until=40.0)
+        assert gauge.integral() == pytest.approx(1.0 * 20 + 4.0 * 10)
+        assert gauge.mean() == pytest.approx(60.0 / 30.0)
