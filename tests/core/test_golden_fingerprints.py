@@ -22,13 +22,17 @@ from typing import Callable, Dict
 import pytest
 
 from repro import GBoosterConfig, run_local_session, run_offload_session
+from repro.apps.engine import EngineConfig, GameEngine
 from repro.apps.games import (
     CANDY_CRUSH,
     GTA_SAN_ANDREAS,
     MODERN_COMBAT,
     STAR_WARS_KOTOR,
 )
+from repro.apps.monkeyrunner import InputScript
+from repro.baselines.local import LocalBackend
 from repro.core.multiuser import run_multiuser_session
+from repro.devices.runtime import UserDeviceRuntime
 from repro.devices.profiles import (
     LG_G5,
     LG_NEXUS_5,
@@ -38,6 +42,8 @@ from repro.devices.profiles import (
 from repro.experiments.fleet import run_fleet_point
 from repro.faults.schedule import FaultSchedule
 from repro.fleet.config import FleetConfig
+from repro.metrics.energy import energy_report
+from repro.sim.kernel import Simulator
 
 SESSION_MS = 1_000.0
 SEEDS = (0, 1, 2)
@@ -89,6 +95,36 @@ def _local(app, user, duration_ms=SESSION_MS):
     return run
 
 
+def _scripted(app, user, tapper, duration_ms=3_000.0):
+    # The session runners build no scripted engine, so this one is wired
+    # by hand: ``tapper``'s recorded touches replay, looping, into a local
+    # session of ``app``.
+    def run(seed: int) -> str:
+        script = InputScript.record_from_generator(
+            tapper, duration_ms=duration_ms, seed=seed
+        )
+        sim = Simulator(seed=seed)
+        device = UserDeviceRuntime(
+            sim, user,
+            render_width=app.render_width, render_height=app.render_height,
+        )
+        engine = GameEngine(
+            sim, app, device, LocalBackend(sim, device),
+            EngineConfig(duration_ms=duration_ms, input_script=script),
+        )
+        sim.run_until_event(engine.finished, limit=duration_ms * 4)
+        return _sha(
+            [
+                (f.frame_id, f.issued_at, f.presented_at, f.touches_since_last)
+                for f in engine.frames
+            ],
+            [(e.time_ms, e.strength) for e in engine.touch.events],
+            energy_report(device).total_j,
+        )
+
+    return run
+
+
 def _multiuser(apps, duration_ms=3_000.0, **switches):
     # Users' frames count from the engine's 2 s warmup on, so a 1 s
     # session would present none.
@@ -121,10 +157,11 @@ def _fleet(
 #: one, one at the benchmark's shape (many same-spec nodes, so the most
 #: chances of an equal-timestamp tie), and one with the planner (title
 #: probe, telemetry), record-once replay (warm sessions) and the
-#: invariant monitor armed.  Two more cover the paths those miss: a
-#: local session (the GPU's completion is the presentation) and two users
-#: on one service device under the priority queue, their radios sharing
-#: one channel.
+#: invariant monitor armed.  Three more cover the paths those miss: a
+#: local session (the GPU's completion is the presentation), a local
+#: session replaying a recorded touch script, and two users on one
+#: service device under the priority queue, their radios sharing one
+#: channel.
 CASES: Dict[str, Callable[[int], str]] = {
     "g3_g5_shield": _session(STAR_WARS_KOTOR, LG_G5, [NVIDIA_SHIELD]),
     "g1_n5_multi_wire": _session(
@@ -151,6 +188,9 @@ CASES: Dict[str, Callable[[int], str]] = {
         GTA_SAN_ANDREAS, LG_NEXUS_5, [NVIDIA_SHIELD], async_swap=False,
     ),
     "g3_g5_local": _local(STAR_WARS_KOTOR, LG_G5),
+    "g1_n5_local_scripted": _scripted(
+        GTA_SAN_ANDREAS, LG_NEXUS_5, tapper=CANDY_CRUSH,
+    ),
     "multiuser_priority_shared_channel": _multiuser(
         [MODERN_COMBAT, CANDY_CRUSH], service_queue_policy="priority",
     ),
@@ -201,6 +241,11 @@ GOLDEN: Dict[str, Dict[int, str]] = {
         0: "53a3924e03b3827d0297288161f0b5c4fc24b22a528913bd851ecc6600e039b2",
         1: "aff9ef075ca7706a9858a85c3c7d84f8bae6a36c01ae31a4c625e87a3ea0bf68",
         2: "2a05ca67c1038c9439c644c42946cfab3dc012ccf8ab45b31e9ac13b36fd1aaf",
+    },
+    "g1_n5_local_scripted": {
+        0: "3b7c92168ba2759c2e2a0c7c4ee1d337d8329b9ee665ead3061038a020bcd08e",
+        1: "d6120dbe5972e1f2982c4f5fff4efd2126f55b95acd78e61ade4901f4de29157",
+        2: "846cdab64a80247caa6d134bd1ecb2beec0ab59c3c9a4e3eda3078d3d20eba4d",
     },
     "multiuser_priority_shared_channel": {
         0: "ab11551d91c1b4575240f8472669484ee3010a32cff1e4521c0971f708b28d32",
