@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Generator, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Union
 
 from repro.apps.touch import TouchEvent
 from repro.sim.kernel import Simulator
@@ -115,27 +115,39 @@ class ScriptedTouchPlayer:
         self.on_touch = on_touch
         self.loop = loop
         self.events: List[TouchEvent] = []
-        self._proc = sim.spawn(self._run(), name=f"script.{script.name}")
+        sim.call_later(0.0, self._start)
 
-    def _run(self) -> Generator:
-        if not self.script.events:
-            return
-        base = self.sim.now
-        while True:
-            for event in self.script.events:
-                when = base + event.time_ms
-                if when > self.sim.now:
-                    yield when - self.sim.now
+    def _start(self) -> None:
+        self._base = self.sim.now
+        self._play(0, False)
+
+    def _play(self, i: int, due: bool) -> None:
+        """Play event ``i`` once due, and every later one due now; queue
+        the first that is not.  A looping script restarts from the
+        instant its last event played."""
+        events = self.script.events
+        sim = self.sim
+        while events:
+            while i < len(events):
+                event = events[i]
+                if not due:
+                    when = self._base + event.time_ms
+                    if when > sim.now:
+                        sim.call_later(when - sim.now, self._play, i, True)
+                        return
+                due = False
                 played = TouchEvent(
-                    time_ms=self.sim.now, x=event.x, y=event.y,
+                    time_ms=sim.now, x=event.x, y=event.y,
                     strength=event.strength,
                 )
                 self.events.append(played)
                 if self.on_touch is not None:
                     self.on_touch(played)
+                i += 1
             if not self.loop:
                 return
-            base = self.sim.now
+            self._base = sim.now
+            i = 0
 
     def count_in_window(self, start_ms: float, end_ms: float) -> int:
         return sum(1 for e in self.events if start_ms <= e.time_ms < end_ms)

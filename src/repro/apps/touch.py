@@ -1,7 +1,7 @@
 """Touch-event generation (the MonkeyRunner stand-in).
 
 The paper drives repeatable sessions with scripted input; here a seeded
-burst process plays the same role: quiet stretches punctuated by input
+burst generator plays the same role: quiet stretches punctuated by input
 bursts whose rate and duration are genre parameters.  Touch timing is the
 *cause* that leads the traffic surge by a beat — the signal the ARMAX
 exogenous input exploits (§V-B attribute 1, read from /proc/interrupts on
@@ -11,7 +11,7 @@ the real system).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional
+from typing import Callable, List, Optional
 
 from repro.apps.base import ApplicationSpec
 from repro.sim.kernel import Simulator
@@ -27,7 +27,7 @@ class TouchEvent:
 
 
 class TouchGenerator:
-    """A simulator process emitting bursts of touch events."""
+    """Emits bursts of touch events on the simulator, as callbacks."""
 
     def __init__(
         self,
@@ -41,35 +41,46 @@ class TouchGenerator:
         self.on_touch = on_touch
         self.rng = rng or sim.stream(f"touch.{spec.short_name}")
         self.events: List[TouchEvent] = []
-        self._proc = sim.spawn(self._run(), name=f"touch.{spec.short_name}")
+        sim.call_later(0.0, self._quiet)
 
-    def _run(self) -> Generator:
+    def _quiet(self) -> None:
+        # Quiet gap until the next burst (exponential around the mean).
+        gap_ms = self.rng.exponential(
+            self.spec.touch_burst_interval_s * 1000.0
+        )
+        self.sim.call_later(max(50.0, gap_ms), self._burst)
+
+    def _burst(self) -> None:
+        # Burst: touches at the in-burst rate for the burst duration.
         spec = self.spec
-        while True:
-            # Quiet gap until the next burst (exponential around the mean).
-            gap_ms = self.rng.exponential(spec.touch_burst_interval_s * 1000.0)
-            yield max(50.0, gap_ms)
-            # Burst: touches at the in-burst rate for the burst duration.
-            duration_ms = max(
-                100.0,
-                self.rng.normal(
-                    spec.touch_burst_duration_s * 1000.0,
-                    spec.touch_burst_duration_s * 200.0,
-                ),
-            )
-            burst_end = self.sim.now + duration_ms
-            period_ms = 1000.0 / spec.touch_rate_in_burst_hz
-            while self.sim.now < burst_end:
-                event = TouchEvent(
-                    time_ms=self.sim.now,
-                    x=self.rng.uniform(0.0, 1.0),
-                    y=self.rng.uniform(0.0, 1.0),
-                    strength=self.rng.uniform(0.6, 1.0),
-                )
-                self.events.append(event)
-                if self.on_touch is not None:
-                    self.on_touch(event)
-                yield max(10.0, self.rng.normal(period_ms, period_ms * 0.2))
+        duration_ms = max(
+            100.0,
+            self.rng.normal(
+                spec.touch_burst_duration_s * 1000.0,
+                spec.touch_burst_duration_s * 200.0,
+            ),
+        )
+        self._touch(
+            self.sim.now + duration_ms, 1000.0 / spec.touch_rate_in_burst_hz
+        )
+
+    def _touch(self, burst_end: float, period_ms: float) -> None:
+        if self.sim.now >= burst_end:
+            self._quiet()
+            return
+        event = TouchEvent(
+            time_ms=self.sim.now,
+            x=self.rng.uniform(0.0, 1.0),
+            y=self.rng.uniform(0.0, 1.0),
+            strength=self.rng.uniform(0.6, 1.0),
+        )
+        self.events.append(event)
+        if self.on_touch is not None:
+            self.on_touch(event)
+        self.sim.call_later(
+            max(10.0, self.rng.normal(period_ms, period_ms * 0.2)),
+            self._touch, burst_end, period_ms,
+        )
 
     def count_in_window(self, start_ms: float, end_ms: float) -> int:
         """Touches observed in [start, end) — the /proc/interrupts signal."""

@@ -55,6 +55,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
+from repro.obs.digest import digest_of
+
 CASE_SCHEMA = "repro.fuzz_case/1"
 
 #: shrink effort cap per failure: candidates *tried*, not accepted
@@ -986,11 +988,7 @@ def save_case(
         "note": note,
     }
     blob = json.dumps(body, sort_keys=True, indent=2) + "\n"
-    stem = hashlib.sha256(
-        json.dumps(
-            {"p": failure.property, "c": failure.case}, sort_keys=True
-        ).encode()
-    ).hexdigest()[:12]
+    stem = digest_of({"p": failure.property, "c": failure.case})[:12]
     path = corpus_dir / f"{failure.property}-{stem}.json"
     path.write_text(blob)
     return path
@@ -1119,9 +1117,7 @@ def run_fuzz(
         "total_cases": sum(r["cases"] for r in results),
         "total_failures": total_failures,
     }
-    summary["digest"] = hashlib.sha256(
-        json.dumps(summary, sort_keys=True).encode()
-    ).hexdigest()
+    summary["digest"] = digest_of(summary)
     return summary
 
 

@@ -2,7 +2,7 @@
 
 An :class:`InvariantMonitor` attaches to a :class:`~repro.sim.kernel.
 Simulator` and periodically (plus once at finalization) evaluates a set of
-conservation laws that must hold between any two process steps:
+conservation laws that must hold between any two callbacks:
 
 * **frame conservation** — every frame the engine submitted is either
   presented or still in flight (``submitted == presented + in_flight``);
@@ -10,8 +10,6 @@ conservation laws that must hold between any two process steps:
   in flight awaiting (re)transmission, or held for reordering;
 * **transport byte conservation** — bytes delivered never exceed bytes
   offered;
-* **timer hygiene** — no backing timer callback outlives its event's
-  trigger or cancellation;
 * **cache lockstep** — sender and receiver command caches agree on keys,
   order, capacity and hit counts, and hits never exceed lookups;
 * **fleet ownership** — every active session is homed on exactly one
@@ -33,11 +31,10 @@ subject duck-typed.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.kernel import Process, Simulator, TimerEvent
+from repro.sim.kernel import Simulator, TimerHandle
 
 #: default sweep interval; fine enough to catch transient imbalance,
 #: coarse enough to stay negligible against a 60 s session
@@ -106,10 +103,8 @@ class InvariantMonitor:
         self.invariant_names: List[str] = []
         #: (invariant, message) -> Violation, for occurrence folding
         self._seen: Dict[Tuple[str, str], Violation] = {}
-        #: recent TimerEvents registered by the kernel hook; pruned as the
-        #: backing callbacks are spent, bounded so long sessions stay cheap
-        self._timers: Deque[TimerEvent] = deque(maxlen=4096)
-        self._proc: Optional[Process] = None
+        #: the pending start hop or sweep
+        self._timer: Optional[TimerHandle] = None
         self._finalized = False
 
     # -- registration --------------------------------------------------------
@@ -356,51 +351,24 @@ class InvariantMonitor:
         self.register("fleet.capacity_accounting", accounting)
         self.register("fleet.admission_reconciliation", admission_reconciliation)
 
-    def watch_timers(self) -> None:
-        """Timer hygiene: hook the kernel so every ``timeout()`` registers
-        its :class:`TimerEvent` here, then assert no backing callback ever
-        outlives its event's trigger."""
-        self.sim.monitor = self
-
-        def hygiene() -> Optional[Tuple[str, Dict[str, Any]]]:
-            leaked = 0
-            sample = ""
-            for evt in self._timers:
-                timer = evt.timer
-                if evt.triggered and timer is not None and timer.alive:
-                    leaked += 1
-                    sample = sample or evt.name
-            if leaked:
-                return (
-                    "timer callbacks outlived their events' triggers",
-                    {"leaked": leaked, "sample": sample},
-                )
-            return None
-
-        self.register("sim.timer_hygiene", hygiene)
-
-    def note_timer(self, evt: TimerEvent) -> None:
-        """Kernel hook: called by ``Simulator.timeout`` for each new timer."""
-        self._timers.append(evt)
-
     # -- running -------------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the periodic sweep; idempotent."""
-        if self._proc is not None:
-            return
+        """Start the periodic sweep after a zero-time hop; idempotent."""
+        if self._timer is None:
+            self._timer = self.sim.call_later(0.0, self._arm)
 
-        def _loop() -> Generator:
-            while not self._finalized:
-                yield self.interval_ms
-                self.check_now()
+    def _arm(self) -> None:
+        if not self._finalized:
+            self._timer = self.sim.call_later(self.interval_ms, self._sweep)
 
-        self._proc = self.sim.spawn(_loop(), name="check.invariants")
+    def _sweep(self) -> None:
+        self.check_now()
+        self._arm()
 
     def check_now(self) -> List[Violation]:
         """Evaluate every law once; returns the violations found this sweep."""
         self.checks_run += 1
-        self._prune_timers()
         fresh: List[Violation] = []
         for name, fn in self._checks:
             try:
@@ -447,12 +415,10 @@ class InvariantMonitor:
         """
         if not self._finalized:
             self._finalized = True
-            if self._proc is not None and self._proc.alive:
-                self._proc.kill()
+            if self._timer is not None:
+                self._timer.cancel()
             self.check_now()
             self._checks = []
-            if self.sim.monitor is self:
-                self.sim.monitor = None
         return self.violations
 
     def summary(self) -> Dict[str, Any]:
@@ -471,17 +437,6 @@ class InvariantMonitor:
         }
 
     # -- internals -----------------------------------------------------------
-
-    def _prune_timers(self) -> None:
-        # Drop timers that resolved cleanly (fired and reaped, or
-        # cancelled); keep any that would currently violate, so the sweep
-        # that follows still sees them.
-        kept = [
-            evt for evt in self._timers
-            if evt.timer is not None and evt.timer.alive
-        ]
-        self._timers.clear()
-        self._timers.extend(kept)
 
     def _trace_tail(self) -> List[Dict[str, Any]]:
         return [

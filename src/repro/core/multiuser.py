@@ -159,7 +159,18 @@ def run_multiuser_session(
         )
         engines.append((app, engine, priority))
 
-    done = sim.all_of([engine.finished for _a, engine, _p in engines])
+    # Run until every engine has finished: each finish counts down, from
+    # a callback parked after a zero-time start hop.
+    done = sim.event(name="multiuser.done")
+    remaining = [len(engines)]
+
+    def count_down() -> None:
+        remaining[0] -= 1
+        if remaining[0] == 0:
+            done.trigger()
+
+    for _app, engine, _priority in engines:
+        sim.call_later(0.0, engine.finished.on_trigger, count_down)
     sim.run_until_event(done, limit=duration_ms * 6)
 
     result = MultiUserResult(policy=config.service_queue_policy)

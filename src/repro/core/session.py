@@ -174,11 +174,13 @@ def _close_session(
     Runs after the result is built: it tears the simulator down (a
     torn-down simulator cannot run again), then drops the wiring edges
     that close cycles through the client, the service nodes and the
-    engine: link receivers, transport callbacks, the scheduler's observer
-    and the touch generator's callback.  What was recorded stays
-    readable.
+    engine: link receivers, transport callbacks, the scheduler's observer,
+    the touch generator's callback and what waits for a radio to wake.
+    What was recorded stays readable.
     """
     sim.teardown()
+    for radio in engine.device.network.interfaces().values():
+        radio.close()
     for link in links:
         link.receiver = None
     for transport in transports:
@@ -210,7 +212,6 @@ def run_local_session(
     if config is not None and config.check:
         sim.digests = DigestLog()
         monitor = InvariantMonitor(sim)
-        monitor.watch_timers()
         monitor.start()
         check = SessionCheck(digests=sim.digests, monitor=monitor)
     device = UserDeviceRuntime(
@@ -232,7 +233,7 @@ def run_local_session(
             ),
         ),
     )
-    sim.run_until_process(engine._proc, limit=duration_ms * 4)
+    engine.run(limit=duration_ms * 4)
     if check is not None:
         check.monitor.finalize()
     frames = engine.presented_frames()
@@ -291,7 +292,6 @@ def run_offload_session(
     if config.check:
         sim.digests = DigestLog()
         monitor = InvariantMonitor(sim)
-        monitor.watch_timers()
         check = SessionCheck(digests=sim.digests, monitor=monitor)
     telemetry: Optional[TelemetryHub] = None
     if config.telemetry:
@@ -484,7 +484,7 @@ def run_offload_session(
         ),
     )
     engine_holder.append(engine)
-    sim.run_until_process(engine._proc, limit=duration_ms * 4)
+    engine.run(limit=duration_ms * 4)
     if monitor is not None:
         monitor.finalize()
     if telemetry is not None:

@@ -11,7 +11,7 @@ image decoding), which feed the §VII-G CPU-overhead experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator
+from typing import Dict
 
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Gauge

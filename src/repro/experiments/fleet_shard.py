@@ -33,7 +33,7 @@ from repro.experiments.fleet import (
     launch_wave,
     make_fleet_pool,
 )
-from repro.experiments.gate import digest_of
+from repro.obs.digest import digest_of
 from repro.fleet import FleetConfig
 from repro.fleet.runner import ShardJob
 from repro.obs.merge import merge_metric_snapshots, merge_span_banks

@@ -30,10 +30,11 @@ compared against the paper, not against the last run.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.obs.digest import canonical_json, digest_of
 
 #: where the committed baselines live, one ``<artifact>`` file each
 BASELINE_DIR = "benchmarks/baselines"
@@ -43,15 +44,6 @@ MAX_MOVED = 30
 
 #: ``(flag, default path, writer(path, run_output))`` for a side file
 SideFile = Tuple[str, str, Callable[[str, Dict[str, Any]], None]]
-
-
-def _canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True)
-
-
-def digest_of(obj: Any) -> str:
-    """sha256 over the canonical (sorted-key) JSON of ``obj``."""
-    return hashlib.sha256(_canonical(obj).encode()).hexdigest()
 
 
 def _content_digest(det: Dict[str, Any]) -> str:
@@ -179,7 +171,7 @@ def _moved_values(base: Dict[str, Any], cur: Dict[str, Any]) -> List[str]:
         leaves.pop("deterministic.digest", None)
 
     def shown(leaves: Dict[str, Any], path: str) -> str:
-        return _canonical(leaves[path]) if path in leaves else "(absent)"
+        return canonical_json(leaves[path]) if path in leaves else "(absent)"
 
     lines = []
     for path in [*old, *(p for p in new if p not in old)]:
@@ -261,7 +253,7 @@ def gate(spec: BenchSpec, args: argparse.Namespace) -> None:
         _fail(f"{spec.name}: acceptance gate failed", problems)
     if args.smoke:
         again = spec.run(args.seed, True, 1)
-        if _canonical(again) != _canonical(bench):
+        if canonical_json(again) != canonical_json(bench):
             raise SystemExit(f"{spec.name} smoke: same seed, different artifact")
     check_baseline(spec, bench, args.smoke)
     if args.smoke:

@@ -26,9 +26,7 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.devices.profiles import DeviceSpec
 from repro.faults.schedule import FaultSchedule, NodeCrash
@@ -39,7 +37,8 @@ from repro.fleet.placement import SessionPlacer
 from repro.fleet.registry import DeviceRegistry, RegisteredDevice
 from repro.fleet.session import REPLAY_WARM_FACTOR, FleetSession, SessionRequest
 from repro.net.discovery import DiscoveryService
-from repro.sim.kernel import Simulator
+from repro.obs.digest import digest_of
+from repro.sim.kernel import Event, Simulator
 
 #: discovery probe deadline per bootstrap round
 DISCOVERY_TIMEOUT_MS = 500.0
@@ -119,8 +118,8 @@ class FleetController:
         #: to avoid racing an empty registry (the admission queue would
         #: absorb a few early arrivals, but not a whole launch wave)
         self.bootstrapped = sim.event(name="fleet.bootstrapped")
-        sim.spawn(self._bootstrap(), name="fleet.bootstrap")
-        sim.spawn(self._control_loop(), name="fleet.control")
+        sim.call_later(0.0, self._bootstrap)
+        sim.every(CONTROL_INTERVAL_MS, self._control)
         if self.config.faults is not None:
             self._arm_faults(self.config.faults)
         #: runtime conservation-law checker, armed by ``config.check``
@@ -130,7 +129,6 @@ class FleetController:
 
             self.monitor = InvariantMonitor(sim)
             self.monitor.watch_fleet(self)
-            self.monitor.watch_timers()
             self.monitor.start()
 
     # -- capacity ------------------------------------------------------------
@@ -154,37 +152,49 @@ class FleetController:
             return 1.0  # a dead box never answers; ranked last if raced
         return node.load_fraction
 
-    def _bootstrap(self) -> Generator:
+    def _bootstrap(self) -> None:
         discovery = DiscoveryService(
             self.sim,
             responders=self.pool,
             rng=self.sim.stream("fleet.discovery"),
             load_probe=self._load_probe,
         )
-        for round_no in range(DISCOVERY_ROUNDS):
-            if len(self.registry.devices) == len(self.pool):
-                break
-            # Only probe for devices not yet registered.
+        self._probe_round(discovery, 0)
+
+    def _probe_round(self, discovery: DiscoveryService, round_no: int) -> None:
+        """Probe for the devices not yet registered, or finish the
+        bootstrap once all are, none is left to probe or the rounds run
+        out."""
+        if (
+            round_no < DISCOVERY_ROUNDS
+            and len(self.registry.devices) != len(self.pool)
+        ):
             discovery.responders = [
                 spec for spec in self.pool
                 if spec.name not in self.registry.devices
                 and not self.nodes[spec.name].failed
             ]
-            if not discovery.responders:
-                break
-            result = yield discovery.probe(timeout_ms=DISCOVERY_TIMEOUT_MS)
-            for ad in result.ranked():
-                node = self.nodes[ad.device.name]
-                self.rtt_ms[ad.device.name] = ad.rtt_ms
-                self.registry.register(
-                    ad.device, rtt_ms=ad.rtt_ms,
-                    probe=self._make_probe(node),
-                )
+            if discovery.responders:
+                done = discovery.probe(timeout_ms=DISCOVERY_TIMEOUT_MS)
+                done.on_trigger(self._probed, discovery, done, round_no)
+                return
         self.sim.spans.mark(
             "fleet.state", "bootstrap_complete", track="fleet",
             registered=len(self.registry.devices),
         )
         self.bootstrapped.trigger(len(self.registry.devices))
+
+    def _probed(
+        self, discovery: DiscoveryService, done: Event, round_no: int
+    ) -> None:
+        for ad in done.value.ranked():
+            node = self.nodes[ad.device.name]
+            self.rtt_ms[ad.device.name] = ad.rtt_ms
+            self.registry.register(
+                ad.device, rtt_ms=ad.rtt_ms,
+                probe=self._make_probe(node),
+            )
+        self._probe_round(discovery, round_no + 1)
 
     def _make_probe(self, node: FleetNode):
         homed = self.homed[node.name]
@@ -332,13 +342,12 @@ class FleetController:
                 trace_id=trace.trace_id if trace is not None else None,
                 tier=request.tier,
             )
-        self.sim.spawn(
-            self._watch_session(session),
-            name=f"fleet.watch.{session.session_id}",
+        # Watch for the end, after a zero-time start hop.
+        self.sim.call_later(
+            0.0, session.finished.on_trigger, self._session_done, session
         )
 
-    def _watch_session(self, session: FleetSession) -> Generator:
-        yield session.finished
+    def _session_done(self, session: FleetSession) -> None:
         self.active.pop(session.session_id, None)
         self.finished.append(session)
         if session.node is not None:
@@ -493,23 +502,21 @@ class FleetController:
 
     # -- the control loop ----------------------------------------------------
 
-    def _control_loop(self) -> Generator:
-        while True:
-            yield CONTROL_INTERVAL_MS
-            self._drain_admission_queue()
-            by_node: Dict[str, List[FleetSession]] = {}
-            for s in self.active.values():
-                if s.node is not None:
-                    by_node.setdefault(s.node.name, []).append(s)
-            moves = self.placer.plan_rebalance(
-                sessions_by_node=by_node,
-                nodes=self._up_nodes(),
-                committed_mp_per_ms=self.committed_mp_per_ms,
-            )
-            for move in moves:
-                if move.session.session_id not in self.active:
-                    continue
-                self._migrate_session(move.session, reason="rebalance")
+    def _control(self) -> None:
+        self._drain_admission_queue()
+        by_node: Dict[str, List[FleetSession]] = {}
+        for s in self.active.values():
+            if s.node is not None:
+                by_node.setdefault(s.node.name, []).append(s)
+        moves = self.placer.plan_rebalance(
+            sessions_by_node=by_node,
+            nodes=self._up_nodes(),
+            committed_mp_per_ms=self.committed_mp_per_ms,
+        )
+        for move in moves:
+            if move.session.session_id not in self.active:
+                continue
+            self._migrate_session(move.session, reason="rebalance")
 
     # -- fault injection -----------------------------------------------------
 
@@ -619,6 +626,5 @@ class FleetController:
                 "warm_factor": REPLAY_WARM_FACTOR,
                 "hub_generation": self.replay_hub.generation(),
             }
-        blob = json.dumps(report, sort_keys=True).encode()
-        report["digest"] = hashlib.sha256(blob).hexdigest()
+        report["digest"] = digest_of(report)
         return report

@@ -4,7 +4,7 @@ Discovery (``repro.net.discovery``) answers *what exists on the LAN*;
 the registry answers *what is alive right now and how busy it is*.  Each
 registered device runs a heartbeat loop reporting its real queued
 workload (the same ``w^j`` the Eq. 4 scheduler consumes) on a fixed
-period.  A monitor process watches the report times: a device silent for
+period.  A periodic liveness check watches the report times: a device silent for
 ``HEARTBEAT_TIMEOUT_MS`` is declared **down** and the registry fires its
 ``on_lost`` hook — there is no failure oracle; crashes are observed the
 only way a distributed system can observe them, by missed heartbeats.
@@ -16,7 +16,7 @@ recovered capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.devices.profiles import DeviceSpec
 from repro.sim.kernel import Simulator
@@ -82,7 +82,7 @@ class DeviceRegistry:
         #: fired with the RegisteredDevice on membership transitions
         self.on_lost: Optional[Callable[[RegisteredDevice], None]] = None
         self.on_join: Optional[Callable[[RegisteredDevice], None]] = None
-        self._monitor = sim.spawn(self._monitor_loop(), name="fleet.monitor")
+        sim.every(HEARTBEAT_INTERVAL_MS, self._check_liveness)
 
     # -- membership ----------------------------------------------------------
 
@@ -97,9 +97,7 @@ class DeviceRegistry:
         # first scheduled beat.
         dev.last_heartbeat = Heartbeat(self.sim.now, 0.0, 0)
         self.devices[spec.name] = dev
-        self.sim.spawn(
-            self._heartbeat_loop(dev), name=f"fleet.hb.{spec.name}"
-        )
+        self.sim.every(HEARTBEAT_INTERVAL_MS, self._heartbeat, dev)
         self.sim.spans.mark("fleet", "device_registered", device=spec.name)
         if self.on_join is not None:
             self.on_join(dev)
@@ -126,37 +124,33 @@ class DeviceRegistry:
 
     # -- liveness ------------------------------------------------------------
 
-    def _heartbeat_loop(self, dev: RegisteredDevice) -> Generator:
-        while True:
-            yield HEARTBEAT_INTERVAL_MS
-            answer = dev.probe()
-            if answer is None:
-                continue  # silence; the monitor draws the conclusion
-            workload, sessions = answer[0], answer[1]
-            generation = answer[2] if len(answer) > 2 else 0
-            titles = tuple(answer[3]) if len(answer) > 3 else ()
-            dev.last_heartbeat = Heartbeat(
-                self.sim.now, workload, sessions, generation, titles
-            )
-            if dev.state == "down":
-                dev.state = "up"
-                dev.joins += 1
-                self.sim.spans.mark("fleet", "device_up", device=dev.name)
-                if self.on_join is not None:
-                    self.on_join(dev)
+    def _heartbeat(self, dev: RegisteredDevice) -> None:
+        answer = dev.probe()
+        if answer is None:
+            return  # silence; the liveness check draws the conclusion
+        workload, sessions = answer[0], answer[1]
+        generation = answer[2] if len(answer) > 2 else 0
+        titles = tuple(answer[3]) if len(answer) > 3 else ()
+        dev.last_heartbeat = Heartbeat(
+            self.sim.now, workload, sessions, generation, titles
+        )
+        if dev.state == "down":
+            dev.state = "up"
+            dev.joins += 1
+            self.sim.spans.mark("fleet", "device_up", device=dev.name)
+            if self.on_join is not None:
+                self.on_join(dev)
 
-    def _monitor_loop(self) -> Generator:
-        while True:
-            yield HEARTBEAT_INTERVAL_MS
-            for dev in self.devices.values():
-                if dev.state != "up" or dev.last_heartbeat is None:
-                    continue
-                silent_ms = self.sim.now - dev.last_heartbeat.time_ms
-                if silent_ms >= HEARTBEAT_TIMEOUT_MS:
-                    dev.state = "down"
-                    dev.losses += 1
-                    self.sim.spans.mark(
-                        "fleet", "device_down", device=dev.name
-                    )
-                    if self.on_lost is not None:
-                        self.on_lost(dev)
+    def _check_liveness(self) -> None:
+        for dev in self.devices.values():
+            if dev.state != "up" or dev.last_heartbeat is None:
+                continue
+            silent_ms = self.sim.now - dev.last_heartbeat.time_ms
+            if silent_ms >= HEARTBEAT_TIMEOUT_MS:
+                dev.state = "down"
+                dev.losses += 1
+                self.sim.spans.mark(
+                    "fleet", "device_down", device=dev.name
+                )
+                if self.on_lost is not None:
+                    self.on_lost(dev)

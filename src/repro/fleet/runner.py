@@ -147,11 +147,13 @@ class FleetRun:
         Read the report, digests and invariant count first: this tears
         the simulator down (a torn-down simulator cannot run again), then
         drops the references that close cycles through the controller:
-        node answers, registry hooks and heartbeat probes.  Recorded
-        spans and metrics stay readable.
+        node answers, registry hooks, heartbeat probes, and what waits on
+        sessions still active.  Recorded spans and metrics stay readable.
         """
         self.sim.teardown()
         controller = self.controller
+        for session in controller.active.values():
+            session.close()
         for node in controller.nodes.values():
             node.on_complete = None
         registry = controller.registry

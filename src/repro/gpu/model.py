@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Generator, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.gles.commands import GLCommand
 from repro.gpu.power import GPUPowerModel
@@ -99,9 +99,7 @@ class GPUDevice:
         self.completed: List[CompletedRender] = []
         self.freq_trace: List[Tuple[float, float, float]] = []
 
-        self._thermal_proc = sim.spawn(
-            self._thermal_loop(), name=f"gpu.{self.name}.thermal"
-        )
+        sim.every(thermal_step_ms, self._thermal_step)
 
     # -- public API ------------------------------------------------------------
 
@@ -219,27 +217,25 @@ class GPUDevice:
         else:
             self._busy = False
 
-    def _thermal_loop(self) -> Generator:
+    def _thermal_step(self) -> None:
         """Periodic thermal integration and governor stepping."""
-        while True:
-            yield self.thermal_step_ms
-            self._update_power()
-            power = self.power.value
-            dt_s = self.thermal_step_ms / 1000.0
-            old_freq = self.governor.freq_mhz
-            new_freq = self.governor.step(self.sim.now / 1000.0, dt_s, power)
-            self.freq_trace.append(
-                (self.sim.now, new_freq, self.thermal.temperature_c)
+        self._update_power()
+        power = self.power.value
+        dt_s = self.thermal_step_ms / 1000.0
+        old_freq = self.governor.freq_mhz
+        new_freq = self.governor.step(self.sim.now / 1000.0, dt_s, power)
+        self.freq_trace.append(
+            (self.sim.now, new_freq, self.thermal.temperature_c)
+        )
+        if new_freq != old_freq:
+            self.sim.spans.mark(
+                "gpu",
+                "dvfs",
+                device=self.name,
+                freq_mhz=new_freq,
+                temperature_c=self.thermal.temperature_c,
             )
-            if new_freq != old_freq:
-                self.sim.spans.mark(
-                    "gpu",
-                    "dvfs",
-                    device=self.name,
-                    freq_mhz=new_freq,
-                    temperature_c=self.thermal.temperature_c,
-                )
-                self._update_power()
+            self._update_power()
 
     def _update_power(self) -> None:
         self.power.set(

@@ -10,9 +10,10 @@ same-seed identity checks.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Dict
+
+from repro.obs.digest import digest_of
 
 
 def session_report(result) -> Dict[str, Any]:
@@ -70,8 +71,7 @@ def fleet_report(fleet) -> Dict[str, Any]:
     """
     report = dict(fleet) if isinstance(fleet, dict) else fleet.report()
     report.pop("digest", None)
-    blob = json.dumps(report, sort_keys=True).encode()
-    report["digest"] = hashlib.sha256(blob).hexdigest()
+    report["digest"] = digest_of(report)
     return report
 
 

@@ -10,7 +10,7 @@ smart-TV ecosystems:
    (collision avoidance), advertising its capability vector (GPU fillrate,
    CPU class, current load);
 3. the prober collects answers until every responder has been accounted
-   for — answered or lost — or until a deadline, whichever comes first,
+   for — receive_answer or lost — or until a deadline, whichever comes first,
    then ranks candidates.
 
 Discovery is how the adaptive session runner (``repro.core.adaptive``)
@@ -25,7 +25,7 @@ service daemons).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.devices.profiles import DeviceSpec
 from repro.sim.kernel import Event, Simulator
@@ -58,7 +58,7 @@ class DiscoveryResult:
     probe_sent_at_ms: float = 0.0
     deadline_ms: float = 0.0
     #: when the round actually finished; earlier than the deadline when
-    #: every responder answered (or was lost) before the timeout.
+    #: every responder receive_answer (or was lost) before the timeout.
     completed_at_ms: Optional[float] = None
 
     @property
@@ -120,7 +120,7 @@ class DiscoveryService:
         The round ends at ``timeout_ms``, or earlier once every responder
         has been accounted for — an answer recorded, or its probe/answer
         lost on the LAN.  (A real prober cannot see losses, but it *can*
-        stop as soon as the expected population has answered; the early
+        stop as soon as the expected population has receive_answer; the early
         exit on losses keeps the simulation from charging dead air to
         scenarios the prober would re-probe anyway.)
         """
@@ -144,18 +144,27 @@ class DiscoveryService:
             if remaining[0] == 0:
                 finish()
 
-        def responder_proc(spec: DeviceSpec) -> Generator:
+        # Each responder is a chain of callbacks, started after a
+        # zero-time hop: probe out, backoff, answer back.
+        def send_probe(spec: DeviceSpec) -> None:
             # Probe propagation, possibly lost on the way out.
             if self.rng.bernoulli(self.loss_probability):
                 account()
                 return
-            yield self.lan_latency_ms
+            sim.call_later(self.lan_latency_ms, back_off, spec)
+
+        def back_off(spec: DeviceSpec) -> None:
             # Random backoff desynchronizes the answers.
-            yield self.rng.uniform(1.0, self.response_backoff_ms)
+            backoff_ms = self.rng.uniform(1.0, self.response_backoff_ms)
+            sim.call_later(backoff_ms, send_answer, spec)
+
+        def send_answer(spec: DeviceSpec) -> None:
             if self.rng.bernoulli(self.loss_probability):
                 account()
                 return  # answer lost
-            yield self.lan_latency_ms
+            sim.call_later(self.lan_latency_ms, receive_answer, spec)
+
+        def receive_answer(spec: DeviceSpec) -> None:
             if sim.now <= result.deadline_ms:
                 result.advertisements.append(
                     ServiceAdvertisement(
@@ -168,15 +177,12 @@ class DiscoveryService:
             account()
 
         for spec in self.responders:
-            sim.spawn(responder_proc(spec), name=f"discovery.{spec.name}")
-
-        def finisher() -> Generator:
-            yield timeout_ms
-            finish()
+            sim.call_later(0.0, send_probe, spec)
 
         if not self.responders:
             # An empty LAN has nothing to wait for.
             finish()
         else:
-            sim.spawn(finisher(), name="discovery.deadline")
+            # The deadline, after a zero-time start hop.
+            sim.call_later(0.0, sim.call_later, timeout_ms, finish)
         return done

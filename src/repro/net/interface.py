@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.net.message import Message
 from repro.sim.kernel import Event, Simulator
@@ -233,17 +233,25 @@ class WirelessInterface:
             "radio", "waking", radio=self.name, delay_ms=delay
         )
 
-        def _wake() -> Generator:
-            yield delay
-            if self.state == RadioState.WAKING:
-                self.state = RadioState.IDLE
-                self._set_power(self.spec.idle_power_w)
-                if not usable.triggered:
-                    usable.trigger(None)
-                self.sim.spans.mark("radio", "awake", radio=self.name)
-
-        self.sim.spawn(_wake(), name=f"radio.{self.name}.wake")
+        # A zero-time start hop, then the wake delay.
+        self.sim.call_later(
+            0.0, self.sim.call_later, delay, self._woken, usable
+        )
         return usable
+
+    def _woken(self, usable: Event) -> None:
+        if self.state == RadioState.WAKING:
+            self.state = RadioState.IDLE
+            self._set_power(self.spec.idle_power_w)
+            if not usable.triggered:
+                usable.trigger(None)
+            self.sim.spans.mark("radio", "awake", radio=self.name)
+
+    def close(self) -> None:
+        """Cancel what waits for the radio to wake (held messages, route
+        flips): those callbacks point back at their owners.  A closed
+        session calls this."""
+        self._usable.cancel_waiters()
 
     # -- data path ---------------------------------------------------------------
 

@@ -12,7 +12,7 @@ predictors consume (§V-B).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.interface import (
     BLUETOOTH_CLASSIC,
@@ -56,7 +56,7 @@ class NetworkManager:
         self.switch_log: List[Tuple[float, str]] = []
         self.traffic_samples: List[TrafficSample] = []
         self._epoch_bytes = 0
-        sim.spawn(self._sampler(), name=f"{name}.sampler")
+        sim.call_later(0.0, self._next_sample)
 
     # -- routing ----------------------------------------------------------------
 
@@ -98,14 +98,15 @@ class NetworkManager:
             self._apply_route(interface_name)
             return
         usable = target.power_on()
+        # After a zero-time start hop, wait for the radio.
+        self.sim.call_later(
+            0.0, usable.on_trigger, self._flip, token, interface_name
+        )
 
-        def _flip() -> Generator:
-            yield usable
-            # A newer use() call supersedes this pending flip.
-            if self._route_token == token:
-                self._apply_route(interface_name)
-
-        self.sim.spawn(_flip(), name=f"{self.name}.routeflip")
+    def _flip(self, token: int, interface_name: str) -> None:
+        # A newer use() call supersedes this pending flip.
+        if self._route_token == token:
+            self._apply_route(interface_name)
 
     def _apply_route(self, interface_name: str) -> None:
         self.active_name = interface_name
@@ -122,13 +123,16 @@ class NetworkManager:
 
     # -- traffic sampling -----------------------------------------------------------
 
-    def _sampler(self) -> Generator:
-        while True:
-            yield self.epoch_ms
-            self.traffic_samples.append(
-                TrafficSample(time_ms=self.sim.now, bytes=self._epoch_bytes)
-            )
-            self._epoch_bytes = 0
+    def _next_sample(self) -> None:
+        # Read per epoch: a session sets ``epoch_ms`` after construction.
+        self.sim.call_later(self.epoch_ms, self._sample)
+
+    def _sample(self) -> None:
+        self.traffic_samples.append(
+            TrafficSample(time_ms=self.sim.now, bytes=self._epoch_bytes)
+        )
+        self._epoch_bytes = 0
+        self._next_sample()
 
     def samples_mbps(self) -> List[float]:
         """Per-epoch offered load in Mbps."""

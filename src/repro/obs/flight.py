@@ -20,9 +20,9 @@ triggers instead of growing without bound.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Callable, Dict, List, Optional
+
+from repro.obs.digest import digest_of
 
 #: bundle schema identifier, bumped on incompatible changes
 FLIGHT_SCHEMA = "repro.flight_bundle/1"
@@ -176,8 +176,7 @@ class FlightRecorder:
             name: _jsonable(self._sources[name]())
             for name in sorted(self._sources)
         }
-        blob = json.dumps(bundle, sort_keys=True).encode()
-        bundle["digest"] = hashlib.sha256(blob).hexdigest()
+        bundle["digest"] = digest_of(bundle)
         self.bundles.append(bundle)
         sim.spans.mark(
             "flight", "trigger", track="flight",
@@ -227,8 +226,6 @@ def validate_bundle(bundle: Any) -> List[str]:
         problems.append("'ring_tail' must be a list")
     check = dict(bundle)
     digest = check.pop("digest", None)
-    if isinstance(digest, str):
-        blob = json.dumps(check, sort_keys=True).encode()
-        if hashlib.sha256(blob).hexdigest() != digest:
-            problems.append("digest does not match bundle contents")
+    if isinstance(digest, str) and digest_of(check) != digest:
+        problems.append("digest does not match bundle contents")
     return problems

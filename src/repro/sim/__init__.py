@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulation kernel.
 
 Every GBooster substrate (GPU, radios, transports, applications) runs on
-this kernel, as a process or as callbacks.  Time is a float number of
+this kernel as callbacks.  Time is a float number of
 milliseconds; all randomness is drawn from named :class:`RandomStream`
 objects derived from a single run seed, so a simulation is fully
 reproducible.
@@ -9,10 +9,8 @@ reproducible.
 
 from repro.sim.kernel import (
     Event,
-    Process,
     SimulationError,
     Simulator,
-    TimerEvent,
     TimerHandle,
 )
 from repro.sim.random import RandomStream
@@ -21,10 +19,8 @@ from repro.sim.resources import Gauge
 __all__ = [
     "Event",
     "Gauge",
-    "Process",
     "RandomStream",
     "SimulationError",
     "Simulator",
-    "TimerEvent",
     "TimerHandle",
 ]

@@ -1,4 +1,4 @@
-"""The switching controller process.
+"""The switching controller.
 
 Runs once per traffic epoch (100 ms): reads the network manager's latest
 offered-load sample and the exogenous signal snapshot, consults the policy,
@@ -11,7 +11,7 @@ counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.net.manager import NetworkManager
 from repro.sim.kernel import Simulator
@@ -49,75 +49,72 @@ class SwitchingController:
         self.exogenous_source = exogenous_source or (lambda: ())
         self.power_down_idle = power_down_idle
         self.stats = SwitchingStats()
-        self._proc = sim.spawn(self._run(), name="switching.controller")
+        self._seen = 0
+        sim.every(manager.epoch_ms, self._epoch)
 
-    def _run(self) -> Generator:
-        epoch = self.manager.epoch_ms
-        seen = 0
-        while True:
-            yield epoch
-            samples = self.manager.samples_mbps()
-            if len(samples) <= seen:
-                continue
-            mbps = samples[-1]
-            seen = len(samples)
-            exo = list(self.exogenous_source())
-            decision = self.policy.decide(mbps, exo, self.manager.active_name)
-            telemetry = self.sim.telemetry
+    def _epoch(self) -> None:
+        samples = self.manager.samples_mbps()
+        if len(samples) <= self._seen:
+            return
+        mbps = samples[-1]
+        self._seen = len(samples)
+        exo = list(self.exogenous_source())
+        decision = self.policy.decide(mbps, exo, self.manager.active_name)
+        telemetry = self.sim.telemetry
+        if telemetry is not None:
+            telemetry.observe(
+                "net.offered_mbps", mbps,
+                link=self.manager.active_name,
+            )
+            residual = getattr(self.policy, "last_residual", None)
+            if residual is not None:
+                telemetry.track_residual(residual)
+        self.stats.epochs += 1
+        if self.manager.active_name == "wifi":
+            self.stats.epochs_on_wifi += 1
+        else:
+            self.stats.epochs_on_bluetooth += 1
+        active_rate = self.manager.active.spec.bandwidth_mbps
+        if mbps > active_rate:
+            self.stats.overload_epochs += 1
+            self.sim.metrics.counter("switching.overload_epochs").inc()
+        if decision == SwitchDecision.WIFI:
+            self.manager.use("wifi")
+            self.stats.switches_to_wifi += 1
+            self.sim.metrics.counter("switching.to_wifi").inc()
             if telemetry is not None:
                 telemetry.observe(
-                    "net.offered_mbps", mbps,
-                    link=self.manager.active_name,
+                    "switching.switches", 1.0, agg="count", to="wifi",
                 )
-                residual = getattr(self.policy, "last_residual", None)
-                if residual is not None:
-                    telemetry.track_residual(residual)
-            self.stats.epochs += 1
-            if self.manager.active_name == "wifi":
-                self.stats.epochs_on_wifi += 1
-            else:
-                self.stats.epochs_on_bluetooth += 1
-            active_rate = self.manager.active.spec.bandwidth_mbps
-            if mbps > active_rate:
-                self.stats.overload_epochs += 1
-                self.sim.metrics.counter("switching.overload_epochs").inc()
-            if decision == SwitchDecision.WIFI:
-                self.manager.use("wifi")
-                self.stats.switches_to_wifi += 1
-                self.sim.metrics.counter("switching.to_wifi").inc()
-                if telemetry is not None:
-                    telemetry.observe(
-                        "switching.switches", 1.0, agg="count", to="wifi",
-                    )
-                self.sim.spans.mark(
-                    "switching", "switch", track="radio",
+            self.sim.spans.mark(
+                "switching", "switch", track="radio",
+                to="wifi", offered_mbps=round(mbps, 3),
+            )
+            if self.sim.causal is not None:
+                # trace=None: the switch attaches to the frame in
+                # flight — "the radio came up underneath this frame".
+                self.sim.causal.event(
+                    "switching", "radio_up",
                     to="wifi", offered_mbps=round(mbps, 3),
                 )
-                if self.sim.causal is not None:
-                    # trace=None: the switch attaches to the frame in
-                    # flight — "the radio came up underneath this frame".
-                    self.sim.causal.event(
-                        "switching", "radio_up",
-                        to="wifi", offered_mbps=round(mbps, 3),
-                    )
-                if self.power_down_idle:
-                    self.manager.power_down_idle()
-            elif decision == SwitchDecision.BLUETOOTH:
-                self.manager.use("bluetooth")
-                self.stats.switches_to_bluetooth += 1
-                self.sim.metrics.counter("switching.to_bluetooth").inc()
-                if telemetry is not None:
-                    telemetry.observe(
-                        "switching.switches", 1.0, agg="count", to="bluetooth",
-                    )
-                self.sim.spans.mark(
-                    "switching", "switch", track="radio",
+            if self.power_down_idle:
+                self.manager.power_down_idle()
+        elif decision == SwitchDecision.BLUETOOTH:
+            self.manager.use("bluetooth")
+            self.stats.switches_to_bluetooth += 1
+            self.sim.metrics.counter("switching.to_bluetooth").inc()
+            if telemetry is not None:
+                telemetry.observe(
+                    "switching.switches", 1.0, agg="count", to="bluetooth",
+                )
+            self.sim.spans.mark(
+                "switching", "switch", track="radio",
+                to="bluetooth", offered_mbps=round(mbps, 3),
+            )
+            if self.sim.causal is not None:
+                self.sim.causal.event(
+                    "switching", "radio_down",
                     to="bluetooth", offered_mbps=round(mbps, 3),
                 )
-                if self.sim.causal is not None:
-                    self.sim.causal.event(
-                        "switching", "radio_down",
-                        to="bluetooth", offered_mbps=round(mbps, 3),
-                    )
-                if self.power_down_idle:
-                    self.manager.power_down_idle()
+            if self.power_down_idle:
+                self.manager.power_down_idle()

@@ -20,7 +20,7 @@ def run_local(app, device_spec, duration_ms=20_000.0, seed=0):
     engine = GameEngine(
         sim, app, device, backend, EngineConfig(duration_ms=duration_ms)
     )
-    sim.run_until_process(engine._proc, limit=duration_ms * 3)
+    engine.run(limit=duration_ms * 3)
     return engine, device
 
 

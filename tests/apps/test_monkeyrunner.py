@@ -101,7 +101,7 @@ class TestEngineIntegration:
             sim, GTA_SAN_ANDREAS, device, LocalBackend(sim, device),
             EngineConfig(duration_ms=15_000.0, input_script=script),
         )
-        sim.run_until_process(engine._proc, limit=60_000.0)
+        engine.run(limit=60_000.0)
         return engine
 
     def test_scripted_sessions_see_identical_input(self):

@@ -1,4 +1,4 @@
-"""InvariantMonitor: law registration, violation capture, timer hygiene."""
+"""InvariantMonitor: law registration, violation capture, the sweep."""
 
 import pytest
 
@@ -11,10 +11,7 @@ from repro.sim.kernel import Simulator
 
 
 def run_idle(sim, until=2_000.0):
-    def idle():
-        yield until
-
-    sim.spawn(idle(), name="idle")
+    sim.call_later(until, lambda: None)
     sim.run(until=until)
 
 
@@ -88,68 +85,29 @@ class TestRegistration:
         assert sim.metrics.counter("check.violations").value >= 1
 
 
-class TestTimerHygiene:
-    def test_clean_timers_pass(self):
+class TestSweep:
+    def test_sweeps_every_interval_after_a_start_hop(self):
         sim = Simulator(seed=0)
-        monitor = InvariantMonitor(sim, interval_ms=50.0)
-        monitor.watch_timers()
+        monitor = InvariantMonitor(sim, interval_ms=100.0)
+        seen = []
+        monitor.register("demo.clock", lambda: seen.append(sim.now))
         monitor.start()
+        monitor.start()  # idempotent
+        run_idle(sim, until=350.0)
+        assert seen == [100.0, 200.0, 300.0]
 
-        def worker():
-            for _ in range(5):
-                yield sim.timeout(10.0)
-
-        sim.spawn(worker(), name="worker")
-        # A bounded horizon: the monitor's own sweep loop keeps the event
-        # queue alive, so an open-ended run() would never drain.
-        sim.run(until=200.0)
-        assert monitor.finalize() == []
-
-    def test_cancelled_timers_pass(self):
+    def test_finalize_stops_the_sweep(self):
         sim = Simulator(seed=0)
-        monitor = InvariantMonitor(sim, interval_ms=50.0)
-        monitor.watch_timers()
+        monitor = InvariantMonitor(sim, interval_ms=100.0)
+        monitor.register("demo.fine", lambda: None)
         monitor.start()
-
-        def worker():
-            evt = sim.timeout(10_000.0)
-            yield 5.0
-            evt.cancel()
-            yield 5.0
-
-        sim.spawn(worker(), name="worker")
-        sim.run(until=200.0)
-        assert monitor.finalize() == []
-
-    def test_leaked_timer_is_detected(self):
-        sim = Simulator(seed=0)
-        monitor = InvariantMonitor(sim, interval_ms=50.0)
-        monitor.watch_timers()
-        monitor.start()
-
-        def leaker():
-            evt = sim.timeout(10_000.0)
-            # Simulate the pre-fix transport bug: the event is marked
-            # satisfied by hand but the backing timer keeps sleeping.
-            evt.triggered = True
-            yield 100.0
-
-        sim.spawn(leaker(), name="leaker")
-        sim.run(until=300.0)
+        run_idle(sim, until=250.0)
         monitor.finalize()
-        assert not monitor.ok
-        assert any(
-            v.invariant == "sim.timer_hygiene" for v in monitor.violations
-        )
-
-    def test_watch_timers_installs_the_kernel_hook(self):
-        sim = Simulator(seed=0)
-        monitor = InvariantMonitor(sim)
-        assert sim.monitor is None
-        monitor.watch_timers()
-        assert sim.monitor is monitor
-        monitor.finalize()
-        assert sim.monitor is None
+        checks = monitor.checks_run
+        # The pending sweep was cancelled: it neither runs nor moves the
+        # clock.
+        assert sim.run() == 250.0
+        assert monitor.checks_run == checks == 3
 
 
 class TestSessionIntegration:
@@ -171,7 +129,6 @@ class TestSessionIntegration:
             "client.frame_conservation",
             "transport.message_conservation",
             "cache.lockstep",
-            "sim.timer_hygiene",
         ):
             assert law in names
 
@@ -253,4 +210,3 @@ class TestSessionIntegration:
         )
         assert result.check is None
         assert result.engine.sim.digests is None
-        assert result.engine.sim.monitor is None

@@ -10,7 +10,7 @@ finds nothing.  ``tests/fleet/test_teardown.py`` is the fleet's guard.
 
 import pytest
 
-from repro.apps.games import STAR_WARS_KOTOR
+from repro.apps.games import GAMES, STAR_WARS_KOTOR
 from repro.core import session
 from repro.core.config import GBoosterConfig
 from repro.core.session import run_local_session, run_offload_session
@@ -74,10 +74,20 @@ def observed():
     offload(**OBSERVED)
 
 
+def ends_mid_wake():
+    # This session ends while the WiFi radio wakes for a route flip: the
+    # flips stay parked on the radio's wake event until the close.
+    run_offload_session(
+        GAMES["G4"], LG_G5, [NVIDIA_SHIELD],
+        config=GBoosterConfig(switching_policy="predictive"),
+        duration_ms=11_110.0, seed=1,
+    )
+
+
 @pytest.mark.parametrize(
     "run",
     [local, local_checked, offload_default, two_services, planner, replay,
-     crash, observed],
+     crash, observed, ends_mid_wake],
     ids=lambda run: run.__name__,
 )
 def test_a_finished_session_leaves_no_cyclic_garbage(run):

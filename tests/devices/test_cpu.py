@@ -4,6 +4,7 @@ import pytest
 
 from repro.devices.cpu import CPUModel, SNAPDRAGON_800
 from repro.sim.kernel import Simulator
+from tests.coroutines import spawn
 
 
 def test_additive_load_sources():
@@ -55,7 +56,7 @@ def test_energy_integrates_over_time():
         cpu.set_load("x", 0.0)
         yield 1_000.0
 
-    sim.spawn(proc())
+    spawn(sim, proc())
     sim.run()
     expected = SNAPDRAGON_800.active_power_w + SNAPDRAGON_800.idle_power_w
     assert cpu.energy_joules() == pytest.approx(expected, rel=0.01)
@@ -71,7 +72,7 @@ def test_mean_utilization():
         cpu.set_load("x", 0.0)
         yield 500.0
 
-    sim.spawn(proc())
+    spawn(sim, proc())
     sim.run()
     assert cpu.mean_utilization() == pytest.approx(0.5, abs=0.01)
 

@@ -5,7 +5,9 @@ arrival coroutine after bootstrap: a gap loop (submit, sleep one gap)
 and an offset loop (sleep to the next offset unless it is the current
 one, submit).  :class:`~repro.fleet.runner.FleetRun` now chains one
 callback per arrival instant.  This module keeps both loops, verbatim,
-as references and checks that the runner replays them: the same
+as references run by the test-local driver ``tests.coroutines.spawn``
+(the kernel itself runs callbacks only), and checks that the runner
+replays them: the same
 controller report, span list, per-session frame digests and response
 times — with float times, and on a whole-ms grid where arrivals share
 instants with each other, with the registry monitor and the control
@@ -30,6 +32,7 @@ from repro.fleet import (
     SessionRequest,
 )
 from repro.sim.kernel import Simulator
+from tests.coroutines import spawn
 
 APPS = list(GAMES.values())
 
@@ -136,7 +139,7 @@ def run_reference(scenario):
         loop = offset_loop(
             sim, controller, APPS, scenario["apps"], scenario["offsets"]
         )
-    sim.spawn(loop, name="fleet.arrivals")
+    spawn(sim, loop)
     sim.run(until=sim.now + spread_of(scenario)
             + 2.0 * scenario["duration_ms"] + 5_000.0)
     if controller.monitor is not None:

@@ -3,7 +3,8 @@
 ``FleetNode`` and ``FleetSession`` used to run one coroutine each: a
 serving loop over a priority store and a frame-issue loop behind a pipeline gate event.  Both now act inside the
 kernel callback that brings them work or an answer.  This module keeps
-those loops, verbatim, as test-local reference subclasses and checks that
+those loops, verbatim, as test-local reference subclasses, run by the
+driver ``tests.coroutines.spawn``, and checks that
 the callbacks replay them: same tasks, completion times, owners and
 re-dispatch counts, node stats, stranded sets and spans — with float
 times, where no two events share an instant, and on a whole-ms grid,
@@ -42,6 +43,7 @@ from repro.fleet import (
 )
 from repro.fleet.session import REPLAY_WARM_FACTOR
 from repro.sim.kernel import Event, Simulator
+from tests.coroutines import spawn
 
 
 # -- the reference: the coroutine loops the callbacks replaced -------------
@@ -87,7 +89,7 @@ class ReferenceNode(FleetNode):
     def __init__(self, sim, spec, on_complete=None):
         super().__init__(sim, spec, on_complete)
         self.queue = PriorityStore(sim, name=f"fleet.{self.name}.work")
-        self._proc = sim.spawn(self._run(), name=f"fleet.node.{self.name}")
+        spawn(sim, self._run())
 
     def _put(self, task: FrameTask) -> None:
         self.queue.put(task, priority=task.priority)
@@ -174,7 +176,7 @@ class ReferenceSession(FleetSession):
     def start(self, node: FleetNode) -> None:
         self.node = node
         self.started_at_ms = self.sim.now
-        self.sim.spawn(self._run(), name=f"fleet.session.{self.session_id}")
+        spawn(self.sim, self._run())
 
     def on_frame_complete(self, task: FrameTask) -> None:
         self.outstanding.pop(task.seq, None)

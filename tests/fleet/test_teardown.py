@@ -14,10 +14,17 @@ first call creates and keeps (lazy imports, module caches) do not count
 
 import pytest
 
+from repro.apps.games import GAMES
 from repro.experiments.capacity import run_capacity_point, steady
-from repro.experiments.fleet import run_fleet_point
+from repro.experiments.fleet import (
+    launch_wave,
+    make_fleet_pool,
+    run_fleet_point,
+)
 from repro.experiments.fleet_shard import plan_fleet_shards
 from repro.experiments.replay import run_replay_fleet
+from repro.fleet import FleetConfig, FleetRun
+from repro.sim.kernel import Simulator
 from tests.gc_guard import assert_frees_itself
 
 
@@ -41,8 +48,21 @@ def one_shard():
     worker.finish()
 
 
+def closed_mid_session():
+    # Closed while every session is active: each one's watch is still
+    # parked on its ``finished`` event, out of the kernel's reach.
+    run = FleetRun(
+        Simulator(seed=6), make_fleet_pool(2), FleetConfig(), 2_000.0,
+        launch_wave(range(4), list(GAMES.values()), gap_ms=10.0),
+    )
+    run.sim.run(until=run.wave_start_ms + 500.0)
+    assert len(run.controller.active) == 4
+    run.close()
+
+
 @pytest.mark.parametrize(
-    "run", [fleet_point, capacity_point, replay_wave, one_shard],
+    "run",
+    [fleet_point, capacity_point, replay_wave, one_shard, closed_mid_session],
     ids=lambda run: run.__name__,
 )
 def test_a_finished_run_leaves_no_cyclic_garbage(run):

@@ -10,6 +10,7 @@ from repro.net.interface import (
 )
 from repro.net.message import Message
 from repro.sim.kernel import Simulator
+from tests.coroutines import spawn
 
 
 class SinkLink:
@@ -86,7 +87,7 @@ def test_warm_wakeup_latency():
         yield usable
         woke.append(sim.now)
 
-    sim.spawn(proc())
+    spawn(sim, proc())
     sim.run(until=10_000.0)
     assert woke[0] == pytest.approx(1_000.0 + WIFI_80211N.wakeup_ms)
 
@@ -103,7 +104,7 @@ def test_reassociation_after_long_sleep():
         yield usable
         woke.append(sim.now)
 
-    sim.spawn(proc())
+    spawn(sim, proc())
     sim.run(until=60_000.0)
     assert woke[0] == pytest.approx(10_000.0 + WIFI_80211N.reassociation_ms)
 
@@ -129,8 +130,8 @@ def test_messages_queue_while_radio_off():
             yield 5.0
         delivered_at.append(sim.now)
 
-    sim.spawn(proc())
-    sim.spawn(watcher())
+    spawn(sim, proc())
+    spawn(sim, watcher())
     sim.run(until=10_000.0)
     assert delivered_at[0] >= 1_000.0 + WIFI_80211N.wakeup_ms
 

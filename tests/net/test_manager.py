@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.manager import NetworkManager
 from repro.sim.kernel import Simulator
+from tests.coroutines import spawn
 
 
 def test_default_route_is_wifi():
@@ -31,7 +32,7 @@ def test_switch_to_sleeping_wifi_flips_after_wake():
         yield 1_000.0
         manager.use("wifi")
 
-    sim.spawn(proc())
+    spawn(sim, proc())
     sim.run(until=1_050.0)
     # Wakeup takes 100 ms; the route must still be bluetooth right after
     # the use() call.
@@ -52,7 +53,7 @@ def test_superseded_route_flip_is_discarded():
         yield 10.0
         manager.use("bluetooth")  # changes mind before WiFi usable
 
-    sim.spawn(proc())
+    spawn(sim, proc())
     sim.run(until=5_000.0)
     assert manager.active_name == "bluetooth"
 
@@ -75,7 +76,7 @@ def test_traffic_sampling_buckets_bytes():
             manager.account(12_500)  # 1 Mbps if spread over 100 ms
             yield 100.0
 
-    sim.spawn(proc())
+    spawn(sim, proc())
     sim.run(until=1_100.0)
     samples = manager.samples_mbps()
     assert len(samples) >= 10

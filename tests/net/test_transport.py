@@ -7,6 +7,7 @@ from repro.net.link import LinkSpec, NetworkLink
 from repro.net.message import Message
 from repro.net.transport import ReliableUdpTransport, TcpTransport
 from repro.sim.kernel import Event, Simulator, TimerHandle
+from tests.coroutines import spawn
 
 
 def build(sim, loss=0.0, transport_cls=ReliableUdpTransport, rto_ms=30.0):
@@ -217,7 +218,7 @@ def test_route_change_mid_stream():
         active["radio"] = bt
         transport.send(Message.of_size(100))
 
-    sim.spawn(switch_then_send())
+    spawn(sim, switch_then_send())
     sim.run(until=5_000.0)
     assert wifi.messages_sent == 1
     assert bt.messages_sent == 1

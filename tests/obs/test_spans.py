@@ -8,6 +8,7 @@ from repro.metrics.spans import aggregate_spans
 
 from repro.obs.spans import Span, SpanRecorder
 from repro.sim.kernel import Simulator
+from tests.coroutines import spawn
 
 
 def make_recorder():
@@ -114,10 +115,10 @@ def test_simulator_spans_follow_sim_clock():
 
     def proc():
         handle = sim.spans.begin("app", "intercept", track="engine")
-        yield sim.timeout(4.0)
+        yield 4.0
         sealed.append(handle.end())
 
-    sim.spawn(proc(), name="spanner")
+    spawn(sim, proc())
     sim.run()
     assert sealed[0].start_ms == pytest.approx(0.0)
     assert sealed[0].duration_ms == pytest.approx(4.0)

@@ -1,5 +1,5 @@
 """Callback timers: ``call_later`` / ``call_at`` / ``Event.on_trigger``,
-lazily created completion events, and NaN rejection at every entry point."""
+cancellation, and NaN rejection at every entry point."""
 
 import ast
 import inspect
@@ -8,32 +8,31 @@ import math
 import pytest
 
 import repro.sim.kernel as kernel
-from repro.check.invariants import InvariantMonitor
-from repro.sim.kernel import Event, SimulationError, Simulator, TimerHandle
+from repro.sim.kernel import SimulationError, TimerHandle
 
 
 class TestOrdering:
     def test_same_timestamp_runs_in_scheduling_order(self, sim):
         log = []
 
-        def sleeper(tag):
-            yield 5.0
-            log.append(tag)
+        def chain(tag):
+            sim.call_later(5.0, log.append, tag)
 
-        # Interleave: process sleeps take their place when they yield,
-        # callbacks when they are scheduled.
+        # Interleave: a callback queued directly takes its place now; one
+        # queued by a zero-time hop takes its place when the hop runs.
         def driver():
             sim.call_later(5.0, log.append, "cb0")
-            sim.spawn(sleeper("p0"))
-            yield None  # p0 yields its sleep before the next line runs
-            sim.call_later(5.0, log.append, "cb1")
-            sim.spawn(sleeper("p1"))
-            yield None
-            sim.call_at(5.0, lambda: log.append("cb2"))
+            sim.call_later(0.0, chain, "hop0")
+            sim.call_later(0.0, step)
 
-        sim.spawn(driver())
+        def step():
+            sim.call_later(5.0, log.append, "cb1")
+            sim.call_later(0.0, chain, "hop1")
+            sim.call_later(0.0, sim.call_at, 5.0, log.append, "cb2")
+
+        sim.call_later(0.0, driver)
         sim.run()
-        assert log == ["cb0", "p0", "cb1", "p1", "cb2"]
+        assert log == ["cb0", "hop0", "cb1", "hop1", "cb2"]
 
     def test_call_later_passes_args_and_returns_live_handle(self, sim):
         seen = []
@@ -59,18 +58,14 @@ class TestOrdering:
     def test_on_trigger_wakes_in_waiter_order(self, sim):
         evt = sim.event("e")
         log = []
-
-        def waiter(tag):
-            yield evt
-            log.append(tag)
-
-        sim.spawn(waiter("p0"))
-        sim.run()
-        evt.on_trigger(log.append, "cb")
-        sim.spawn(waiter("p1"))
+        evt.on_trigger(log.append, "w0")
+        sim.call_later(1.0, evt.on_trigger, log.append, "w1")
         sim.call_later(2.0, evt.trigger, "v")
+        # Already queued for the trigger's instant, so it runs before the
+        # parked callbacks, which are queued when the event fires.
+        sim.call_later(2.0, log.append, "due")
         sim.run()
-        assert log == ["p0", "cb", "p1"]
+        assert log == ["due", "w0", "w1"]
 
     def test_on_trigger_after_trigger_runs_at_once(self, sim):
         evt = sim.event().trigger(7)
@@ -115,102 +110,23 @@ class TestCancellation:
         sim.run()
         assert fired == [] and sim.now == 4.0
 
-    def test_externally_triggered_timeout_cancels_its_callback(self, sim):
-        evt = sim.timeout(1_000.0, value="late")
-        sim.call_later(2.0, evt.trigger, "early")
-        assert sim.run() == 2.0
-        assert evt.value == "early"
-        assert not evt.timer.alive
-
-    def test_timer_hygiene_flags_a_callback_outliving_its_trigger(self, sim):
-        monitor = InvariantMonitor(sim, interval_ms=50.0)
-        monitor.watch_timers()
-        monitor.start()
-        leaked = sim.timeout(10_000.0, name="leaky")
-        # Trigger through the base class, skipping the cancellation that
-        # TimerEvent.trigger performs: the callback outlives the trigger.
-        sim.call_later(5.0, Event.trigger, leaked, None)
-        sim.run(until=200.0)
-        monitor.finalize()
-        assert leaked.timer.alive
-        laws = [v.invariant for v in monitor.violations]
-        assert laws == ["sim.timer_hygiene"]
-        assert monitor.violations[0].details["sample"] == "leaky"
-
-    def test_timer_hygiene_clean_when_timeouts_are_satisfied(self, sim):
-        monitor = InvariantMonitor(sim, interval_ms=50.0)
-        monitor.watch_timers()
-        monitor.start()
-        evt = sim.timeout(10_000.0)
-        sim.call_later(5.0, evt.trigger)
-        sim.timeout(20.0)
-        sim.run(until=200.0)
-        assert monitor.finalize() == []
-
     def test_teardown_drops_pending_callbacks(self, sim):
         fired = []
         handle = sim.call_later(5.0, fired.append, "x")
-        evt = sim.timeout(8.0)
+        evt = sim.event()
+        hop = sim.call_later(0.0, evt.trigger)
         sim.teardown()
-        assert not handle.alive and not evt.timer.alive
+        assert not handle.alive and not hop.alive
+        assert handle.fn is None and handle.args == ()
         assert sim._queue == []
         with pytest.raises(SimulationError):
             sim.run()
         assert fired == [] and not evt.triggered
 
 
-class TestLazyDone:
-    def test_done_created_after_finish_is_triggered_with_result(self, sim):
-        def proc():
-            yield 2.0
-            return "result"
-
-        p = sim.spawn(proc())
-        sim.run()
-        assert p._done is None  # nobody asked for it while it ran
-        assert p.done.triggered and p.done.value == "result"
-        assert p.result == "result"
-
-    def test_done_created_while_running_fires_on_finish(self, sim):
-        def proc():
-            yield 2.0
-            return 9
-
-        p = sim.spawn(proc())
-        done = p.done
-        assert not done.triggered
-        with pytest.raises(SimulationError):
-            p.result
-        sim.run()
-        assert done.triggered and done.value == 9
-
-    def test_killed_process_done_is_triggered_with_none(self, sim):
-        def proc():
-            yield 100.0
-            return "never"
-
-        p = sim.spawn(proc())
-        sim.run(until=1.0)
-        p.kill()
-        assert p.done.triggered and p.done.value is None
-
-
 class TestNaNRejected:
     """A NaN time would poison the clock and silence the "went backwards"
     check, since every comparison with NaN is false."""
-
-    def test_yielded_nan_delay(self, sim):
-        def proc():
-            yield math.nan
-
-        sim.spawn(proc())
-        with pytest.raises(SimulationError, match="NaN"):
-            sim.run()
-        assert sim.now == 0.0
-
-    def test_timeout_nan(self, sim):
-        with pytest.raises(SimulationError, match="NaN"):
-            sim.timeout(math.nan)
 
     def test_call_at_nan(self, sim):
         with pytest.raises(SimulationError, match="NaN"):
@@ -232,23 +148,32 @@ class TestNaNRejected:
         with pytest.raises(SimulationError, match="negative"):
             sim.call_later(-1.0, lambda: None)
         with pytest.raises(SimulationError, match="negative"):
-            sim.timeout(-1.0)
+            sim.every(-1.0, lambda: None)
+            sim.run()
 
     def test_inf_is_still_accepted(self, sim):
         """Cost models return ``inf`` for "never"; that stays legal."""
-        evt = sim.timeout(math.inf)
         handle = sim.call_later(math.inf, lambda: None)
         sim.run(until=100.0)
-        assert not evt.triggered and handle.alive
+        assert handle.alive and sim.now == 100.0
 
 
-def test_kernel_defines_exactly_one_step():
-    """The bench attributes coroutine steps to the first function named
-    ``_step`` in ``sim/kernel.py``; callback dispatch must not add another."""
+def test_kernel_defines_no_process_or_spawn():
+    """Every action is a callback: the kernel defines no coroutine
+    machinery (a ``Process`` class, ``spawn``, ``timeout``, ``all_of``,
+    a ``_step`` resumption) and nothing in it is a generator."""
     tree = ast.parse(inspect.getsource(kernel))
-    steps = [
-        node for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name == "_step"
-    ]
-    assert len(steps) == 1
+    names = {
+        node.name for node in ast.walk(tree)
+        if isinstance(
+            node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        )
+    }
+    gone = {
+        "Process", "CompositeEvent", "TimerEvent", "spawn", "timeout",
+        "all_of", "run_until_process", "_step",
+    }
+    assert names & gone == set()
+    assert not any(
+        isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(tree)
+    )

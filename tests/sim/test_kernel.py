@@ -1,8 +1,8 @@
-"""Kernel tests: events, processes, composite waits, determinism."""
+"""Kernel tests: the clock, callbacks, one-shot events, determinism."""
 
 import pytest
 
-from repro.sim.kernel import Event, SimulationError, Simulator
+from repro.sim.kernel import SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -14,56 +14,46 @@ def test_simple_delay_advances_clock():
     sim = Simulator()
     log = []
 
-    def proc():
-        yield 5.0
-        log.append(sim.now)
-        yield 2.5
+    def second():
         log.append(sim.now)
 
-    sim.spawn(proc())
+    def first():
+        log.append(sim.now)
+        sim.call_later(2.5, second)
+
+    sim.call_later(5.0, first)
     sim.run()
     assert log == [5.0, 7.5]
 
 
 def test_zero_delay_yield_resumes_same_timestamp():
+    """A zero-delay callback runs at the current time, after what is
+    already due then."""
     sim = Simulator()
     log = []
 
-    def proc():
-        yield None
-        log.append(sim.now)
+    def step():
+        sim.call_later(0.0, lambda: log.append(("hop", sim.now)))
+        log.append(("step", sim.now))
 
-    sim.spawn(proc())
+    sim.call_later(3.0, step)
+    sim.call_later(3.0, lambda: log.append(("due", sim.now)))
     sim.run()
-    assert log == [0.0]
+    assert log == [("step", 3.0), ("due", 3.0), ("hop", 3.0)]
 
 
 def test_negative_delay_rejected():
     sim = Simulator()
-
-    def proc():
-        yield -1.0
-
-    sim.spawn(proc())
     with pytest.raises(SimulationError):
-        sim.run()
+        sim.call_later(-1.0, lambda: None)
 
 
 def test_event_wakes_waiter_with_value():
     sim = Simulator()
     evt = sim.event("e")
     got = []
-
-    def waiter():
-        value = yield evt
-        got.append((sim.now, value))
-
-    def trigger():
-        yield 3.0
-        evt.trigger("payload")
-
-    sim.spawn(waiter())
-    sim.spawn(trigger())
+    evt.on_trigger(lambda: got.append((sim.now, evt.value)))
+    sim.call_later(3.0, evt.trigger, "payload")
     sim.run()
     assert got == [(3.0, "payload")]
 
@@ -82,12 +72,10 @@ def test_waiting_on_already_triggered_event_resumes_immediately():
     evt.trigger("early")
     got = []
 
-    def waiter():
-        yield 4.0
-        value = yield evt
-        got.append((sim.now, value))
+    def wait():
+        evt.on_trigger(lambda: got.append((sim.now, evt.value)))
 
-    sim.spawn(waiter())
+    sim.call_later(4.0, wait)
     sim.run()
     assert got == [(4.0, "early")]
 
@@ -96,170 +84,79 @@ def test_multiple_waiters_wake_in_fifo_order():
     sim = Simulator()
     evt = sim.event()
     order = []
-
-    def waiter(tag):
-        yield evt
-        order.append(tag)
-
     for tag in ("a", "b", "c"):
-        sim.spawn(waiter(tag))
-
-    def trigger():
-        yield 1.0
-        evt.trigger(None)
-
-    sim.spawn(trigger())
+        evt.on_trigger(order.append, tag)
+    sim.call_later(1.0, evt.trigger, None)
     sim.run()
     assert order == ["a", "b", "c"]
 
 
-def test_process_return_value_propagates():
-    sim = Simulator()
-
-    def child():
-        yield 2.0
-        return 42
-
-    def parent():
-        result = yield sim.spawn(child())
-        return result * 2
-
-    proc = sim.spawn(parent())
-    sim.run()
-    assert proc.result == 84
-
-
-def test_result_before_completion_raises():
-    sim = Simulator()
-
-    def proc():
-        yield 1.0
-
-    p = sim.spawn(proc())
-    with pytest.raises(SimulationError):
-        _ = p.result
-
-
-def test_timeout_event():
-    sim = Simulator()
-    evt = sim.timeout(10.0, value="done")
-    got = []
-
-    def waiter():
-        value = yield evt
-        got.append((sim.now, value))
-
-    sim.spawn(waiter())
-    sim.run()
-    assert got == [(10.0, "done")]
-
-
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    events = [sim.timeout(t, value=t) for t in (3.0, 9.0, 6.0)]
-    combined = sim.all_of(events)
-    got = []
-
-    def waiter():
-        values = yield combined
-        got.append((sim.now, values))
-
-    sim.spawn(waiter())
-    sim.run()
-    assert got == [(9.0, [3.0, 9.0, 6.0])]
-
-
-def test_all_of_empty_triggers_immediately():
-    sim = Simulator()
-    combined = sim.all_of([])
-    assert combined.triggered
-    assert combined.value == []
-
-
 def test_kill_waiting_process_detaches_from_event():
+    """Cancelling what waits on an event (its owner closing before the
+    event fires) detaches it: it never runs and pins nothing."""
     sim = Simulator()
     evt = sim.event("never")
     resumed = []
-
-    def waiter():
-        yield evt
-        resumed.append(sim.now)
-
-    proc = sim.spawn(waiter())
-
-    def killer():
-        yield 5.0
-        proc.kill()
-
-    sim.spawn(killer())
+    handle = evt.on_trigger(resumed.append, "woken")
+    sim.call_later(5.0, evt.cancel_waiters)
+    sim.call_later(6.0, evt.trigger)
     sim.run()
-    assert not proc.alive
-    assert proc.done.triggered
+    assert not handle.alive and handle.fn is None
     assert evt._waiters == []
     assert resumed == []
 
 
 def test_killed_timer_does_not_advance_clock():
-    """A cancelled delay leaves a stale heap entry that must be skipped
+    """A cancelled timer leaves a stale heap entry that must be skipped
     WITHOUT dragging the clock to its expiry time."""
     sim = Simulator()
-
-    def timer():
-        yield 1_000.0
-
-    proc = sim.spawn(timer())
-
-    def killer():
-        yield 5.0
-        proc.kill()
-
-    sim.spawn(killer())
+    timer = sim.call_later(1_000.0, lambda: None)
+    sim.call_later(5.0, timer.cancel)
     end = sim.run()
     assert end == 5.0
     assert sim.now == 5.0
 
 
 def test_kill_is_idempotent_and_safe_when_done():
+    """Cancelling a handle that already ran, or twice, is a no-op."""
     sim = Simulator()
-
-    def quick():
-        yield 1.0
-
-    proc = sim.spawn(quick())
+    fired = []
+    handle = sim.call_later(1.0, fired.append, "x")
     sim.run()
-    proc.kill()  # already finished: must be a no-op
-    proc.kill()
-    assert not proc.alive
+    handle.cancel()
+    handle.cancel()
+    assert fired == ["x"]
+    assert not handle.alive
 
 
 def test_run_until_limit_stops_clock():
     sim = Simulator()
-
-    def forever():
-        while True:
-            yield 10.0
-
-    sim.spawn(forever())
+    sim.every(10.0, lambda: None)
     sim.run(until=35.0)
     assert sim.now == 35.0
 
 
-def test_run_until_process_stops_at_completion():
+def test_run_until_event_stops_at_the_trigger():
     sim = Simulator()
+    sim.every(1.0, lambda: None)
+    done = sim.event("done")
+    sim.call_later(12.0, done.trigger, "done")
+    assert sim.run_until_event(done, limit=1000.0) == "done"
+    assert sim.now == 12.0  # the periodic loop did not drag the clock on
 
-    def background():
-        while True:
-            yield 1.0
 
-    def main():
-        yield 12.0
-        return "done"
-
-    sim.spawn(background())
-    proc = sim.spawn(main())
-    result = sim.run_until_process(proc, limit=1000.0)
-    assert result == "done"
-    assert sim.now == 12.0  # background did not drag the clock further
+def test_every_runs_after_a_start_hop_and_each_period():
+    sim = Simulator()
+    log = []
+    sim.call_later(0.0, log.append, "before")
+    sim.every(10.0, lambda tag: log.append((tag, sim.now)), "tick")
+    sim.call_later(10.0, log.append, "due")
+    sim.run(until=30.0)
+    # The first tick is queued by the start hop, so it sorts behind an
+    # entry scheduled for the same time before the hop ran.
+    assert log == [
+        "before", "due", ("tick", 10.0), ("tick", 20.0), ("tick", 30.0),
+    ]
 
 
 def test_call_at_runs_callable():
@@ -272,23 +169,7 @@ def test_call_at_runs_callable():
 
 def test_call_at_past_raises():
     sim = Simulator()
-
-    def proc():
-        yield 10.0
-        sim.call_at(5.0, lambda: None)
-
-    sim.spawn(proc())
-    with pytest.raises(SimulationError):
-        sim.run()
-
-
-def test_yielding_garbage_raises():
-    sim = Simulator()
-
-    def proc():
-        yield "nonsense"
-
-    sim.spawn(proc())
+    sim.call_later(10.0, sim.call_at, 5.0, lambda: None)
     with pytest.raises(SimulationError):
         sim.run()
 
@@ -300,14 +181,14 @@ def test_deterministic_event_ordering():
         sim = Simulator(seed=7)
         log = []
 
-        def worker(tag, delay):
-            yield delay
+        def worker(tag, delay, left):
             log.append((sim.now, tag))
-            yield delay
-            log.append((sim.now, tag))
+            if left:
+                sim.call_later(delay, worker, tag, delay, left - 1)
 
         for tag in range(10):
-            sim.spawn(worker(tag, 1.0 + (tag % 3)))
+            delay = 1.0 + (tag % 3)
+            sim.call_later(delay, worker, tag, delay, 1)
         sim.run()
         return log
 
@@ -315,136 +196,28 @@ def test_deterministic_event_ordering():
 
 
 def test_tie_break_is_spawn_order():
+    """Loops started with a zero-time hop, the way the simulator's
+    long-lived loops start, run in start order on a tie."""
     sim = Simulator()
     log = []
-
-    def worker(tag):
-        yield 5.0
-        log.append(tag)
-
     for tag in range(5):
-        sim.spawn(worker(tag))
+        sim.call_later(0.0, sim.call_later, 5.0, log.append, tag)
     sim.run()
     assert log == [0, 1, 2, 3, 4]
 
 
 class TestCancellableTimeouts:
-    """Regression tests: timeouts must not keep ``run`` alive after they
-    have served their purpose (the transport's old RTO-timer leak class)."""
-
-    def test_externally_triggered_timeout_drains_immediately(self):
-        sim = Simulator()
-        ack = sim.timeout(10_000.0, name="rto")
-
-        def transport():
-            yield 3.0
-            ack.trigger("acked")       # data arrived; RTO is now moot
-
-        def waiter():
-            value = yield ack
-            assert value == "acked"
-
-        sim.spawn(transport())
-        sim.spawn(waiter())
-        end = sim.run()
-        # Pre-fix, the backing _timer slept out the full 10 s delay.
-        assert end == pytest.approx(3.0)
-        assert not ack.timer.alive
+    """Regression test: a cancelled timer must not keep ``run`` alive
+    (the transport's old RTO-timer leak class)."""
 
     def test_cancel_abandons_pending_timer(self):
         sim = Simulator()
-        evt = sim.timeout(5_000.0)
-        evt.cancel()
+        fired = []
+        sim.call_later(5_000.0, fired.append, "late").cancel()
         end = sim.run()
         assert end == 0.0
-        assert not evt.triggered
+        assert fired == []
 
-    def test_self_fired_timeout_still_works(self):
-        sim = Simulator()
-        log = []
-
-        def proc():
-            value = yield sim.timeout(7.0, value="tick")
-            log.append((sim.now, value))
-
-        sim.spawn(proc())
-        sim.run()
-        assert log == [(7.0, "tick")]
-
-    def test_no_residual_timer_processes_after_run(self):
-        sim = Simulator()
-        timers = []
-
-        def proc():
-            evt = sim.timeout(30_000.0)
-            timers.append(evt.timer)
-            sim.call_at(2.0, lambda: evt.trigger())
-            yield evt
-
-        sim.spawn(proc())
-        assert sim.run() == 2.0
-        assert [t.alive for t in timers] == [False]
-
-
-class TestAllOfReaping:
-    """Regression tests: ``all_of`` watchers must be reapable when one of
-    the source events never triggers."""
-
-    def _alive_watchers(self, sim):
-        return [
-            p for p in sim._processes
-            if p.alive and p.name.startswith("_allof.")
-        ]
-
-    def test_abandon_reaps_watchers_and_waiter_lists(self):
-        sim = Simulator()
-        never = sim.event("never")
-        fast = sim.timeout(1.0, value="fast")
-        combined = sim.all_of([fast, never], name="stuck")
-        sim.run()
-        assert not combined.triggered
-        assert len(self._alive_watchers(sim)) == 1  # parked on `never`
-        combined.abandon()
-        assert never._waiters == []
-        assert self._alive_watchers(sim) == []
-
-    def test_abandon_reaps_orphaned_pending_timeout(self):
-        sim = Simulator()
-        never = sim.event("never")
-
-        def proc():
-            yield 1.0
-
-        sim.spawn(proc())
-        combined = sim.all_of([sim.timeout(60_000.0), never])
-        combined.abandon()
-        end = sim.run()
-        # The orphaned 60 s timer was cancelled with its watcher, so the
-        # run drains at the last real event.
-        assert end == 1.0
-
-    def test_teardown_reaps_pending_all_of_watchers(self):
-        sim = Simulator()
-        never = sim.event("never")
-        other = sim.event("other")
-        sim.all_of([never, other], name="leaky")
-        sim.run()
-        assert len(self._alive_watchers(sim)) == 2
-        sim.teardown()
-        assert never._waiters == []
-        assert other._waiters == []
-        assert not any(p.alive for p in sim._processes)
-        assert sim._queue == []
-
-    def test_completed_all_of_unaffected_by_teardown(self):
-        sim = Simulator()
-        events = [sim.timeout(t, value=t) for t in (1.0, 2.0)]
-        combined = sim.all_of(events)
-        sim.run()
-        assert combined.triggered
-        assert combined.value == [1.0, 2.0]
-        sim.teardown()
-        assert combined.value == [1.0, 2.0]
 
 class TestTornDown:
     """A torn-down simulator keeps what it recorded but cannot run again."""
@@ -463,11 +236,8 @@ class TestTornDown:
         lambda sim: sim.run_until_event(sim.event("never")),
         lambda sim: sim.call_later(1.0, print),
         lambda sim: sim.call_at(5.0, print),
-        lambda sim: sim.spawn(iter(())),
-        lambda sim: sim.timeout(1.0),
     ], ids=[
         "run", "run_until", "run_until_event", "call_later", "call_at",
-        "spawn", "timeout",
     ])
     def test_every_entry_raises(self, entry):
         sim = self.torn_down()
@@ -482,8 +252,18 @@ class TestTornDown:
 
     def test_teardown_detaches_the_observers(self):
         sim = Simulator()
-        sim.telemetry = sim.monitor = sim.causal = sim.flight = object()
+        sim.telemetry = sim.causal = sim.flight = object()
         sim.digests = object()
         sim.teardown()
-        assert (sim.telemetry, sim.monitor, sim.causal, sim.flight,
-                sim.digests) == (None,) * 5
+        assert (sim.telemetry, sim.causal, sim.flight, sim.digests) == (
+            (None,) * 4
+        )
+
+    def test_parked_callbacks_stay_with_their_event(self):
+        """Teardown reaches only queued callbacks: what is parked on an
+        event stays for the event's owner to cancel."""
+        sim = Simulator()
+        never = sim.event("never")
+        handle = never.on_trigger(print, "x")
+        sim.teardown()
+        assert handle.alive and never._waiters == [handle]

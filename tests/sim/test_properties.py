@@ -6,6 +6,7 @@ from repro.net.interface import BLUETOOTH_CLASSIC, WirelessInterface
 from repro.net.message import Message
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Gauge
+from tests.coroutines import spawn
 
 
 class _Sink:
@@ -41,7 +42,7 @@ def test_radio_preserves_fifo_for_any_sequence(sends):
             yield gap
             radio.send(message)
 
-    sim.spawn(sender())
+    spawn(sim, sender())
     sim.run()
     assert sink.received == messages
     ends = [t for t, _wire in radio.tx_log]
@@ -70,7 +71,7 @@ def test_gauge_integral_equals_sum_of_segments(segments):
             gauge.set(value)
             yield duration
 
-    sim.spawn(proc())
+    spawn(sim, proc())
     sim.run()
     expected = sum(duration * value for duration, value in segments)
     assert abs(gauge.integral() - expected) < 1e-6
@@ -91,7 +92,7 @@ def test_events_fire_in_time_order(delays):
         fired.append(sim.now)
 
     for delay in delays:
-        sim.spawn(waiter(delay))
+        spawn(sim, waiter(delay))
     sim.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Gauge
+from tests.coroutines import spawn
 
 
 class TestGauge:
@@ -18,7 +19,7 @@ class TestGauge:
             gauge.set(0.0)
             yield 10.0
 
-        sim.spawn(proc())
+        spawn(sim, proc())
         sim.run()
         # 2*10 + 5*10 + 0*10 = 70
         assert gauge.integral() == pytest.approx(70.0)
@@ -32,7 +33,7 @@ class TestGauge:
             gauge.set(0.0)
             yield 5.0
 
-        sim.spawn(proc())
+        spawn(sim, proc())
         sim.run()
         assert gauge.mean() == pytest.approx(2.0)
 

