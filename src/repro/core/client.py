@@ -570,7 +570,7 @@ class GBoosterClient:
     ) -> None:
         self.device.gpu.mark_render(done)
         # A hop behind what is due now and ahead of the GPU's next
-        # request, where a process waiting on the render resumed.
+        # request, where a callback parked on the render would run.
         self.sim.call_later(0.0, self._complete_request, request)
 
     # -- downlink ------------------------------------------------------------------------

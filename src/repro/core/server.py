@@ -342,8 +342,8 @@ class ServiceNode:
             self.sim.digests.record_execution(
                 request.frame_id, commands, site=self.name
             )
-        # At completion the daemon resumes where it would have as a process
-        # waiting on the GPU: ahead of the GPU's next request.
+        # At completion the daemon resumes where a callback parked on the
+        # render would run: ahead of the GPU's next request.
         self.runtime.gpu.submit(
             request,
             partial(

@@ -10,7 +10,7 @@ the currency is *capacity*, not individual GL state transitions.
 offload session.  Tiers map straight onto the queue priority: an action-tier
 frame always overtakes queued tolerant-tier frames.
 
-The node serves without a process.  A task submitted to an idle node
+The node serves as kernel callbacks.  A task submitted to an idle node
 starts at once; a busy node heaps it.  One kernel callback per task marks
 the end of its service, and that callback picks the next task before it
 reports the finished one, so a frame that the answered session reissues
