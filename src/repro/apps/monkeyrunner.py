@@ -110,6 +110,11 @@ class ScriptedTouchPlayer:
         loop: bool = False,
     ):
         script.validate()
+        if loop and script.events and script.duration_ms <= 0.0:
+            # Every pass would replay at one instant, forever.
+            raise ValueError(
+                "a looping script must span time; its last event is at 0 ms"
+            )
         self.sim = sim
         self.script = script
         self.on_touch = on_touch

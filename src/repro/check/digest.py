@@ -23,20 +23,9 @@ the same sequence.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.gles.commands import GLCommand
-
-#: argument types whose ``repr`` is a function of equality *and* type, so
-#: ``(name, args, arg types)`` pins a command's digest fragment exactly.
-#: ``float`` is left out (``0.0 == -0.0``), as are nested and mutable
-#: values; ``bool`` is safe only because the key carries the types
-#: (``1 == True`` but ``repr`` tells them apart).
-_MEMO_ARG_TYPES = frozenset((int, bool, str, bytes, type(None)))
-
-#: entries at which a :class:`DigestLog` memo starts over, so a stream of
-#: ever-new commands cannot grow it without bound
-MEMO_LIMIT = 4096
 
 
 def command_fragment(cmd) -> bytes:
@@ -44,18 +33,23 @@ def command_fragment(cmd) -> bytes:
 
     Keys commands by ``cmd.key()`` (name + frozen args — floats included
     verbatim, so any numeric drift between runs shows up), falling back to
-    ``repr`` for foreign objects in tests.
+    ``repr`` for foreign objects in tests.  A plain :class:`GLCommand` is
+    immutable and computes its key once, so its fragment is computed once
+    too and kept on the command.
     """
+    if type(cmd) is GLCommand:
+        fragment = cmd._fragment
+        if fragment is None:
+            fragment = repr(cmd.key()).encode("utf-8") + b"\x00"
+            object.__setattr__(cmd, "_fragment", fragment)
+        return fragment
     key = cmd.key() if hasattr(cmd, "key") else cmd
     return repr(key).encode("utf-8") + b"\x00"
 
 
 def command_digest(commands: Iterable) -> str:
-    """Stable content digest of one frame's command sequence.
-
-    The unmemoized reference: blake2b over each command's
-    :func:`command_fragment`, in order.
-    """
+    """Stable content digest of one frame's command sequence: blake2b
+    over each command's :func:`command_fragment`, in order."""
     h = hashlib.blake2b(digest_size=16)
     for cmd in commands:
         h.update(command_fragment(cmd))
@@ -101,11 +95,9 @@ class IntervalDigest:
 class DigestLog:
     """Issue-side and execution-side digests for one session.
 
-    Both sides digest the same few dozen distinct commands frame after
-    frame, so the log memoizes each command's :func:`command_fragment`.
-    The memo key is ``(name, args, arg types)``; only a :class:`GLCommand`
-    with a ``str`` name and flat arguments all of :data:`_MEMO_ARG_TYPES`
-    uses it, and any other command is fragmented directly.  Digests equal
+    Both sides digest the same few dozen command objects frame after
+    frame; each reads the fragment its command keeps, so a digest costs
+    one blake2b over the joined fragments.  Digests equal
     :func:`command_digest`.
     """
 
@@ -114,29 +106,12 @@ class DigestLog:
         self.issued: Dict[int, str] = {}
         #: frame_id -> [(site, digest)] recorded at each execution
         self.executed: Dict[int, List[Tuple[str, str]]] = {}
-        self._memo: Dict[Tuple, bytes] = {}
 
     def digest(self, commands: Iterable) -> str:
-        """:func:`command_digest` of ``commands``, through the memo."""
-        memo = self._memo
-        safe = _MEMO_ARG_TYPES.issuperset
-        parts = []
-        for cmd in commands:
-            if type(cmd) is GLCommand:
-                name, args = cmd.name, cmd.args
-                if type(name) is str and type(args) is tuple:
-                    types = tuple(map(type, args))
-                    if safe(types):
-                        key = (name, args, types)
-                        fragment = memo.get(key)
-                        if fragment is None:
-                            if len(memo) >= MEMO_LIMIT:
-                                memo.clear()
-                            fragment = memo[key] = command_fragment(cmd)
-                        parts.append(fragment)
-                        continue
-            parts.append(command_fragment(cmd))
-        return hashlib.blake2b(b"".join(parts), digest_size=16).hexdigest()
+        """:func:`command_digest` of ``commands``."""
+        return hashlib.blake2b(
+            b"".join(map(command_fragment, commands)), digest_size=16
+        ).hexdigest()
 
     # -- recording -----------------------------------------------------------
 

@@ -23,6 +23,7 @@ from repro.apps.engine import EngineConfig, GameEngine
 from repro.core.client import GBoosterClient
 from repro.core.config import GBoosterConfig
 from repro.core.server import ServiceNode
+from repro.core.session import _close_session
 from repro.devices.profiles import DeviceSpec, LG_NEXUS_5, NVIDIA_SHIELD
 from repro.devices.runtime import ServiceDeviceRuntime, UserDeviceRuntime
 from repro.metrics.fps import FpsMetrics, compute_fps_metrics
@@ -116,6 +117,9 @@ def run_multiuser_session(
     )
 
     engines: List[Tuple[ApplicationSpec, GameEngine, float]] = []
+    links: List[NetworkLink] = []
+    transports: List[ReliableUdpTransport] = [default_downlink]
+    clients: List[GBoosterClient] = []
     for idx, app in enumerate(apps):
         device = UserDeviceRuntime(
             sim, user_device,
@@ -158,6 +162,9 @@ def run_multiuser_session(
             sim, app, device, client, EngineConfig(duration_ms=duration_ms)
         )
         engines.append((app, engine, priority))
+        links += [*up_links.values(), *down_links.values()]
+        transports += [uplink, downlink]
+        clients.append(client)
 
     # Run until every engine has finished: each finish counts down, from
     # a callback parked after a zero-time start hop.
@@ -182,6 +189,10 @@ def run_multiuser_session(
                 priority=priority,
             )
         )
+    _close_session(
+        sim, [engine for _app, engine, _priority in engines],
+        links=links, transports=transports, clients=clients,
+    )
     return result
 
 

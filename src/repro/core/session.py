@@ -164,31 +164,32 @@ def _make_policy(config: GBoosterConfig):
 
 def _close_session(
     sim: Simulator,
-    engine: GameEngine,
+    engines: Sequence[GameEngine],
     links: Sequence[NetworkLink] = (),
     transports: Sequence[Transport] = (),
-    client: Optional[GBoosterClient] = None,
+    clients: Sequence[GBoosterClient] = (),
 ) -> None:
     """Leave no reference cycle, so refcounting frees the whole session.
 
     Runs after the result is built: it tears the simulator down (a
     torn-down simulator cannot run again), then drops the wiring edges
-    that close cycles through the client, the service nodes and the
-    engine: link receivers, transport callbacks, the scheduler's observer,
-    the touch generator's callback and what waits for a radio to wake.
-    What was recorded stays readable.
+    that close cycles through the clients, the service nodes and the
+    engines: link receivers, transport callbacks, each scheduler's
+    observer, each touch generator's callback and what waits for a radio
+    to wake.  What was recorded stays readable.
     """
     sim.teardown()
-    for radio in engine.device.network.interfaces().values():
-        radio.close()
+    for engine in engines:
+        for radio in engine.device.network.interfaces().values():
+            radio.close()
+        if engine.touch is not None:
+            engine.touch.on_touch = None
     for link in links:
         link.receiver = None
     for transport in transports:
         transport.on_deliver = transport.on_ack = None
-    if client is not None:
+    for client in clients:
         client.scheduler.on_assign = None
-    if engine.touch is not None:
-        engine.touch.on_touch = None
 
 
 def run_local_session(
@@ -248,7 +249,7 @@ def run_local_session(
         device=device,
         check=check,
     )
-    _close_session(sim, engine)
+    _close_session(sim, [engine])
     return result
 
 
@@ -534,9 +535,9 @@ def run_offload_session(
         flight=flight,
     )
     _close_session(
-        sim, engine,
+        sim, [engine],
         links=[*down_links.values(), *uplink_links],
         transports=[downlink, *uplinks.values()],
-        client=client,
+        clients=[client],
     )
     return result

@@ -71,14 +71,20 @@ class GLCommand:
 
     A command is an immutable value once issued: its fields cannot be
     reassigned, and its arguments must not be mutated in place, because
-    the cache key is computed once per object and the egress pipeline
-    recognises a repeated frame by the identity of its commands.
+    the cache key and the check digest's fragment are computed once per
+    object, and the egress pipeline recognises a repeated frame by the
+    identity of its commands.
     """
 
     name: str
     args: Tuple[Any, ...] = ()
     metadata: Dict[str, Any] = field(default_factory=dict)
     _key: Optional[Tuple[str, Tuple[Any, ...]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: the bytes this command adds to a check digest, filled on first
+    #: use by :func:`repro.check.digest.command_fragment`
+    _fragment: Optional[bytes] = field(
         default=None, init=False, repr=False, compare=False
     )
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 #: bytes the trace context occupies in the codec wire header per frame
 TRACE_WIRE_BYTES = 8
@@ -86,9 +86,12 @@ class TraceContext:
         )
 
 
-@dataclass(frozen=True)
-class CausalEvent:
-    """One component's contribution to a frame's causal trace."""
+class CausalEvent(NamedTuple):
+    """One component's contribution to a frame's causal trace.
+
+    A named tuple, built positionally: a traced session records one per
+    component hop of every frame, so construction cost is paid often.
+    """
 
     at_ms: float
     component: str          # "client" | "net" | "server" | "replay" | ...
@@ -175,13 +178,7 @@ class CausalLog:
         if trace is None:
             trace = self.last_trace
         trace_id = trace.trace_id if trace is not None else ""
-        rec = CausalEvent(
-            at_ms=self.sim.now,
-            component=component,
-            name=name,
-            trace_id=trace_id,
-            data=data,
-        )
+        rec = CausalEvent(self.sim.now, component, name, trace_id, data)
         self._events.append(rec)
         if trace_id:
             self._by_trace.setdefault(trace_id, []).append(rec)

@@ -77,6 +77,17 @@ class TestPlayer:
         assert len(fired) >= 6
         assert fired[3] == pytest.approx(1_000.0)  # second pass offset
 
+    def test_looping_script_of_zero_duration_rejected(self):
+        sim = Simulator()
+        script = InputScript(events=[
+            TouchEvent(time_ms=0.0, x=0.5, y=0.5),
+            TouchEvent(time_ms=0.0, x=0.2, y=0.2),
+        ])
+        with pytest.raises(ValueError, match="must span time"):
+            ScriptedTouchPlayer(sim, script, loop=True)
+        ScriptedTouchPlayer(sim, script)          # played once, it ends
+        ScriptedTouchPlayer(sim, InputScript(), loop=True)
+
     def test_empty_script_is_noop(self):
         sim = Simulator()
         ScriptedTouchPlayer(sim, InputScript())

@@ -1,11 +1,25 @@
 """Frame digests: stable content hashing and issue/execute bookkeeping."""
 
+import copy
+import dataclasses
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.check import DigestLog, command_digest
-from repro.check import digest as digest_module
 from repro.gles.commands import GLCommand, make_command
+
+
+def reference_digest(commands):
+    """The digest recipe with nothing cached: ``repr(cmd.key())`` of each
+    command, recomputed on every call, so it is independent of the
+    fragment a command keeps."""
+    h = hashlib.blake2b(digest_size=16)
+    for cmd in commands:
+        key = cmd.key() if hasattr(cmd, "key") else cmd
+        h.update(repr(key).encode("utf-8") + b"\x00")
+    return h.hexdigest()
 
 
 def frame(n_draws=3, tex=4):
@@ -165,7 +179,7 @@ _COMMANDS = st.one_of(
         name=st.sampled_from(["glUniform1i", "glDepthMask", "glEnable"]),
         args=st.lists(_ARGS, max_size=3).map(tuple),
     ),
-    # a list of args is not the flat tuple the memo requires
+    # a list of args, frozen into the key on first use
     st.builds(
         GLCommand,
         name=st.just("glEnable"),
@@ -176,18 +190,44 @@ _COMMANDS = st.one_of(
 )
 
 
+#: how a frame re-issues a command of the pool: the very object, a
+#: shallow copy (which shares its cached key and fragment), a
+#: ``dataclasses.replace`` copy (which computes its own) or a replace with
+#: one more argument (whose digest must differ from the original's)
+_REUSE = st.sampled_from(["same", "copy", "replace", "replace_args"])
+
+
+def _reissue(cmd, how):
+    if how == "copy":
+        return copy.copy(cmd)
+    if type(cmd) is not GLCommand or how == "same":
+        return cmd
+    if how == "replace":
+        return dataclasses.replace(cmd)
+    return dataclasses.replace(cmd, args=(*cmd.args, True))
+
+
 class TestDigestLogMemo:
-    """``DigestLog`` memoizes per-command fragments; its digests must equal
-    the unmemoized ``command_digest`` on every stream."""
+    """A command keeps its digest fragment; digests through the kept
+    fragments must equal the uncached reference on every stream, however
+    the frames reuse and copy command objects."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.lists(_COMMANDS, max_size=6), min_size=1, max_size=8))
-    def test_memoized_digests_equal_reference(self, frames):
+    @given(
+        st.lists(_COMMANDS, min_size=1, max_size=6),
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 5), _REUSE), max_size=8),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_memoized_digests_equal_reference(self, pool, frames):
         log = DigestLog()
-        for fid, cmds in enumerate(frames):
-            expected = command_digest(cmds)
+        for fid, picks in enumerate(frames):
+            cmds = [_reissue(pool[i % len(pool)], how) for i, how in picks]
+            expected = reference_digest(cmds)
             assert log.record_issue(fid, cmds) == expected
             assert log.record_execution(fid, cmds, site="s") == expected
+            assert command_digest(cmds) == expected
 
     @pytest.mark.parametrize(
         "values",
@@ -200,11 +240,11 @@ class TestDigestLogMemo:
     )
     def test_equal_values_of_different_types_digest_apart(self, values):
         log = DigestLog()
+        batches = [[GLCommand("glUniform1i", (3, value))] for value in values]
         digests = []
-        for value in values * 2:            # second pass hits the memo
-            cmds = [GLCommand("glUniform1i", (3, value))]
+        for cmds in batches * 2:            # second pass reads kept fragments
             digest = log.digest(cmds)
-            assert digest == command_digest(cmds)
+            assert digest == reference_digest(cmds)
             digests.append(digest)
         assert len(set(digests)) == len(values)
 
@@ -222,19 +262,12 @@ class TestDigestLogMemo:
             ]
 
         log = DigestLog()
-        for fid in range(3):                # warm the memo on the issued form
-            log.record_issue(fid, batch(issued))
-            log.record_execution(fid, batch(issued), site="shield")
-        log.record_issue(3, batch(issued))
+        issued_batch = batch(issued)
+        for fid in range(3):                # warm the issued form's fragments
+            log.record_issue(fid, issued_batch)
+            log.record_execution(fid, issued_batch, site="shield")
+        log.record_issue(3, issued_batch)
         log.record_execution(3, batch(executed), site="shield")
         (bad,) = log.fidelity_mismatches()
         assert bad["frame_id"] == 3
-        assert bad["executed"] == command_digest(batch(executed))
-
-    def test_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(digest_module, "MEMO_LIMIT", 8)
-        log = DigestLog()
-        for i in range(50):
-            cmds = [GLCommand("glUniform1i", (i, i % 3))]
-            assert log.digest(cmds) == command_digest(cmds)
-            assert len(log._memo) <= 8
+        assert bad["executed"] == reference_digest(batch(executed))

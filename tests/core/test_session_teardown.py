@@ -1,8 +1,9 @@
 """Garbage guard: a finished session is freed by refcounting alone.
 
-Both session runners end in one close step that tears the simulator down
-and drops the wiring that closes cycles (link receivers, transport
-callbacks, the scheduler's observer, the touch callback); per-frame
+Both session runners and the multi-user session end in one close step
+that tears the simulator down and drops the wiring that closes cycles
+(link receivers, transport callbacks, the scheduler's observer, the
+touch callback); per-frame
 events and wire messages leave a frame's metadata when they are done
 with.  So with the cyclic collector off, a collection after a session
 finds nothing.  ``tests/fleet/test_teardown.py`` is the fleet's guard.
@@ -10,9 +11,10 @@ finds nothing.  ``tests/fleet/test_teardown.py`` is the fleet's guard.
 
 import pytest
 
-from repro.apps.games import GAMES, STAR_WARS_KOTOR
+from repro.apps.games import CANDY_CRUSH, GAMES, MODERN_COMBAT, STAR_WARS_KOTOR
 from repro.core import session
 from repro.core.config import GBoosterConfig
+from repro.core.multiuser import run_multiuser_session
 from repro.core.session import run_local_session, run_offload_session
 from repro.devices.profiles import LG_G5, MINIX_NEO_U1, NVIDIA_SHIELD
 from repro.faults.schedule import FaultSchedule
@@ -84,10 +86,25 @@ def ends_mid_wake():
     )
 
 
+def multiuser():
+    run_multiuser_session(
+        [MODERN_COMBAT, CANDY_CRUSH], duration_ms=500.0, seed=0,
+    )
+
+
+def multiuser_priority_shared_channel():
+    run_multiuser_session(
+        [MODERN_COMBAT, CANDY_CRUSH],
+        config=GBoosterConfig(service_queue_policy="priority"),
+        duration_ms=500.0, seed=0, shared_wifi_channel=True,
+    )
+
+
 @pytest.mark.parametrize(
     "run",
     [local, local_checked, offload_default, two_services, planner, replay,
-     crash, observed, ends_mid_wake],
+     crash, observed, ends_mid_wake, multiuser,
+     multiuser_priority_shared_channel],
     ids=lambda run: run.__name__,
 )
 def test_a_finished_session_leaves_no_cyclic_garbage(run):

@@ -1,12 +1,14 @@
 """Causal trace context, the causal log, and deterministic exemplars."""
 
 import json
+import pickle
 
 import pytest
 
 from repro.obs.causal import (
     DEFAULT_EXEMPLARS,
     TRACE_WIRE_BYTES,
+    CausalEvent,
     CausalLog,
     ExemplarReservoir,
     TraceContext,
@@ -41,6 +43,58 @@ class TestTraceContext:
     def test_from_wire_rejects_short_header(self):
         with pytest.raises(ValueError):
             TraceContext.from_wire(b"\x00" * (TRACE_WIRE_BYTES - 1))
+
+
+class TestCausalEvent:
+    def _event(self):
+        sim = Simulator(seed=0)
+        log = CausalLog(sim, session_id="s")
+        events = []
+
+        def send():
+            trace = log.frame_trace(3)
+            events.append(
+                log.event("net", "send", trace=trace, size=40, kind="frame")
+            )
+
+        sim.call_later(12.345678, send)
+        sim.run()
+        return events[0]
+
+    def test_fields_in_record_order(self):
+        assert CausalEvent._fields == (
+            "at_ms", "component", "name", "trace_id", "data",
+        )
+        event = self._event()
+        assert tuple(event) == (
+            12.345678, "net", "send", event.trace_id,
+            {"size": 40, "kind": "frame"},
+        )
+
+    def test_as_dict_rounds_time_and_sorts_data(self):
+        event = self._event()
+        assert event.as_dict() == {
+            "at_ms": 12.3457,
+            "component": "net",
+            "name": "send",
+            "trace_id": event.trace_id,
+            "data": {"kind": "frame", "size": 40},
+        }
+        assert list(event.as_dict()["data"]) == ["kind", "size"]
+
+    def test_pickle_round_trip(self):
+        event = self._event()
+        back = pickle.loads(pickle.dumps(event))
+        assert type(back) is CausalEvent
+        assert back == event
+        assert back.as_dict() == event.as_dict()
+
+    def test_fields_cannot_be_reassigned(self):
+        event = self._event()
+        with pytest.raises(AttributeError):
+            event.name = "recv"
+        with pytest.raises(AttributeError):
+            event.extra = 1
 
 
 class TestCausalLog:
