@@ -2,16 +2,32 @@
 
 The first, one-position-at-a-time implementation of the compressor.  The
 production match finder must produce the same bytes for every input and
-``max_chain``; ``test_lz77.py`` checks that against this copy.
+``max_chain``; ``test_lz77.py`` checks that against this copy.  It takes
+only the two format constants from the module under test: the parser,
+the hash and the length encoder are its own, so a change to the
+production emitter cannot move both sides together.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.codec.lz77 import MAX_OFFSET, MIN_MATCH, _write_length
+from repro.codec.lz77 import MAX_OFFSET, MIN_MATCH
 
 _HASH_LEN = 4
+
+
+def _write_length(value: int, nibble_max: int, out: bytearray) -> int:
+    """Returns the nibble; appends LZ4's extension bytes for the
+    remainder: 255 while at least 255 is left, then the rest."""
+    if value < nibble_max:
+        return value
+    remainder = value - nibble_max
+    while remainder >= 255:
+        out.append(255)
+        remainder -= 255
+    out.append(remainder)
+    return nibble_max
 
 
 def _hash4(data: bytes, pos: int) -> int:
