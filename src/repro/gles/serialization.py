@@ -186,11 +186,31 @@ def deserialize_stream(data: bytes) -> List[GLCommand]:
     return out
 
 
+#: resolved VBO-offset pointer commands one buffer remembers (oldest
+#: dropped first)
+POINTER_MEMO_LIMIT = 256
+
+
 @dataclass
 class DeferredPointerBuffer:
-    """Holds back vertex-pointer commands until a draw reveals their extent."""
+    """Holds back vertex-pointer commands until a draw reveals their extent.
+
+    A pointer that is a VBO offset (an ``int``) ships as the offset
+    itself, whatever the draw reads, so its resolved command depends on
+    the command object alone: the buffer builds it once and hands out
+    the same object on every later draw.  The memo is keyed on the
+    command's ``id`` and each entry keeps the command alive, so no other
+    object can take that ``id`` while the entry lives.  Any other
+    pointer is resolved on every draw: a :class:`ClientArray` is mutable,
+    and its bytes may change between draws, which is why pointers are
+    deferred at all.
+    """
 
     pending: Dict[int, GLCommand] = field(default_factory=dict)
+    #: ``id(command) -> (command, resolved command)`` for VBO offsets
+    _offsets: Dict[int, Tuple[GLCommand, GLCommand]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def hold(self, cmd: GLCommand) -> None:
         if cmd.name != "glVertexAttribPointer":
@@ -206,8 +226,13 @@ class DeferredPointerBuffer:
         as long as they precede the draw.
         """
         resolved: List[GLCommand] = []
+        offsets = self._offsets
         for index in sorted(self.pending):
             cmd = self.pending[index]
+            entry = offsets.get(id(cmd))
+            if entry is not None:
+                resolved.append(entry[1])
+                continue
             _, size, dtype, normalized, stride, pointer = cmd.args
             element = size * gl.TYPE_SIZES.get(dtype, 4)
             step = stride if stride > 0 else element
@@ -225,13 +250,16 @@ class DeferredPointerBuffer:
                 raise SerializationError(
                     f"unsupported pointer payload {type(pointer).__name__}"
                 )
-            resolved.append(
-                GLCommand(
-                    name=cmd.name,
-                    args=(cmd.args[0], size, dtype, normalized, stride, data),
-                    metadata=dict(cmd.metadata),
-                )
+            out = GLCommand(
+                name=cmd.name,
+                args=(cmd.args[0], size, dtype, normalized, stride, data),
+                metadata=dict(cmd.metadata),
             )
+            if isinstance(pointer, int):
+                if len(offsets) >= POINTER_MEMO_LIMIT:
+                    del offsets[next(iter(offsets))]
+                offsets[id(cmd)] = (cmd, out)
+            resolved.append(out)
         self.pending.clear()
         return resolved
 
