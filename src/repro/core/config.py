@@ -11,6 +11,7 @@ beside its reader instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -129,6 +130,10 @@ class GBoosterConfig:
     def validate(self) -> None:
         if self.transport not in ("rudp", "tcp"):
             raise ValueError(f"unknown transport {self.transport!r}")
+        if not (math.isfinite(self.rto_ms) and self.rto_ms > 0):
+            raise ValueError(
+                f"rto_ms must be finite and positive, got {self.rto_ms!r}"
+            )
         if self.switching_policy not in (
             "predictive", "reactive", "always_wifi", "always_bluetooth",
             "planner",

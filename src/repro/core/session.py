@@ -11,6 +11,7 @@ reference cycle, so refcounting frees a finished session.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -192,6 +193,14 @@ def _close_session(
         client.scheduler.on_assign = None
 
 
+def _check_duration(duration_ms: float) -> None:
+    """A session must end: its duration is finite and positive."""
+    if not (math.isfinite(duration_ms) and duration_ms > 0):
+        raise ValueError(
+            f"duration_ms must be finite and positive, got {duration_ms!r}"
+        )
+
+
 def run_local_session(
     app: ApplicationSpec,
     user_device: DeviceSpec,
@@ -208,6 +217,7 @@ def run_local_session(
     The returned simulator (``result.engine.sim``) is torn down: its
     spans and metrics stay readable, but it cannot run again.
     """
+    _check_duration(duration_ms)
     sim = Simulator(seed=seed)
     check: Optional[SessionCheck] = None
     if config is not None and config.check:
@@ -280,7 +290,16 @@ def run_offload_session(
     """
     config = config or GBoosterConfig()
     config.validate()
-    service_devices = list(service_devices or [NVIDIA_SHIELD])
+    _check_duration(duration_ms)
+    if service_devices is None:
+        service_devices = [NVIDIA_SHIELD]
+    else:
+        service_devices = list(service_devices)
+        if not service_devices:
+            raise ValueError(
+                "service_devices is empty; pass None for the default "
+                "service device"
+            )
     replay_store = None
     if config.replay:
         from repro.replay import ReplayHub

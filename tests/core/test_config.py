@@ -32,3 +32,9 @@ def test_invalid_scheduler_rejected():
 def test_invalid_cache_capacity_rejected():
     with pytest.raises(ValueError):
         GBoosterConfig(cache_capacity=0).validate()
+
+
+@pytest.mark.parametrize("rto_ms", [0.0, -5.0, float("nan"), float("inf")])
+def test_rto_must_be_finite_and_positive(rto_ms):
+    with pytest.raises(ValueError, match="rto_ms"):
+        GBoosterConfig(rto_ms=rto_ms).validate()

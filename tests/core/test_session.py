@@ -243,3 +243,39 @@ def test_an_engine_that_never_finishes_raises(monkeypatch, runner):
     run = run_local_session if runner == "local" else run_offload_session
     with pytest.raises(SimulationError, match="did not finish by t=800"):
         run(GTA_SAN_ANDREAS, LG_NEXUS_5, duration_ms=200.0)
+
+
+class TestRejectedInputs:
+    """A session that could not run sensibly is refused before its
+    simulator exists; ``Simulator`` raises here if it is ever built."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Simulator was built for a bad input")
+
+        monkeypatch.setattr("repro.core.session.Simulator", refuse)
+
+    @pytest.mark.parametrize("rto_ms", [0.0, -5.0, float("nan")])
+    def test_bad_rto(self, rto_ms):
+        with pytest.raises(ValueError, match="rto_ms"):
+            run_offload_session(
+                GTA_SAN_ANDREAS, LG_NEXUS_5,
+                config=GBoosterConfig(rto_ms=rto_ms), duration_ms=100.0,
+            )
+
+    @pytest.mark.parametrize("runner", ["local", "offload"])
+    @pytest.mark.parametrize(
+        "duration_ms", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_bad_duration(self, runner, duration_ms):
+        run = run_local_session if runner == "local" else run_offload_session
+        with pytest.raises(ValueError, match="duration_ms"):
+            run(GTA_SAN_ANDREAS, LG_NEXUS_5, duration_ms=duration_ms)
+
+    def test_empty_service_devices(self):
+        with pytest.raises(ValueError, match="service_devices"):
+            run_offload_session(
+                GTA_SAN_ANDREAS, LG_NEXUS_5, service_devices=[],
+                duration_ms=100.0,
+            )
