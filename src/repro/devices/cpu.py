@@ -31,11 +31,6 @@ class CPUSpec:
     #: application cpu_ms_per_frame figures are divided by this.
     perf_index: float = 1.0
 
-    @property
-    def throughput_ghz(self) -> float:
-        """Aggregate clock as a crude capacity proxy."""
-        return self.clock_ghz * self.cores
-
 
 class CPUModel:
     """Tracks per-source CPU utilization and integrates power.

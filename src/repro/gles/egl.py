@@ -98,9 +98,6 @@ class EGLDisplay:
     def register_native(self, name: str, fn: Callable) -> None:
         self._native_procs[name] = fn
 
-    def register_natives(self, procs: Dict[str, Callable]) -> None:
-        self._native_procs.update(procs)
-
     def push_resolver(
         self, resolver: Callable[[str], Optional[Callable]]
     ) -> None:

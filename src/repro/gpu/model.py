@@ -133,22 +133,9 @@ class GPUDevice:
             execution_ms=done.execution_ms,
         )
 
-    def execution_time_ms(self, request: RenderRequest) -> float:
-        """Predicted execution time at the *current* frequency."""
-        capacity_gp = self.spec.capacity_at(self.governor.freq_mhz)
-        if capacity_gp <= 0:
-            return float("inf")
-        fill_ms = request.fill_megapixels / (capacity_gp * 1000.0) * 1000.0
-        overhead_ms = COMMAND_SUBMIT_OVERHEAD_MS * len(request.commands)
-        return fill_ms + overhead_ms
-
     def capacity_megapixels_per_ms(self) -> float:
         """Effective capacity ``c`` in Eq. 4 units (MP per millisecond)."""
         return self.spec.capacity_at(self.governor.freq_mhz) * 1000.0 / 1000.0
-
-    @property
-    def current_freq_mhz(self) -> float:
-        return self.governor.freq_mhz
 
     @property
     def temperature_c(self) -> float:

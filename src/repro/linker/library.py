@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Optional
 
 
 @dataclass
@@ -32,15 +32,8 @@ class SharedLibrary:
         self.symbols[name] = sym
         return sym
 
-    def export_many(self, table: Dict[str, Callable[..., Any]]) -> None:
-        for name, fn in table.items():
-            self.export(name, fn)
-
     def lookup(self, name: str) -> Optional[Symbol]:
         return self.symbols.get(name)
-
-    def exported_names(self) -> Iterable[str]:
-        return self.symbols.keys()
 
     def __contains__(self, name: str) -> bool:
         return name in self.symbols

@@ -46,10 +46,6 @@ class MulticastGroup:
     def leave(self, member_name: str) -> None:
         self._members.pop(member_name, None)
 
-    @property
-    def member_count(self) -> int:
-        return len(self._members)
-
     def send(self, message: Message) -> None:
         """One transmission; every member's link receives a copy.
 

@@ -5,16 +5,13 @@ paper's 10 Mbps / 100 ms test connection.  The multi-backend planner
 needs the WAN as a *candidate* whose parameters vary per deployment —
 a fiber user two hops from a rendering PoP is a very different plan
 input than congested DSL — so the profile lives here and converts to
-both a :class:`~repro.net.link.LinkSpec` (for transports) and a
-:class:`~repro.baselines.cloud.CloudGamingModel` (for the probe's
+a :class:`~repro.baselines.cloud.CloudGamingModel` (for the probe's
 response-time model).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.net.link import LinkSpec
 
 
 @dataclass(frozen=True)
@@ -34,14 +31,6 @@ class WanProfile:
             raise ValueError(f"{self.name}: bandwidth must be positive")
         if not 0.0 <= self.loss_probability < 1.0:
             raise ValueError(f"{self.name}: loss outside [0, 1)")
-
-    def link_spec(self) -> LinkSpec:
-        return LinkSpec(
-            name=f"wan-{self.name}",
-            latency_ms=self.rtt_ms / 2.0,
-            jitter_ms=self.jitter_ms,
-            loss_probability=self.loss_probability,
-        )
 
     def cloud_model(self):
         from repro.baselines.cloud import CloudGamingModel

@@ -75,13 +75,6 @@ class RandomStream:
     def bytes(self, n: int) -> bytes:
         return bytes(self._rng.getrandbits(8) for _ in range(n))
 
-    def pareto(self, alpha: float, scale: float = 1.0) -> float:
-        """Pareto variate; heavy-tailed burst sizes use this."""
-        return scale * self._rng.paretovariate(alpha)
-
-    def lognormal(self, mu: float, sigma: float) -> float:
-        return self._rng.lognormvariate(mu, sigma)
-
     def fork(self, name: str) -> "RandomStream":
         """A child stream, still fully determined by the run seed."""
         return RandomStream(
