@@ -1,11 +1,12 @@
 """LZ77 compressor: round-trip correctness, compression behaviour, and
 byte-identity with the reference parser in ``lz77_reference.py``."""
 
+import functools
 import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.codec.lz77 import MAX_OFFSET, compress, compression_ratio, decompress
 from tests.codec.lz77_reference import _hash4, reference_compress
@@ -234,6 +235,28 @@ def _colliding_grams():
             return other, gram
 
 
+@functools.lru_cache(maxsize=None)
+def _real_batches():
+    """What the egress pipeline hands the compressor on a G1 session:
+    cache references spliced between serialized commands (the set-up
+    batch, then 40 frames), before compression."""
+    from repro.apps.base import CommandBatchBuilder, SceneState
+    from repro.apps.games import GAMES
+    from repro.codec.pipeline import CommandPipeline, PipelineConfig
+    from repro.sim.kernel import Simulator
+
+    builder = CommandBatchBuilder(
+        GAMES["G1"], Simulator(seed=4).stream("test.commands")
+    )
+    scene = SceneState()
+    pipeline = CommandPipeline(PipelineConfig(compression_enabled=False))
+    batches = [builder.setup_commands()]
+    for _ in range(40):
+        scene.advance(1.0 / 30.0)
+        batches.append(builder.frame_commands(scene))
+    return tuple(pipeline.process_frame(batch).payload for batch in batches)
+
+
 class TestReferenceIdentity:
     """The production match finder builds every hash chain up front; the
     reference indexes one position at a time while parsing.  Their
@@ -279,25 +302,91 @@ class TestReferenceIdentity:
         assert sizes[MAX_OFFSET] < sizes[MAX_OFFSET + 1]
 
     def test_real_command_batches(self):
-        # What the egress pipeline hands the compressor on a G1 session:
-        # cache references spliced between serialized commands.
-        from repro.apps.base import CommandBatchBuilder, SceneState
-        from repro.apps.games import GAMES
-        from repro.codec.pipeline import CommandPipeline, PipelineConfig
-        from repro.sim.kernel import Simulator
-
-        builder = CommandBatchBuilder(
-            GAMES["G1"], Simulator(seed=4).stream("test.commands")
-        )
-        scene = SceneState()
-        pipeline = CommandPipeline(PipelineConfig(compression_enabled=False))
-        batches = [builder.setup_commands()]
-        for _ in range(40):
-            scene.advance(1.0 / 30.0)
-            batches.append(builder.frame_commands(scene))
-        for batch in batches:
-            raw = pipeline.process_frame(batch).payload
+        for raw in _real_batches():
             assert compress(raw, 8) == reference_compress(raw, 8)
+
+
+def _distinct_grams(n: int, seed: int) -> bytes:
+    """``n`` random bytes in which no 4-byte string occurs twice, so the
+    parser can find no match inside them."""
+    rng = random.Random(seed)
+    while True:
+        data = bytes(rng.randrange(256) for _ in range(n))
+        grams = {data[i:i + 4] for i in range(n - 3)}
+        if len(grams) == max(0, n - 3):
+            return data
+
+
+def _extension(value: int) -> bytes:
+    """LZ4's bytes after a nibble of 15, written out by hand."""
+    return b"\xff" * ((value - 15) // 255) + bytes([(value - 15) % 255])
+
+
+class TestEmissionBranches:
+    """Each way a sequence is written: a literal run and a match length
+    below and at or above their nibble's 15, extension chains that cross
+    255, and the smallest inputs the match finder indexes."""
+
+    @pytest.mark.parametrize("literals", [4, 14, 15, 16, 269, 270, 271, 525])
+    @pytest.mark.parametrize("match", [4, 18, 19, 20, 273, 274, 275, 529])
+    def test_one_sequence(self, literals, match):
+        # A run of distinct grams, then ``match`` bytes copied from it at
+        # offset ``literals`` (overlapping once the match is longer).
+        head = _distinct_grams(literals, literals)
+        data = head + (head * (match // literals + 1))[:match]
+        token = (min(literals, 15) << 4) | min(match - 4, 15)
+        expected = bytes([token])
+        if literals >= 15:
+            expected += _extension(literals)
+        expected += head + literals.to_bytes(2, "little")
+        if match - 4 >= 15:
+            expected += _extension(match - 4)
+        assert compress(data) == expected == reference_compress(data)
+        assert decompress(expected) == data
+
+    @pytest.mark.parametrize("literals", [1, 14, 15, 269, 270, 525])
+    def test_final_literal_run(self, literals):
+        data = _distinct_grams(literals, literals)
+        expected = bytes([min(literals, 15) << 4])
+        if literals >= 15:
+            expected += _extension(literals)
+        assert compress(data) == expected + data == reference_compress(data)
+
+    def test_extensions_crossing_255(self):
+        # 270 literals and a 274-byte match: both remainders are exactly
+        # 255, so each extension is a 255 and then a 0.
+        head = _distinct_grams(270, 270)
+        data = head + (head * 2)[:274]
+        assert compress(data) == (
+            b"\xff\xff\x00" + head + b"\x0e\x01\xff\x00"
+        )
+
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            (b"aaaa", b"\x40aaaa"),
+            (b"abcd", b"\x40abcd"),
+            (b"aaaaa", b"\x10a\x01\x00"),
+            (b"abcda", b"\x50abcda"),
+            (b"ababa", b"\x50ababa"),
+        ],
+    )
+    def test_four_and_five_bytes(self, data, expected):
+        for chain in CHAINS:
+            assert compress(data, chain) == expected
+            assert reference_compress(data, chain) == expected
+
+    def test_unbounded_chain_stops_at_the_window(self):
+        # 70 KB of 256 repeated 16-byte blocks: with max_chain=0 every
+        # chain is walked until it leaves the 64 KB window.
+        rng = random.Random(70)
+        blocks = [bytes(rng.randrange(256) for _ in range(16))
+                  for _ in range(256)]
+        data = b"".join(rng.choice(blocks) for _ in range(70_000 // 16))
+        assert len(data) > MAX_OFFSET + 1
+        out = compress(data, max_chain=0)
+        assert out == reference_compress(data, max_chain=0)
+        assert decompress(out) == data
 
 
 @settings(max_examples=150, deadline=None)
@@ -311,3 +400,43 @@ class TestReferenceIdentity:
 )
 def test_property_identical_to_reference(data, chain):
     assert compress(data, chain) == reference_compress(data, chain)
+
+
+@st.composite
+def _spliced_batches(draw, max_size=8192):
+    """Real command batches joined end to end, with a few runs of
+    arbitrary bytes spliced in."""
+    parts = draw(st.lists(st.sampled_from(_real_batches()),
+                          min_size=1, max_size=6))
+    data = bytearray(b"".join(parts)[:max_size])
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data[at:at] = draw(st.binary(max_size=32))
+    return bytes(data[:max_size])
+
+
+@pytest.mark.fuzz
+def test_deep_property_identical_to_reference(request):
+    """``test_property_identical_to_reference`` at depth: inputs up to
+    8 KB, real command batches among them.  Selected with ``-m fuzz`` it
+    draws 2,000 examples; a plain run draws 40, so tier 1 stays fast."""
+    deep = "fuzz" in (request.config.getoption("markexpr") or "")
+
+    @settings(
+        max_examples=2000 if deep else 40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        data=st.one_of(
+            st.binary(max_size=8192),
+            st.lists(st.sampled_from([b"\x00", b"ab", b"abc", b"\xca\xfe"]),
+                     max_size=2700).map(b"".join),
+            _spliced_batches(),
+        ),
+        chain=st.sampled_from(CHAINS),
+    )
+    def identical(data, chain):
+        assert compress(data, chain) == reference_compress(data, chain)
+
+    identical()

@@ -11,6 +11,7 @@ from repro.gles import enums as gl
 from repro.gles.commands import COMMANDS, ParamType, make_command
 from repro.gles.serialization import (
     MAGIC,
+    POINTER_MEMO_LIMIT,
     ClientArray,
     CommandSerializer,
     DeferredPointerBuffer,
@@ -307,6 +308,70 @@ class TestDeferredPointers:
         ser.feed(make_command("glUseProgram", 1))
         assert ser.commands_serialized == 1
         assert ser.bytes_serialized > 0
+
+
+def _vbo_pointer(offset=0, index=0):
+    return make_command(
+        "glVertexAttribPointer", index, 3, gl.GL_FLOAT, False, 20, offset,
+        metadata={"attrib": "position"},
+    )
+
+
+def _flush(buf, cmd, vertices=36):
+    buf.hold(cmd)
+    (resolved,) = buf.flush_for_draw(vertices)
+    return resolved
+
+
+class TestPointerMemo:
+    """A VBO-offset pointer resolves once per command object; a client
+    array pointer resolves on every draw."""
+
+    def test_same_command_resolves_to_the_same_object(self):
+        buf = DeferredPointerBuffer()
+        cmd = _vbo_pointer(64)
+        first = _flush(buf, cmd)
+        again = _flush(buf, cmd, vertices=3)
+        assert again is first
+        fresh = _flush(DeferredPointerBuffer(), cmd)
+        assert fresh is not first
+        assert serialize_command(first) == serialize_command(fresh)
+        assert first.args == (0, 3, gl.GL_FLOAT, False, 20,
+                              struct.pack("<I", 64))
+        assert first.metadata == cmd.metadata
+        assert first.metadata is not cmd.metadata
+
+    def test_equal_but_distinct_commands_get_their_own_entries(self):
+        buf = DeferredPointerBuffer()
+        a, b = _vbo_pointer(64), _vbo_pointer(64)
+        assert a == b and a is not b
+        ra, rb = _flush(buf, a), _flush(buf, b)
+        assert ra is not rb and ra == rb
+        assert len(buf._offsets) == 2
+        assert _flush(buf, a) is ra and _flush(buf, b) is rb
+
+    def test_client_array_pointer_reads_its_current_bytes(self):
+        buf = DeferredPointerBuffer()
+        array = ClientArray(b"A" * 400)
+        cmd = make_command(
+            "glVertexAttribPointer", 0, 3, gl.GL_FLOAT, False, 0, array,
+        )
+        assert _flush(buf, cmd, vertices=4).args[5] == b"A" * 48
+        array.data = b"B" * 400
+        assert _flush(buf, cmd, vertices=4).args[5] == b"B" * 48
+        assert not buf._offsets
+
+    def test_memo_is_bounded_oldest_first(self):
+        buf = DeferredPointerBuffer()
+        commands = [_vbo_pointer(i) for i in range(POINTER_MEMO_LIMIT + 10)]
+        for cmd in commands:
+            _flush(buf, cmd)
+        assert len(buf._offsets) == POINTER_MEMO_LIMIT
+        assert id(commands[9]) not in buf._offsets
+        assert [entry[0] for entry in buf._offsets.values()] == commands[10:]
+        # A dropped command resolves afresh, to the same bytes.
+        assert _flush(buf, commands[0]).args[5] == struct.pack("<I", 0)
+        assert len(buf._offsets) == POINTER_MEMO_LIMIT
 
 
 @settings(max_examples=50, deadline=None)
