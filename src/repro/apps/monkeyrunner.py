@@ -93,6 +93,7 @@ class InputScript:
         sim = Simulator(seed=seed)
         generator = TouchGenerator(sim, spec)
         sim.run(until=duration_ms)
+        sim.teardown()
         return cls(
             events=list(generator.events),
             name=name or f"{spec.short_name}-recorded",
@@ -118,6 +119,7 @@ class ScriptedTouchPlayer:
         self.sim = sim
         self.script = script
         self.on_touch = on_touch
+        sim.on_teardown(setattr, self, "on_touch", None)
         self.loop = loop
         self.events: List[TouchEvent] = []
         sim.call_later(0.0, self._start)

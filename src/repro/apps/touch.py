@@ -39,6 +39,7 @@ class TouchGenerator:
         self.sim = sim
         self.spec = spec
         self.on_touch = on_touch
+        sim.on_teardown(setattr, self, "on_touch", None)
         self.rng = rng or sim.stream(f"touch.{spec.short_name}")
         self.events: List[TouchEvent] = []
         sim.call_later(0.0, self._quiet)

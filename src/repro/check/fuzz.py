@@ -578,6 +578,7 @@ class TransportDelivery(Property):
             msg.metadata["n"] = i
             transport.send(msg)
         sim.run(until=120_000.0)
+        sim.teardown()
 
         n = len(case["sizes"])
         if delivered != list(range(n)):

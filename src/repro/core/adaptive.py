@@ -48,6 +48,7 @@ def discover_services(
     service = DiscoveryService(sim, ambient_devices)
     done = service.probe(timeout_ms=timeout_ms)
     sim.run_until_event(done, limit=timeout_ms * 4)
+    sim.teardown()
     return done.value
 
 

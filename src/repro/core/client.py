@@ -110,6 +110,7 @@ class GBoosterClient:
             self.scheduler = DispatchScheduler(on_assign=self._on_assign)
         else:
             self.scheduler = RoundRobinScheduler(on_assign=self._on_assign)
+        sim.on_teardown(setattr, self.scheduler, "on_assign", None)
         self.reorder = ReorderBuffer(max_held=64)
         # Record-once / replay-many fast path (repro.replay).  Multi-device
         # mode keeps the full pipeline: the state-replication split needs

@@ -23,7 +23,7 @@ from repro.apps.engine import EngineConfig, GameEngine
 from repro.core.client import GBoosterClient
 from repro.core.config import GBoosterConfig
 from repro.core.server import ServiceNode
-from repro.core.session import _close_session
+from repro.core.session import _check_duration
 from repro.devices.profiles import DeviceSpec, LG_NEXUS_5, NVIDIA_SHIELD
 from repro.devices.runtime import ServiceDeviceRuntime, UserDeviceRuntime
 from repro.metrics.fps import FpsMetrics, compute_fps_metrics
@@ -100,6 +100,9 @@ def run_multiuser_session(
     """
     config = config or GBoosterConfig()
     config.validate()
+    _check_duration(duration_ms)
+    if not apps:
+        raise ValueError("apps is empty; a multi-user session needs a user")
     sim = Simulator(seed=seed)
     wifi_medium = None
     if shared_wifi_channel:
@@ -117,9 +120,6 @@ def run_multiuser_session(
     )
 
     engines: List[Tuple[ApplicationSpec, GameEngine, float]] = []
-    links: List[NetworkLink] = []
-    transports: List[ReliableUdpTransport] = [default_downlink]
-    clients: List[GBoosterClient] = []
     for idx, app in enumerate(apps):
         device = UserDeviceRuntime(
             sim, user_device,
@@ -162,9 +162,6 @@ def run_multiuser_session(
             sim, app, device, client, EngineConfig(duration_ms=duration_ms)
         )
         engines.append((app, engine, priority))
-        links += [*up_links.values(), *down_links.values()]
-        transports += [uplink, downlink]
-        clients.append(client)
 
     # Run until every engine has finished: each finish counts down, from
     # a callback parked after a zero-time start hop.
@@ -189,10 +186,7 @@ def run_multiuser_session(
                 priority=priority,
             )
         )
-    _close_session(
-        sim, [engine for _app, engine, _priority in engines],
-        links=links, transports=transports, clients=clients,
-    )
+    sim.teardown()
     return result
 
 

@@ -5,8 +5,9 @@ points the experiments, examples and benchmarks use: build a simulator,
 instantiate the user device and (for offload) the service devices with
 their links, transports, multicast group and switching controller, run a
 game engine session, and return a :class:`SessionResult` bundling every
-metric the paper reports.  Both end in one close step that leaves no
-reference cycle, so refcounting frees a finished session.
+metric the paper reports.  Both end in ``sim.teardown()``, where each
+component drops the edges it wired, so refcounting frees a finished
+session.
 """
 
 from __future__ import annotations
@@ -163,36 +164,6 @@ def _make_policy(config: GBoosterConfig):
     return AlwaysWifiPolicy()
 
 
-def _close_session(
-    sim: Simulator,
-    engines: Sequence[GameEngine],
-    links: Sequence[NetworkLink] = (),
-    transports: Sequence[Transport] = (),
-    clients: Sequence[GBoosterClient] = (),
-) -> None:
-    """Leave no reference cycle, so refcounting frees the whole session.
-
-    Runs after the result is built: it tears the simulator down (a
-    torn-down simulator cannot run again), then drops the wiring edges
-    that close cycles through the clients, the service nodes and the
-    engines: link receivers, transport callbacks, each scheduler's
-    observer, each touch generator's callback and what waits for a radio
-    to wake.  What was recorded stays readable.
-    """
-    sim.teardown()
-    for engine in engines:
-        for radio in engine.device.network.interfaces().values():
-            radio.close()
-        if engine.touch is not None:
-            engine.touch.on_touch = None
-    for link in links:
-        link.receiver = None
-    for transport in transports:
-        transport.on_deliver = transport.on_ack = None
-    for client in clients:
-        client.scheduler.on_assign = None
-
-
 def _check_duration(duration_ms: float) -> None:
     """A session must end: its duration is finite and positive."""
     if not (math.isfinite(duration_ms) and duration_ms > 0):
@@ -259,7 +230,7 @@ def run_local_session(
         device=device,
         check=check,
     )
-    _close_session(sim, [engine])
+    sim.teardown()
     return result
 
 
@@ -553,10 +524,5 @@ def run_offload_session(
         causal=causal,
         flight=flight,
     )
-    _close_session(
-        sim, [engine],
-        links=[*down_links.values(), *uplink_links],
-        transports=[downlink, *uplinks.values()],
-        clients=[client],
-    )
+    sim.teardown()
     return result

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.base import ApplicationSpec
 from repro.apps.games import GAMES
+from repro.core.session import _check_duration
 from repro.devices.profiles import SERVICE_DEVICES, DeviceSpec
 from repro.faults import FaultSchedule
 from repro.fleet import Arrival, FleetConfig, FleetRun
@@ -133,6 +134,7 @@ def run_fleet_point(
     """
     if n_sessions < 1:
         raise ValueError(f"need at least one session, got {n_sessions}")
+    _check_duration(duration_ms)
     if config is None:
         config = FleetConfig()
     if crash:

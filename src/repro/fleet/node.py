@@ -91,6 +91,7 @@ class FleetNode:
         self.spec = spec
         self.name = spec.name
         self.on_complete = on_complete
+        sim.on_teardown(setattr, self, "on_complete", None)
         self.failed = False
         self.stats = FleetNodeStats()
         #: tasks that arrived while the box was dead, awaiting rescue

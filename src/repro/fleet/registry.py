@@ -34,6 +34,11 @@ HEARTBEAT_TIMEOUT_MS = 750.0
 HeartbeatProbe = Callable[[], Optional[Tuple]]
 
 
+def _silent() -> None:
+    """The heartbeat probe of a torn-down run's devices."""
+    return None
+
+
 @dataclass
 class Heartbeat:
     """One liveness report from a service device."""
@@ -83,6 +88,7 @@ class DeviceRegistry:
         self.on_lost: Optional[Callable[[RegisteredDevice], None]] = None
         self.on_join: Optional[Callable[[RegisteredDevice], None]] = None
         sim.every(HEARTBEAT_INTERVAL_MS, self._check_liveness)
+        sim.on_teardown(self._close)
 
     # -- membership ----------------------------------------------------------
 
@@ -154,3 +160,10 @@ class DeviceRegistry:
                 )
                 if self.on_lost is not None:
                     self.on_lost(dev)
+
+    def _close(self) -> None:
+        """Teardown breaker: the hooks and the heartbeat probes point
+        back at the controller and its nodes."""
+        self.on_lost = self.on_join = None
+        for dev in self.devices.values():
+            dev.probe = _silent

@@ -38,11 +38,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.shard import BarrierReport, ShardResult
 
 
-def _silent() -> None:
-    """The heartbeat probe of a closed run's devices."""
-    return None
-
-
 class Arrival(NamedTuple):
     """One session request of a launch wave."""
 
@@ -142,24 +137,14 @@ class FleetRun:
         return len(monitor.violations) if monitor is not None else 0
 
     def close(self) -> None:
-        """Leave no reference cycle, so refcounting frees the whole run.
+        """Tear the simulator down, so refcounting frees the whole run.
 
-        Read the report, digests and invariant count first: this tears
-        the simulator down (a torn-down simulator cannot run again), then
-        drops the references that close cycles through the controller:
-        node answers, registry hooks, heartbeat probes, and what waits on
-        sessions still active.  Recorded spans and metrics stay readable.
+        Read the report, digests and invariant count first: a torn-down
+        simulator cannot run again, and each component drops the edges
+        it wired (``Simulator.on_teardown``).  Recorded spans and metrics
+        stay readable.
         """
         self.sim.teardown()
-        controller = self.controller
-        for session in controller.active.values():
-            session.close()
-        for node in controller.nodes.values():
-            node.on_complete = None
-        registry = controller.registry
-        registry.on_lost = registry.on_join = None
-        for dev in registry.devices.values():
-            dev.probe = _silent
 
 
 # -- the partitioned case -----------------------------------------------------

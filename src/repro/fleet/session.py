@@ -95,6 +95,7 @@ class FleetSession:
         self.frames_lost = 0          # invariant: stays 0 under migration
         self.outstanding: Dict[int, FrameTask] = {}
         self.finished: Event = sim.event(name=f"fleet.{self.session_id}.done")
+        sim.on_teardown(self._close)
         #: ``(limit, then)`` while the session waits for answers: ``then``
         #: runs once fewer than ``limit`` frames are outstanding
         self._gate: Optional[Tuple[int, Callable[[], None]]] = None
@@ -156,11 +157,10 @@ class FleetSession:
             # (possibly by a different node than the one it was issued to).
             self._wait_for(1, self._finish)
 
-    def close(self) -> None:
-        """Drop what waits on this session: the continuation parked at
-        its gate and the callbacks parked on ``finished``.  Both point
-        back at their owners; a run that closes while the session is
-        active calls this."""
+    def _close(self) -> None:
+        """Teardown breaker: drop what waits on this session, the
+        continuation parked at its gate and the callbacks parked on
+        ``finished``.  Both point back at their owners."""
         self._gate = None
         self.finished.cancel_waiters()
 

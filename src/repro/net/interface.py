@@ -149,6 +149,7 @@ class WirelessInterface:
         self.link = None  # set via attach_link
         self._usable = sim.event(name=f"{self.name}.usable")
         self._usable.trigger(None)
+        sim.on_teardown(self._drop_waiters)
         self._off_since: Optional[float] = None
         self.bytes_sent = 0
         self.messages_sent = 0
@@ -247,10 +248,10 @@ class WirelessInterface:
                 usable.trigger(None)
             self.sim.spans.mark("radio", "awake", radio=self.name)
 
-    def close(self) -> None:
+    def _drop_waiters(self) -> None:
         """Cancel what waits for the radio to wake (held messages, route
-        flips): those callbacks point back at their owners.  A closed
-        session calls this."""
+        flips): those callbacks point back at their owners.  The event is
+        replaced on each power cycle, so this reads it at teardown."""
         self._usable.cancel_waiters()
 
     # -- data path ---------------------------------------------------------------

@@ -58,6 +58,7 @@ class NetworkLink:
         self.sim = sim
         self.spec = spec
         self.receiver = receiver
+        sim.on_teardown(setattr, self, "receiver", None)
         self.rng = rng or sim.stream(f"link.{spec.name}")
         self.delivered = 0
         self.dropped = 0

@@ -72,6 +72,7 @@ class Transport:
         #: called with each fresh arrival at the receiving end: the moment
         #: its ACK goes back to the sender
         self.on_ack: Optional[Callable[[Message], None]] = None
+        sim.on_teardown(self._unwire)
         self._radio_provider: Optional[Callable[[], WirelessInterface]] = None
         self._link_for_radio: Dict[str, NetworkLink] = {}
         self._next_seq = 0
@@ -88,6 +89,10 @@ class Transport:
         self._rto_timers: Dict[int, TimerHandle] = {}
 
     # -- wiring -----------------------------------------------------------------
+
+    def _unwire(self) -> None:
+        """Teardown breaker: the delivery callbacks point at the owners."""
+        self.on_deliver = self.on_ack = None
 
     def bind(
         self,

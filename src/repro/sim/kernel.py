@@ -112,7 +112,8 @@ class Event:
 
         A parked callback is not in the simulator's queue, so
         :meth:`Simulator.teardown` cannot reach it: the owner of an event
-        that may never fire calls :meth:`cancel_waiters` when it closes.
+        that may never fire registers :meth:`cancel_waiters` (or a
+        breaker that calls it) with :meth:`Simulator.on_teardown`.
         """
         handle = TimerHandle(fn, args)
         if self.triggered:
@@ -176,6 +177,8 @@ class Simulator:
         self._streams: dict = {}
         #: set by :meth:`teardown`; a torn-down simulator cannot run again
         self.torn_down = False
+        #: ``(fn, args)`` breakers registered with :meth:`on_teardown`
+        self._breakers: List[Tuple[Callable[..., Any], Tuple[Any, ...]]] = []
 
     def next_message_id(self) -> int:
         """The next sim-scoped network message id.
@@ -208,17 +211,28 @@ class Simulator:
     def event(self, name: str = "") -> Event:
         return Event(self, name=name)
 
+    def on_teardown(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` once, when the simulator is torn down.
+
+        A component that wires an edge closing a reference cycle (a
+        callback into its owner, a waiter parked on an event that may
+        never fire) registers what drops that edge when it is built, so
+        every runner that ends in :meth:`teardown` leaves no cycle.
+        """
+        self._breakers.append((fn, args))
+
     def teardown(self) -> None:
         """Dispose of the simulation: cancel every queued callback.
 
         The queue is cleared, the span clock is pinned at the final time
         and the armed observers (telemetry, causal log, flight recorder,
         digests) are detached, which drops the references that point back
-        at the simulator.  Callbacks parked on events are not queued and
-        stay with their owners (:meth:`Event.on_trigger`).  What was
-        recorded stays readable, but a torn-down simulator cannot run
-        again: ``run``, ``run_until_event``, ``call_later`` and
-        ``call_at`` raise :class:`SimulationError`.
+        at the simulator.  Then every breaker registered with
+        :meth:`on_teardown` runs once, in registration order, and the
+        list is dropped, so the simulator holds no reference back to its
+        components.  What was recorded stays readable, but a torn-down
+        simulator cannot run again: ``run``, ``run_until_event``,
+        ``call_later`` and ``call_at`` raise :class:`SimulationError`.
         """
         for entry in self._queue:
             entry[2].cancel()
@@ -228,6 +242,9 @@ class Simulator:
         self.spans.clock = lambda: now
         self.telemetry = self.causal = self.flight = None
         self.digests = None
+        for fn, args in self._breakers:
+            fn(*args)
+        self._breakers.clear()
 
     def call_later(
         self, delay: float, fn: Callable[..., Any], *args: Any

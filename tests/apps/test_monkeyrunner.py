@@ -10,6 +10,7 @@ from repro.baselines.local import LocalBackend
 from repro.devices.profiles import LG_NEXUS_5
 from repro.devices.runtime import UserDeviceRuntime
 from repro.sim.kernel import Simulator
+from tests.gc_guard import assert_frees_itself
 
 
 def make_script(times=(100.0, 250.0, 900.0)):
@@ -137,3 +138,24 @@ class TestEngineIntegration:
         busy_change = sum(f.change_fraction for f in busy_engine.frames)
         calm_change = sum(f.change_fraction for f in calm_engine.frames)
         assert busy_change > calm_change
+
+    def test_a_torn_down_scripted_engine_frees_itself(self):
+        # The player's callback points back at the engine that owns it;
+        # the player drops it when the simulator is torn down.
+        script = make_script(times=(100.0, 400.0))
+
+        def run():
+            sim = Simulator(seed=0)
+            device = UserDeviceRuntime(
+                sim, LG_NEXUS_5,
+                render_width=GTA_SAN_ANDREAS.render_width,
+                render_height=GTA_SAN_ANDREAS.render_height,
+            )
+            engine = GameEngine(
+                sim, GTA_SAN_ANDREAS, device, LocalBackend(sim, device),
+                EngineConfig(duration_ms=1_000.0, input_script=script),
+            )
+            engine.run(limit=4_000.0)
+            sim.teardown()
+
+        assert_frees_itself(run)

@@ -199,10 +199,10 @@ class TestSessionIntegration:
         )
 
     def test_unchecked_session_pays_nothing(self, monkeypatch):
-        # Closing a session detaches its observers; skip the close so the
-        # simulator shows what the session armed.
+        # Tearing a session down detaches its observers; skip the
+        # teardown so the simulator shows what the session armed.
         monkeypatch.setattr(
-            "repro.core.session._close_session", lambda *a, **k: None
+            "repro.sim.kernel.Simulator.teardown", lambda self: None
         )
         result = run_offload_session(
             GTA_SAN_ANDREAS, LG_NEXUS_5, [NVIDIA_SHIELD],

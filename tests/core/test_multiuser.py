@@ -102,3 +102,28 @@ class TestSharedChannel:
         )
         for user in result.users:
             assert user.fps.frame_count > 100
+
+
+class TestRejectedInputs:
+    """A multi-user session that could not run sensibly is refused before
+    its simulator exists; ``Simulator`` raises here if it is ever built."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Simulator was built for a bad input")
+
+        monkeypatch.setattr("repro.core.multiuser.Simulator", refuse)
+
+    @pytest.mark.parametrize(
+        "duration_ms", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_bad_duration(self, duration_ms):
+        with pytest.raises(ValueError, match="duration_ms"):
+            run_multiuser_session(
+                [MODERN_COMBAT, CANDY_CRUSH], duration_ms=duration_ms
+            )
+
+    def test_no_apps(self):
+        with pytest.raises(ValueError, match="apps"):
+            run_multiuser_session([], duration_ms=100.0)

@@ -1,18 +1,30 @@
 """Garbage guard: a finished session is freed by refcounting alone.
 
-Both session runners and the multi-user session end in one close step
-that tears the simulator down and drops the wiring that closes cycles
-(link receivers, transport callbacks, the scheduler's observer, the
-touch callback); per-frame
-events and wire messages leave a frame's metadata when they are done
-with.  So with the cyclic collector off, a collection after a session
-finds nothing.  ``tests/fleet/test_teardown.py`` is the fleet's guard.
+Both session runners, the multi-user session and every other runner of a
+session-side kernel (discovery, a recorded touch script, a fuzzed
+transport) end in ``sim.teardown()``.  Each component registered what
+drops the edge it wired when it was built (``Simulator.on_teardown``:
+link receivers, transport callbacks, the scheduler's observer, the touch
+callback, what waits for a radio to wake), and teardown runs those
+breakers; per-frame events and wire messages leave a frame's metadata
+when they are done with.  So with the cyclic collector off, a collection
+after a session finds nothing.  ``tests/fleet/test_teardown.py`` is the
+fleet's guard; ``tests/sim/test_teardown_sites.py`` maps every runner to
+its case here or there.
 """
 
 import pytest
 
-from repro.apps.games import CANDY_CRUSH, GAMES, MODERN_COMBAT, STAR_WARS_KOTOR
-from repro.core import session
+from repro.apps.games import (
+    CANDY_CRUSH,
+    GAMES,
+    GTA_SAN_ANDREAS,
+    MODERN_COMBAT,
+    STAR_WARS_KOTOR,
+)
+from repro.apps.monkeyrunner import InputScript
+from repro.check.fuzz import TransportDelivery
+from repro.core.adaptive import run_adaptive_session
 from repro.core.config import GBoosterConfig
 from repro.core.multiuser import run_multiuser_session
 from repro.core.session import run_local_session, run_offload_session
@@ -20,7 +32,7 @@ from repro.devices.profiles import LG_G5, MINIX_NEO_U1, NVIDIA_SHIELD
 from repro.faults.schedule import FaultSchedule
 from repro.metrics.energy import energy_report
 from repro.metrics.spans import pipeline_breakdown
-from repro.sim.kernel import SimulationError
+from repro.sim.kernel import SimulationError, Simulator
 from tests.gc_guard import assert_frees_itself
 
 OBSERVED = dict(
@@ -100,11 +112,38 @@ def multiuser_priority_shared_channel():
     )
 
 
+def adaptive_offload():
+    # Discovery finds the console, so the session offloads to it.
+    run_adaptive_session(
+        GTA_SAN_ANDREAS, ambient_devices=[NVIDIA_SHIELD],
+        duration_ms=500.0, seed=SEED,
+    )
+
+
+def adaptive_local():
+    # Nothing answers discovery and there is no Internet: local.
+    run_adaptive_session(
+        GTA_SAN_ANDREAS, internet_available=False,
+        duration_ms=500.0, seed=SEED,
+    )
+
+
+def recorded_script():
+    InputScript.record_from_generator(GTA_SAN_ANDREAS, 5_000.0, seed=SEED)
+
+
+def fuzzed_transport():
+    TransportDelivery().check(
+        {"seed": SEED, "loss": 0.2, "sizes": [500, 20_000, 40, 3_000]}
+    )
+
+
 @pytest.mark.parametrize(
     "run",
     [local, local_checked, offload_default, two_services, planner, replay,
      crash, observed, ends_mid_wake, multiuser,
-     multiuser_priority_shared_channel],
+     multiuser_priority_shared_channel, adaptive_offload, adaptive_local,
+     recorded_script, fuzzed_transport],
     ids=lambda run: run.__name__,
 )
 def test_a_finished_session_leaves_no_cyclic_garbage(run):
@@ -147,7 +186,7 @@ def test_a_closed_result_stays_readable(monkeypatch):
     with pytest.raises(SimulationError):
         closed.engine.sim.run()
     assert closed.energy == energy_report(closed.device)
-    monkeypatch.setattr(session, "_close_session", lambda *a, **k: None)
+    monkeypatch.setattr(Simulator, "teardown", lambda self: None)
     open_result = run()
     assert not open_result.engine.sim.torn_down
     assert _readout(closed) == _readout(open_result)

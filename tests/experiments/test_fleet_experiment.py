@@ -99,6 +99,29 @@ class TestFaultSchedules:
         assert point.digest == crashed.digest
 
 
+class TestRejectedInputs:
+    """A fleet point that could not run sensibly is refused before its
+    simulator exists; ``Simulator`` raises here if it is ever built."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Simulator was built for a bad input")
+
+        monkeypatch.setattr("repro.experiments.fleet.Simulator", refuse)
+
+    @pytest.mark.parametrize("crash", [True, False])
+    @pytest.mark.parametrize(
+        "duration_ms", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_bad_duration(self, duration_ms, crash):
+        with pytest.raises(ValueError, match="duration_ms"):
+            run_fleet_point(
+                n_sessions=4, n_devices=2, duration_ms=duration_ms,
+                crash=crash,
+            )
+
+
 class TestSweep:
     def test_sweep_and_formatting(self):
         points = run_fleet_sweep(session_counts=(4, 8), n_devices=4,

@@ -87,10 +87,10 @@ class TestSessionScenarios:
         assert f < c
 
     def test_unarmed_session_has_no_telemetry(self, monkeypatch):
-        # Closing a session detaches its observers; skip the close so the
-        # simulator shows what the session armed.
+        # Tearing a session down detaches its observers; skip the
+        # teardown so the simulator shows what the session armed.
         monkeypatch.setattr(
-            "repro.core.session._close_session", lambda *a, **k: None
+            "repro.sim.kernel.Simulator.teardown", lambda self: None
         )
         result = run_offload_session(
             GAMES["G3"], LG_NEXUS_5, [NVIDIA_SHIELD],

@@ -1,10 +1,12 @@
 """Garbage guard: a finished fleet run is freed by refcounting alone.
 
-Every fleet entry point ends through ``FleetRun.close()``, which leaves no
-reference cycle behind.  So with the cyclic collector switched off, all of
-a run's objects (kernel, controller, sessions, tens of thousands of spans)
-are freed the moment its results are dropped, and a collection afterwards
-finds nothing.  One cycle left anywhere in the run would hold the whole
+Every fleet entry point ends through ``FleetRun.close()``, which tears
+the simulator down; each component (node, registry, session) registered
+what drops the edges it wired when it was built
+(``Simulator.on_teardown``), so no reference cycle is left behind.  So
+with the cyclic collector switched off, all of a run's objects (kernel,
+controller, sessions, tens of thousands of spans) are freed the moment
+its results are dropped, and a collection afterwards finds nothing.  One cycle left anywhere in the run would hold the whole
 run as garbage for the collector to walk.
 
 Each case runs twice and measures the second run, so objects that only a

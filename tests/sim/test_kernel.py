@@ -267,3 +267,51 @@ class TestTornDown:
         handle = never.on_trigger(print, "x")
         sim.teardown()
         assert handle.alive and never._waiters == [handle]
+
+
+class TestOnTeardown:
+    """Components register what breaks their cycles; teardown runs it."""
+
+    def test_breakers_run_once_in_registration_order(self):
+        sim = Simulator()
+        calls = []
+        sim.on_teardown(calls.append, "first")
+        sim.on_teardown(calls.append, "second")
+        sim.on_teardown(calls.extend, ("third", "fourth"))
+        sim.run()
+        assert calls == []
+        sim.teardown()
+        assert calls == ["first", "second", "third", "fourth"]
+
+    def test_breakers_run_after_the_queue_and_observers_are_gone(self):
+        sim = Simulator()
+        sim.telemetry = sim.causal = sim.flight = object()
+        sim.digests = object()
+        sim.call_later(5.0, print, "never")
+        seen = []
+
+        def breaker():
+            seen.append((
+                list(sim._queue), sim.torn_down,
+                sim.telemetry, sim.causal, sim.flight, sim.digests,
+            ))
+
+        sim.on_teardown(breaker)
+        sim.teardown()
+        assert seen == [([], True, None, None, None, None)]
+
+    def test_a_second_teardown_runs_nothing(self):
+        sim = Simulator()
+        calls = []
+        sim.on_teardown(calls.append, "once")
+        sim.teardown()
+        assert sim._breakers == []
+        sim.teardown()
+        assert calls == ["once"]
+
+    def test_call_later_still_raises(self):
+        sim = Simulator()
+        sim.on_teardown(lambda: None)
+        sim.teardown()
+        with pytest.raises(SimulationError, match="torn-down"):
+            sim.call_later(1.0, print)
