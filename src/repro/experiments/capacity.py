@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.apps.games import GAMES
+from repro.core.session import _check_duration
 from repro.experiments.fleet import make_fleet_pool
 from repro.experiments.gate import BenchSpec, seal
 from repro.fleet import (
@@ -154,8 +155,11 @@ def run_capacity_point(
 
     Runs a private kernel with the telemetry hub and the invariant
     monitor both armed, submits the curve's arrival schedule, drains to
-    quiescence, and reduces to the point's attainment record.
+    quiescence, and reduces to the point's attainment record.  A
+    ``duration_ms`` that is not finite and positive raises ``ValueError``
+    before the kernel is built.
     """
+    _check_duration(duration_ms)
     apps = list(GAMES.values())
     indices = mix_app_indices(GENRE_MIXES[mix_name], n_sessions)
     offsets = arrival_offsets(curve, n_sessions, seed)

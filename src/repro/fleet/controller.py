@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.session import _check_duration
 from repro.devices.profiles import DeviceSpec
 from repro.faults.schedule import FaultSchedule, NodeCrash
 from repro.fleet.admission import AdmissionController
@@ -361,8 +362,7 @@ class FleetController:
         self._drain_admission_queue()
 
     def set_session_duration(self, duration_ms: float) -> None:
-        if duration_ms <= 0:
-            raise ValueError(f"bad session duration {duration_ms}")
+        _check_duration(duration_ms)
         self._session_duration_ms = duration_ms
 
     def _pool_dark(self) -> bool:

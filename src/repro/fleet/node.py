@@ -39,9 +39,13 @@ from repro.sim.kernel import Simulator
 STATE_PRIORITY = -1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameTask:
-    """One unit of session work on a node ("frame" or migration "state")."""
+    """One unit of session work on a node ("frame" or migration "state").
+
+    Slotted: a fleet op builds thousands, and a session builds each
+    positionally, in field order.
+    """
 
     session_id: str
     seq: int

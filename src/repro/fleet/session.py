@@ -8,11 +8,20 @@ controller can re-point it at a new node mid-flight and the next issued
 frame lands there.
 
 A session runs as kernel callbacks.  Each issue schedules the next period
-tick as a kernel callback.  A tick that finds the pipeline full sets a
-gate, and so does the end of the session's time while frames are still
-out.  The answer that opens the gate issues the frame, or ends the
-session, in the same call — unless another event is due at that instant:
-then the session queues behind it, as a woken waiter would.
+tick.  A tick that finds the pipeline full sets a gate, and so does the
+end of the session's time while frames are still out.  The answer that
+opens the gate issues the frame, or ends the session, in the same call —
+unless another event is due at that instant: then the session queues
+behind it, as a woken waiter would.
+
+An issue that fills the pipeline does not queue its tick: until an answer
+comes, that tick could only set the gate.  It keeps the tick's place with
+:meth:`~repro.sim.kernel.Simulator.reserve` instead, and the first answer
+settles it.  If the place is still ahead, the tick is queued there, as if
+it had been queued all along.  If the run has passed it, the answer sets
+the gate the tick would have set and opens it at once.  In an
+overloaded fleet nearly every issue fills the pipeline, so only about one
+tick in seven is ever queued.
 
 QoS tiers derive from :data:`repro.core.multiuser.GENRE_PRIORITY`:
 action games are tier "action" (priority 0, overtakes every queue),
@@ -100,6 +109,9 @@ class FleetSession:
         #: runs once fewer than ``limit`` frames are outstanding
         self._gate: Optional[Tuple[int, Callable[[], None]]] = None
         self._end_ms = 0.0
+        #: the ``(time, seq)`` place of the next tick, kept by an issue
+        #: that filled the pipeline; the first answer after it settles it
+        self._tick_place: Optional[Tuple[float, int]] = None
         self._seq = 0
         self._depth = config.pipeline_depth
         self._period_ms = 1000.0 / config.serve_rate_hz
@@ -130,12 +142,22 @@ class FleetSession:
             self.sim.telemetry.observe(
                 "fleet.frame_response_ms", task.response_ms, tier=self.tier,
             )
-        gate = self._gate
-        if gate is not None:
+        place = self._tick_place
+        if place is not None:
+            self._tick_place = None
+            if self.sim.call_reserved(place, self._tick):
+                return
+            # The tick has run in all but name: it found the pipeline full
+            # and set the gate this answer opens.
+            gate = self._tick_gate(place[0])
+        else:
+            gate = self._gate
+            if gate is None:
+                return
             self._gate = None
-            # Where a woken waiter would run, so equal-timestamp events
-            # keep their order.
-            self.sim.soon(self._wait_for, *gate)
+        # Where a woken waiter would run, so equal-timestamp events keep
+        # their order.
+        self.sim.soon(self._wait_for, *gate)
 
     # -- migration -----------------------------------------------------------
 
@@ -148,14 +170,17 @@ class FleetSession:
 
     def _tick(self) -> None:
         """One serve period has passed: issue, or drain once time is up."""
-        if self.sim.now < self._end_ms:
+        self._wait_for(*self._tick_gate(self.sim.now))
+
+    def _tick_gate(self, when: float) -> Tuple[int, Callable[[], None]]:
+        """What a tick at ``when`` waits for, as ``(limit, then)``."""
+        if when < self._end_ms:
             # Once the gate opens, the frame goes out without re-checking
             # the session's end.
-            self._wait_for(self._depth, self._issue)
-        else:
-            # Wait until every outstanding frame has been answered
-            # (possibly by a different node than the one it was issued to).
-            self._wait_for(1, self._finish)
+            return self._depth, self._issue
+        # Wait until every outstanding frame has been answered (possibly
+        # by a different node than the one it was issued to).
+        return 1, self._finish
 
     def _close(self) -> None:
         """Teardown breaker: drop what waits on this session, the
@@ -178,24 +203,25 @@ class FleetSession:
             # Delta-served interval: the node patches the recorded
             # skeleton instead of decoding + translating the stream.
             commands = max(1, int(commands * REPLAY_WARM_FACTOR))
+        app = self.app
+        seq = self._seq
         task = FrameTask(
-            session_id=self.session_id,
-            seq=self._seq,
-            fill_megapixels=self.app.fill_mp_per_frame,
-            commands_nominal=commands,
-            width=self.app.render_width,
-            height=self.app.render_height,
-            priority=self.priority,
-            issued_at_ms=self.sim.now,
+            self.session_id, seq, app.fill_mp_per_frame, commands,
+            app.render_width, app.render_height, self.priority, self.sim.now,
         )
-        self._seq += 1
+        self._seq = seq + 1
         self.frames_issued += 1
-        self.outstanding[task.seq] = task
+        outstanding = self.outstanding
+        outstanding[seq] = task
         assert self.node is not None
-        # Queue the next tick before an idle node schedules this frame's
-        # completion: when both fall due at one instant, the tick runs
-        # first, as it did while service began a zero-delay step later.
-        self.sim.call_later(self._period_ms, self._tick)
+        # Take the next tick's place before an idle node schedules this
+        # frame's completion: when both fall due at one instant, the tick
+        # runs first, as it did while service began a zero-delay step
+        # later.  A full pipeline keeps the place without queueing it.
+        if len(outstanding) < self._depth:
+            self.sim.call_later(self._period_ms, self._tick)
+        else:
+            self._tick_place = self.sim.reserve(self._period_ms)
         self.node.submit(task)
 
     def _finish(self) -> None:

@@ -19,6 +19,14 @@ which every action is a callback:
 * Ties in the event queue are broken by insertion order, never by object
   identity, so two runs with the same seed replay identically.  Every
   entry is a ``(time, seq, handle)`` triple.
+* :meth:`Simulator.reserve` keeps a ``(time, seq)`` place without
+  queueing anything, for a callback that will most likely turn out to do
+  nothing observable; :meth:`Simulator.call_reserved` queues it there
+  later if the run has not passed the place yet.  The run loops record
+  the seq of the running entry, so a tie at one instant is decided as
+  if the callback had been queued all along.  Until then the place is
+  not in the queue: it does not keep a run going, and :meth:`soon` does
+  not count it as due.
 """
 
 from __future__ import annotations
@@ -173,6 +181,8 @@ class Simulator:
         #: ``(time, seq, callback)``
         self._queue: List[Tuple[float, int, TimerHandle]] = []
         self._counter = itertools.count()
+        #: seq of the entry running now (between runs, of the last one)
+        self._running = -1
         self._message_seq = itertools.count(1)
         self._streams: dict = {}
         #: set by :meth:`teardown`; a torn-down simulator cannot run again
@@ -232,7 +242,8 @@ class Simulator:
         list is dropped, so the simulator holds no reference back to its
         components.  What was recorded stays readable, but a torn-down
         simulator cannot run again: ``run``, ``run_until_event``,
-        ``call_later`` and ``call_at`` raise :class:`SimulationError`.
+        ``call_later``, ``call_at``, ``reserve`` and ``call_reserved``
+        raise :class:`SimulationError`.
         """
         for entry in self._queue:
             entry[2].cancel()
@@ -287,6 +298,31 @@ class Simulator:
         heappush(self._queue, (float(when), next(self._counter), handle))
         return handle
 
+    def reserve(self, delay: float) -> Tuple[float, int]:
+        """The ``(time, seq)`` place ``call_later(delay, ...)`` would take
+        now; nothing is queued until :meth:`call_reserved` is called."""
+        if not delay >= 0:
+            raise SimulationError(f"reserve with {_fault(delay)} delay {delay}")
+        self._check_live("reserve")
+        return (self.now + float(delay), next(self._counter))
+
+    def call_reserved(
+        self, place: Tuple[float, int], fn: Callable[..., Any], *args: Any
+    ) -> bool:
+        """Queue ``fn(*args)`` at exactly ``place``, from :meth:`reserve`.
+
+        Returns ``False`` and queues nothing when the run has already gone
+        past the place: its time is before now, or it is now and its seq
+        comes before the running entry's.  Called between runs, the place
+        is compared with the last entry that ran.
+        """
+        self._check_live("call_reserved")
+        when, seq = place
+        if when < self.now or (when == self.now and seq < self._running):
+            return False
+        heappush(self._queue, (when, seq, TimerHandle(fn, args)))
+        return True
+
     def every(self, period: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` every ``period`` ms until teardown.
 
@@ -305,7 +341,10 @@ class Simulator:
         the current instant.  When nothing is due, it would run next
         anyway, so ``fn`` runs at once; otherwise it is queued behind
         those entries with ``call_later(0.0, ...)``.  Cancelled entries
-        count as due, which only errs towards queueing.
+        count as due, which only errs towards queueing.  A place kept
+        with :meth:`reserve` and not queued does not count: it stands
+        for a callback that would do nothing observable, so running
+        ``fn`` ahead of it changes nothing.
         """
         queue = self._queue
         if queue and queue[0][0] <= self.now:
@@ -344,7 +383,7 @@ class Simulator:
         self._check_limit("run", until)
         queue = self._queue
         while queue:
-            when, _order, handle = queue[0]
+            when, order, handle = queue[0]
             if not handle.alive:
                 # A cancelled callback (e.g. an ACKed retransmission
                 # timer): discard without touching the clock.
@@ -357,6 +396,7 @@ class Simulator:
             if when < self.now - 1e-9:
                 raise SimulationError("event queue went backwards in time")
             self.now = when
+            self._running = order
             handle._fire()
         if until is not None:
             self.now = max(self.now, until)
@@ -374,7 +414,7 @@ class Simulator:
         queue = self._queue
         while queue and not event.triggered:
             entry = heappop(queue)
-            when, _order, handle = entry
+            when, order, handle = entry
             if not handle.alive:
                 continue
             if when > limit:
@@ -384,5 +424,6 @@ class Simulator:
             if when < self.now - 1e-9:
                 raise SimulationError("event queue went backwards in time")
             self.now = when
+            self._running = order
             handle._fire()
         return event.value if event.triggered else None

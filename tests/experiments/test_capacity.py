@@ -102,6 +102,26 @@ class TestCapacityPoint:
         assert record["service_attainment"] < record["served_attainment"]
 
 
+class TestRejectedInputs:
+    """A capacity point that could not run sensibly is refused before its
+    simulator exists; ``Simulator`` raises here if it is ever built."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Simulator was built for a bad input")
+
+        monkeypatch.setattr("repro.experiments.capacity.Simulator", refuse)
+
+    @pytest.mark.parametrize(
+        "duration_ms", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_bad_duration(self, duration_ms):
+        curve = standard_curves(2_500.0)[0]
+        with pytest.raises(ValueError, match="duration_ms"):
+            run_capacity_point(8, 2, curve, "balanced", duration_ms, 0)
+
+
 class TestSmokeBench:
     @pytest.fixture(scope="class")
     def bench(self):

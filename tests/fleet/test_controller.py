@@ -44,6 +44,27 @@ class TestBootstrap:
             FleetController(sim, [])
 
 
+class TestRejectedInputs:
+    """The controller refuses a session duration the session runners
+    refuse, and a fleet run with one stops before its kernel runs."""
+
+    BAD = [0.0, -1.0, float("nan"), float("inf")]
+
+    @pytest.mark.parametrize("duration_ms", BAD)
+    def test_bad_session_duration(self, sim, duration_ms):
+        controller = FleetController(sim, make_fleet_pool(2))
+        controller.set_session_duration(2_000.0)
+        with pytest.raises(ValueError, match="duration_ms"):
+            controller.set_session_duration(duration_ms)
+        assert controller._session_duration_ms == 2_000.0
+
+    @pytest.mark.parametrize("duration_ms", BAD)
+    def test_a_fleet_run_refuses_it_before_running(self, sim, duration_ms):
+        with pytest.raises(ValueError, match="duration_ms"):
+            FleetRun(sim, make_fleet_pool(2), FleetConfig(), duration_ms, [])
+        assert sim.now == 0.0
+
+
 class TestServing:
     def test_sessions_complete_with_zero_loss(self, boot_controller):
         sim, controller = boot_controller()

@@ -8,8 +8,10 @@ driver ``tests.coroutines.spawn``, and checks that
 the callbacks replay them: same tasks, completion times, owners and
 re-dispatch counts, node stats, stranded sets and spans — with float
 times, where no two events share an instant, and on a whole-ms grid,
-where they tie all the time.  The last tests pin the orders the
-callbacks must keep, and the tie orders that changed.
+where they tie all the time.  The next tests pin the orders the
+callbacks must keep, and the tie orders that changed.  The last ones
+check the session's reserved ticks against a session that queues every
+tick.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from collections import deque
 from dataclasses import replace
 from typing import Generator, List
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.games import (
@@ -679,3 +682,123 @@ class TestChangedTieRules:
             ("s1", 2), ("s2", 1), ("s2", 2)]
         assert serve_order(ReferenceNode, ReferenceSession, starts) == head + [
             ("s2", 1), ("s1", 2), ("s2", 2)]
+
+
+# -- reserved ticks: a session that always queues its tick as oracle -------
+
+
+class EagerTickSession(FleetSession):
+    """A fleet session whose every issue queues its next tick.
+
+    ``FleetSession._issue`` only reserves the tick's place when the issue
+    fills the pipeline, and the first answer settles it.  This is the
+    issue that queued the tick every time, verbatim; with no place ever
+    reserved, ``on_frame_complete`` opens the gate as it did then.
+    """
+
+    def _issue(self) -> None:
+        commands = self.app.nominal_commands_per_frame
+        if self.replay_warm:
+            commands = max(1, int(commands * REPLAY_WARM_FACTOR))
+        task = FrameTask(
+            session_id=self.session_id,
+            seq=self._seq,
+            fill_megapixels=self.app.fill_mp_per_frame,
+            commands_nominal=commands,
+            width=self.app.render_width,
+            height=self.app.render_height,
+            priority=self.priority,
+            issued_at_ms=self.sim.now,
+        )
+        self._seq += 1
+        self.frames_issued += 1
+        self.outstanding[task.seq] = task
+        assert self.node is not None
+        self.sim.call_later(self._period_ms, self._tick)
+        self.node.submit(task)
+
+
+@st.composite
+def eager_scenarios(draw):
+    """Fleets of 1–4 nodes and up to 12 sessions, mostly on the whole-ms
+    grid, with what :func:`scenarios` leaves out there: service times
+    equal to the period (5, 10 and 20 ms against 200, 100 and 50 Hz)
+    and crashes, with and without a rejoin."""
+    n_nodes = draw(st.integers(1, 4))
+    return {
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "tie_busy_ms": draw(st.sampled_from([None, 5, 7, 10, 16, 20])),
+        "nodes": draw(st.lists(st.integers(0, len(POOL) - 1),
+                               min_size=n_nodes, max_size=n_nodes,
+                               unique=True)),
+        "sessions": draw(st.lists(
+            st.tuples(st.sampled_from(APPS), st.integers(0, n_nodes - 1),
+                      st.sampled_from([0.0, 1.0, 2.0])),
+            min_size=1, max_size=12,
+        )),
+        "rate_hz": draw(st.sampled_from([50.0, 100.0, 200.0])),
+        "depth": draw(st.integers(1, 3)),
+        "crash": draw(
+            st.none() | st.tuples(st.integers(0, 3), st.booleans())
+        ),
+    }
+
+
+def assert_reserved_ticks_replay_eager_ticks(scenario):
+    expected = run_fleet(scenario, FleetNode, EagerTickSession)
+    assert run_fleet(scenario, FleetNode, FleetSession) == expected
+
+
+class TestReservedTicks:
+    @settings(max_examples=120, deadline=None)
+    @given(scenario=eager_scenarios())
+    def test_same_tasks_stats_strands_and_spans_in_full_order(
+        self, scenario,
+    ):
+        """Every tie included: the spans are compared in full order."""
+        assert_reserved_ticks_replay_eager_ticks(scenario)
+
+    def test_the_oracle_sees_ties_at_passed_and_kept_places(
+        self, monkeypatch,
+    ):
+        """A crowded grid example with a crash, a rescue and a rejoin, in
+        which both kinds of settlement happen, each also at the answer's
+        own instant: some answers find the tick's place still ahead and
+        queue it, others find it passed."""
+        scenario = {
+            "seed": 0, "tie_busy_ms": 10, "nodes": [0, 1, 2],
+            "rate_hz": 100.0, "depth": 2,
+            "sessions": [(APPS[i % len(APPS)], i % 3, float(i % 3))
+                         for i in range(12)],
+            "crash": (1, True),
+        }
+        outcomes = []
+        call_reserved = Simulator.call_reserved
+
+        def spy(sim, place, fn, *args):
+            kept = call_reserved(sim, place, fn, *args)
+            outcomes.append((kept, place[0] == sim.now))
+            return kept
+
+        monkeypatch.setattr(Simulator, "call_reserved", spy)
+        result = run_fleet(scenario, FleetNode, FleetSession)
+        monkeypatch.undo()
+        assert result == run_fleet(scenario, FleetNode, EagerTickSession)
+        assert set(outcomes) == {
+            (True, True), (True, False), (False, True), (False, False)}
+        assert result["rescued"] and result["rescued"][0]
+        assert any(span[1] == "node_rejoined" for span in result["spans"])
+
+
+@pytest.mark.fuzz
+def test_deep_reserved_ticks_replay_eager_ticks(request):
+    """``TestReservedTicks`` at depth.  Selected with ``-m fuzz`` it draws
+    1,500 examples; a plain run draws 30, so tier 1 stays fast."""
+    deep = "fuzz" in (request.config.getoption("markexpr") or "")
+
+    @settings(max_examples=1500 if deep else 30, deadline=None)
+    @given(scenario=eager_scenarios())
+    def identical(scenario):
+        assert_reserved_ticks_replay_eager_ticks(scenario)
+
+    identical()

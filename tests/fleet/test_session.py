@@ -70,3 +70,26 @@ class TestIssueLoop:
         _, s = run_session(GTA_SAN_ANDREAS, duration_ms=1_000.0)
         assert all(r > 0 for r in s.response_times_ms)
         assert s.mean_response_ms > 0
+
+
+class TestOverloadedTicks:
+    def test_a_full_pipeline_queues_no_tick(self, monkeypatch):
+        """An overloaded fleet: nearly every issue fills its session's
+        pipeline, so the tick after it would only set the gate.  The
+        session keeps that tick's place instead of queueing it, and the
+        tick runs only when an answer came before its place: well under
+        one tick per frame."""
+        from repro.experiments.fleet import run_fleet_point
+
+        calls = {"_tick": 0, "_issue": 0}
+        for name in calls:
+            def counted(self, _original=getattr(FleetSession, name),
+                        _name=name):
+                calls[_name] += 1
+                _original(self)
+
+            monkeypatch.setattr(FleetSession, name, counted)
+        point, _ = run_fleet_point(64, 4, 3_000.0, seed=1, crash=False)
+        assert point.frames == calls["_issue"] > 1_000
+        assert point.frames_lost == 0
+        assert calls["_tick"] < calls["_issue"] / 2

@@ -315,3 +315,99 @@ class TestOnTeardown:
         sim.teardown()
         with pytest.raises(SimulationError, match="torn-down"):
             sim.call_later(1.0, print)
+
+
+class TestReservedPlaces:
+    """``reserve`` keeps the place ``call_later`` would take, and
+    ``call_reserved`` queues there only while the run has not passed it."""
+
+    @staticmethod
+    def order_of(reserved: bool):
+        """The log of a run in which ``r`` is scheduled 5 ms after t=0,
+        with entries at that instant queued before and after it, and one
+        queued at t=2 that also falls due at t=5.  ``r`` is either queued
+        at once or reserved then and queued at t=1."""
+        sim = Simulator()
+        log = []
+
+        def first():
+            sim.call_later(5.0, log.append, "before")
+            if reserved:
+                place = sim.reserve(5.0)
+                sim.call_later(1.0, lambda: log.append(
+                    sim.call_reserved(place, log.append, "r")))
+            else:
+                sim.call_later(5.0, log.append, "r")
+            sim.call_later(5.0, log.append, "after")
+            sim.call_later(2.0, sim.call_at, 5.0, log.append, "late")
+
+        sim.call_later(0.0, first)
+        sim.run()
+        return log
+
+    def test_runs_where_call_later_would_have(self):
+        assert self.order_of(reserved=False) == [
+            "before", "r", "after", "late"]
+        assert self.order_of(reserved=True) == [
+            True, "before", "r", "after", "late"]
+
+    @staticmethod
+    def answer_at_the_same_instant(runner):
+        """Two entries at t=10 call ``call_reserved`` on a place reserved
+        at t=10 between them: the first is ahead of it, the second past."""
+        sim = Simulator()
+        log = []
+        places = []
+
+        def answer(name):
+            ok = sim.call_reserved(places[0], log.append, "reserved")
+            log.append((name, ok, len(sim._queue)))
+
+        sim.call_later(10.0, answer, "ahead")
+        places.append(sim.reserve(10.0))
+        sim.call_later(10.0, answer, "past")
+        runner(sim)
+        return log
+
+    @pytest.mark.parametrize("runner", [
+        lambda sim: sim.run(),
+        lambda sim: sim.run_until_event(sim.event("never"), limit=100.0),
+    ], ids=["run", "run_until_event"])
+    def test_a_same_instant_tie_is_decided_by_seq(self, runner):
+        # "ahead" queues the reserved callback in front of "past"; "past"
+        # then finds the place behind it and queues nothing more.
+        assert self.answer_at_the_same_instant(runner) == [
+            ("ahead", True, 2), "reserved", ("past", False, 0)]
+
+    def test_a_refused_place_queues_nothing(self):
+        sim = Simulator()
+        place = sim.reserve(3.0)
+        sim.call_later(4.0, lambda: None)
+        sim.run(until=3.5)
+        ran = []
+        assert not sim.call_reserved(place, ran.append, "never")
+        assert [entry[0] for entry in sim._queue] == [4.0]
+        sim.run()
+        assert ran == [] and sim.now == 4.0
+
+    def test_a_place_takes_a_seq_as_call_later_does(self):
+        sim = Simulator()
+        sim.call_later(1.0, print)
+        assert sim.reserve(1.0) == (1.0, 1)
+        sim.call_later(1.0, print)
+        assert [entry[1] for entry in sorted(sim._queue)] == [0, 2]
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_a_bad_delay_is_refused(self, delay):
+        with pytest.raises(SimulationError, match="reserve with"):
+            Simulator().reserve(delay)
+
+    def test_torn_down_refuses_both(self):
+        sim = Simulator()
+        place = sim.reserve(1.0)
+        sim.teardown()
+        with pytest.raises(SimulationError, match="torn-down"):
+            sim.call_reserved(place, print)
+        with pytest.raises(SimulationError, match="torn-down"):
+            sim.reserve(1.0)
+        assert sim._queue == []
