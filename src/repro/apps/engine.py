@@ -264,11 +264,6 @@ class GameEngine:
             "app", "intercept", track="engine",
             frame_id=self._frame_id, parent=root_span, **trace_args,
         )
-        if trace is not None:
-            sim.causal.event(
-                "client", "intercept", trace=trace,
-                frame=self._frame_id,
-            )
         stage_ms = self._cpu_stage_ms(frame_desc)
         sim.call_later(
             stage_ms, self._pace, frame_desc, stage_ms, root_span,
@@ -399,12 +394,6 @@ class GameEngine:
         self.device.surface.attach_back(None)
         if root_span is not None:
             root_span.end(response_ms=record.response_time_ms)
-        if trace is not None and sim.causal is not None:
-            sim.causal.event(
-                "client", "present", trace=trace,
-                frame=record.frame_id,
-                response_ms=round(record.response_time_ms, 4),
-            )
         if sim.telemetry is not None:
             sim.telemetry.observe(
                 "engine.response_ms", record.response_time_ms,

@@ -288,13 +288,6 @@ class GBoosterClient:
             metrics.counter("replay.bytes_saved").inc(
                 max(0, entry.wire_bytes - wire_bytes)
             )
-            if self.sim.causal is not None and trace is not None:
-                self.sim.causal.event(
-                    "replay", "serve", trace=trace,
-                    digest=decision.digest[:16],
-                    wire_bytes=wire_bytes,
-                    saved_bytes=max(0, entry.wire_bytes - wire_bytes),
-                )
             if self.sim.telemetry is not None:
                 self.sim.telemetry.observe(
                     "replay.hits", 1.0, agg="count",
@@ -323,12 +316,6 @@ class GBoosterClient:
                     raw_bytes=raw_bytes,
                     nominal_commands=nominal,
                 )
-                if self.sim.causal is not None and trace is not None:
-                    self.sim.causal.event(
-                        "replay", "record", trace=trace,
-                        digest=decision.digest[:16],
-                        wire_bytes=wire_bytes,
-                    )
                 metrics.counter("replay.records").inc()
                 metrics.gauge("replay.store_bytes").set(
                     self.replay.store.bytes_stored
@@ -356,10 +343,10 @@ class GBoosterClient:
             return self._render_locally(request)
         estimates = [
             DeviceEstimate(
-                name=node.name,
-                queued_workload=node.queued_workload_mp,
-                capability=node.capability_mp_per_ms(request),
-                rtt_ms=node.rtt_ms,
+                node.name,
+                node.queued_workload_mp,
+                node.capability_mp_per_ms(request),
+                node.rtt_ms,
             )
             for node in healthy
         ]
@@ -404,12 +391,6 @@ class GBoosterClient:
         self._outstanding[request.request_id] = request
         self.device.network.account(draw_bytes)
         self.stats.uplink_bytes += wire_bytes  # draws + replicated state
-        if self.sim.causal is not None and trace is not None:
-            self.sim.causal.event(
-                "client", "submit", trace=trace,
-                node=node.name, wire_bytes=wire_bytes,
-                trace_bytes=egress.trace_bytes,
-            )
         self.uplinks[node.name].send(message)
         self.stats.frames_submitted += 1
         self._watch_for_timeout(request, node, completion)
@@ -524,10 +505,10 @@ class GBoosterClient:
             return
         estimates = [
             DeviceEstimate(
-                name=n.name,
-                queued_workload=n.queued_workload_mp,
-                capability=n.capability_mp_per_ms(request),
-                rtt_ms=n.rtt_ms,
+                n.name,
+                n.queued_workload_mp,
+                n.capability_mp_per_ms(request),
+                n.rtt_ms,
             )
             for n in healthy
         ]

@@ -101,8 +101,9 @@ class GBoosterConfig:
     #: arm a :class:`~repro.obs.causal.CausalLog` on the session's
     #: simulator: every frame carries a deterministic wire-propagated
     #: trace context (8 header bytes, charged to uplink accounting) and
-    #: components record causal events against it.  Off by default —
-    #: untraced runs keep byte-identical wire counts and artifacts.
+    #: the span-ring rows of its journey carry its trace id.  Off by
+    #: default — untraced runs keep byte-identical wire counts and
+    #: artifacts.
     causal_tracing: bool = False
     #: arm a :class:`~repro.obs.flight.FlightRecorder`: page-severity SLO
     #: alerts, invariant violations and replans freeze schema-versioned

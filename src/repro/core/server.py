@@ -235,16 +235,12 @@ class ServiceNode:
             return reconstructed, outcome
         if self.replay_store is not None:
             self.replay_store.demote(info["digest"])
+        trace = request.metadata.get("trace")
         self.sim.spans.mark(
             "replay", "divergence",
             node=self.name, digest=info["digest"][:16],
+            **({"trace_id": trace.trace_id} if trace is not None else {}),
         )
-        if self.sim.causal is not None:
-            self.sim.causal.event(
-                "replay", "demote",
-                trace=request.metadata.get("trace"),
-                node=self.name, digest=info["digest"][:16],
-            )
         return list(request.commands), "diverged"
 
     # -- the daemon -----------------------------------------------------------
@@ -360,7 +356,7 @@ class ServiceNode:
     ) -> None:
         request = item.request
         self.stats.gpu_ms_total += self.sim.now - gpu_start
-        parent_name, parent_depth, trace, extra = _span_parent(request)
+        parent_name, parent_depth, extra = _span_parent(request)
         # "execute" covers decompress + replay + GPU render on this node.
         self.sim.spans.add(
             "server", "execute", dequeued_at, self.sim.now,
@@ -369,13 +365,6 @@ class ServiceNode:
             queue_wait_ms=dequeued_at - item.received_at,
             **extra,
         )
-        if self.sim.causal is not None and trace is not None:
-            self.sim.causal.event(
-                "server", "execute", trace=trace,
-                node=self.name,
-                queue_wait_ms=round(dequeued_at - item.received_at, 4),
-                execute_ms=round(self.sim.now - dequeued_at, 4),
-            )
         # Encode the rendered frame (Turbo incremental codec).
         encoded = self.encoder.encode_descriptor(
             item.frame_desc,
@@ -393,7 +382,7 @@ class ServiceNode:
         encode_start: float,
     ) -> None:
         self.stats.encode_ms_total += encoded.encode_time_ms
-        parent_name, parent_depth, _trace, extra = _span_parent(request)
+        parent_name, parent_depth, extra = _span_parent(request)
         self.sim.spans.add(
             "server", "video_encode", encode_start, self.sim.now,
             track=self.name, frame_id=request.frame_id,
@@ -432,13 +421,12 @@ class ServiceNode:
 
 
 def _span_parent(request: RenderRequest):
-    """``(parent name, depth, trace, span extras)`` for a node-side span."""
+    """``(parent name, depth, span extras)`` for a node-side span."""
     root = request.metadata.get("frame_span")
     trace = request.metadata.get("trace")
     return (
         root.qualified_name if root is not None else None,
         root.depth + 1 if root is not None else 0,
-        trace,
         {"trace_id": trace.trace_id} if trace is not None else {},
     )
 

@@ -17,9 +17,13 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Protocol, Sequence
 
 
-@dataclass
+@dataclass(slots=True)
 class DeviceEstimate:
-    """The scheduler's view of one service device."""
+    """The scheduler's view of one service device.
+
+    Slotted: every dispatch and placement builds one per live device,
+    positionally, in field order.
+    """
 
     name: str
     queued_workload: float        # w^j, in fill megapixels

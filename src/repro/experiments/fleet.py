@@ -146,6 +146,7 @@ def run_fleet_point(
         config = replace(
             config, faults=default_fault_schedule(duration_ms)
         )
+    config.validate()
     run = FleetRun(
         sim if sim is not None else Simulator(seed=seed),
         make_fleet_pool(n_devices),

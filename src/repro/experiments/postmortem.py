@@ -10,15 +10,15 @@ artifact is byte-identical across same-seed runs and worker counts:
    postmortem bundle, and the headline gates hold: the triggering
    frame's causal trace spans client + net + server plus at least one
    decision layer (replay/plan/fleet), every breach alert carries
-   exemplar trace ids, and every exemplar resolves to events in the
-   causal log.
+   exemplar trace ids, and every exemplar resolves to rows of the span
+   ring.
 2. **The control** — the same armed session without faults.  The flight
    recorder must stay silent (zero bundles): evidence freezing is
    triggered, not ambient.
 3. **The shard merge** — two causal-traced sessions treated as fleet
-   shards; their causal banks and histogram tail exemplars merge in
-   sorted ``(shard, session)`` order, proving the fleet-level view is a
-   pure function of shard contents.
+   shards; their span banks and histogram tail exemplars merge
+   (exemplars in sorted ``(shard, session)`` order), proving the
+   fleet-level view is a pure function of shard contents.
 
 The harness doubles as a CI gate: :data:`SPEC` compares the artifact
 digest — which covers the frozen bundle byte-for-byte — against the
@@ -40,13 +40,13 @@ from repro.faults.schedule import FaultSchedule
 from repro.metrics.spans import pipeline_breakdown
 from repro.obs.export import merged_chrome_trace
 from repro.obs.flight import validate_bundle
-from repro.obs.merge import causal_bank, merge_causal_banks, merge_exemplars
+from repro.obs.merge import merge_exemplars, merge_span_banks, span_bank
 
 #: artifact schema identifier, bumped on incompatible changes
 BENCH_POSTMORTEM_SCHEMA = "repro.bench_postmortem/1"
 
 #: the triggering frame's causal trace must span at least this many
-#: distinct components (client, net, server + a decision layer)
+#: distinct span categories
 MIN_TRACE_COMPONENTS = 4
 
 #: at least one of these decision layers must appear on the trigger trace
@@ -80,11 +80,11 @@ def _victim_config(
     )
 
 
-def _alert_audit(telemetry, causal) -> Dict[str, Any]:
-    """Do breach alerts point at frames the causal log can explain?
+def _alert_audit(telemetry, spans) -> Dict[str, Any]:
+    """Do breach alerts point at frames the span ring can explain?
 
     For every alert: count its exemplar trace ids, and how many of them
-    resolve to at least one causal event.  The acceptance gate requires
+    resolve to at least one row of the ring.  The acceptance gate requires
     every breach to carry >= 1 exemplar and every exemplar to resolve.
     """
     alerts = telemetry.alerts
@@ -97,7 +97,7 @@ def _alert_audit(telemetry, causal) -> Dict[str, Any]:
             with_exemplars += 1
         total_exemplars += len(exemplars)
         resolved += sum(
-            1 for trace_id in exemplars if causal.trace_of(trace_id)
+            1 for trace_id in exemplars if spans.trace_of(trace_id)
         )
     return {
         "alerts": len(alerts),
@@ -105,6 +105,13 @@ def _alert_audit(telemetry, causal) -> Dict[str, Any]:
         "exemplars": total_exemplars,
         "exemplars_resolved": resolved,
     }
+
+
+def _traced(spans) -> Dict[str, int]:
+    """How many rows of the span ring carry a trace id, and how many
+    distinct traces they make."""
+    ids = [s.args["trace_id"] for s in spans.spans if "trace_id" in s.args]
+    return {"rows": len(ids), "traces": len(set(ids))}
 
 
 def run_postmortem_incident(duration_ms: float, seed: int) -> Dict[str, Any]:
@@ -176,10 +183,10 @@ def run_postmortem_incident(duration_ms: float, seed: int) -> Dict[str, Any]:
             "recorder_frames": recorder.fps.frame_count,
             "replay": victim.replay.stats.as_dict(),
             "trace_header_bytes": victim.engine.backend.pipeline.total_trace,
-            "causal": victim.causal.summary(),
+            "causal": _traced(sim.spans),
             "flight": flight.summary(),
             "bundle": bundle,
-            "alert_audit": _alert_audit(victim.telemetry, victim.causal),
+            "alert_audit": _alert_audit(victim.telemetry, sim.spans),
             "breakdown": pipeline_breakdown(sim.spans, exemplars=True),
         },
         "chrome": chrome,
@@ -199,14 +206,14 @@ def run_postmortem_control(duration_ms: float, seed: int) -> Dict[str, Any]:
     return {
         "frames_presented": victim.fps.frame_count,
         "median_fps": round(victim.fps.median_fps, 4),
-        "causal": victim.causal.summary(),
+        "causal": _traced(victim.engine.sim.spans),
         "flight": victim.flight.summary(),
         "page_alerts": pages,
     }
 
 
 def _shard_session(duration_ms: float, seed: int, shard: int) -> Dict[str, Any]:
-    """One causal-traced shard: its causal bank + histogram exemplars."""
+    """One causal-traced shard: its span bank + histogram exemplars."""
     config = GBoosterConfig(
         telemetry=True, deterministic_content=True, causal_tracing=True,
     )
@@ -220,13 +227,13 @@ def _shard_session(duration_ms: float, seed: int, shard: int) -> Dict[str, Any]:
     return {
         "shard": shard,
         "session": result.causal.session_id,
-        "bank": causal_bank(result.causal, shard=shard),
+        "bank": {"shard": shard, **span_bank(sim.spans)},
         "exemplars": hist.exemplar_summary(),
     }
 
 
 def run_postmortem_shards(duration_ms: float, seed: int) -> Dict[str, Any]:
-    """Two shards' causal banks + exemplars folded deterministically.
+    """Two shards' span banks + exemplars folded deterministically.
 
     Shards are fed to the merge in *reverse* order on purpose: sorted
     ``(shard, session)`` consumption must make arrival order irrelevant.
@@ -236,7 +243,7 @@ def run_postmortem_shards(duration_ms: float, seed: int) -> Dict[str, Any]:
     parts = [shard1, shard0]   # deliberately out of order
     return {
         "banks": [p["bank"] for p in sorted(parts, key=lambda p: p["shard"])],
-        "merged": merge_causal_banks([p["bank"] for p in parts]),
+        "merged": merge_span_banks([p["bank"] for p in parts]),
         "merged_exemplars": merge_exemplars(
             [
                 {
@@ -317,7 +324,15 @@ def _checks(det: Dict[str, Any]) -> List[str]:
                     problems.append(
                         f"incident: trigger trace missing {required!r}"
                     )
-            if not any(c in components for c in DECISION_COMPONENTS):
+            # A replay hit has no row of its own: it is the frame's codec
+            # encode row with kind="replay_hit".
+            layers = set(components)
+            if any(
+                row.get("data", {}).get("kind") == "replay_hit"
+                for row in bundle.get("causal_trace", [])
+            ):
+                layers.add("replay")
+            if not any(c in layers for c in DECISION_COMPONENTS):
                 problems.append(
                     "incident: trigger trace touches no decision layer "
                     f"({'/'.join(DECISION_COMPONENTS)})"
@@ -337,7 +352,7 @@ def _checks(det: Dict[str, Any]) -> List[str]:
             problems.append(
                 "incident: "
                 f"{audit.get('exemplars', 0) - audit.get('exemplars_resolved', 0)}"
-                " exemplar trace id(s) do not resolve in the causal log"
+                " exemplar trace id(s) do not resolve in the span ring"
             )
         if not incident.get("replay", {}).get("hits"):
             problems.append("incident: warm hub served nothing")
@@ -356,8 +371,8 @@ def _checks(det: Dict[str, Any]) -> List[str]:
     else:
         merged = shards.get("merged", {})
         banks = shards.get("banks", [])
-        if sum(b.get("events", 0) for b in banks) != merged.get("events"):
-            problems.append("shards: merged event count != sum of banks")
+        if sum(b.get("total", 0) for b in banks) != merged.get("total"):
+            problems.append("shards: merged span count != sum of banks")
         if not shards.get("merged_exemplars"):
             problems.append("shards: merge produced no exemplars")
     return problems
@@ -394,12 +409,14 @@ def format_bench(bench: Dict[str, Any]) -> str:
         "",
         "the triggering frame's journey:",
     ]
-    for event in bundle.get("causal_trace", []):
-        data = event.get("data", {})
-        detail = ", ".join(f"{k}={data[k]}" for k in sorted(data))
+    for row in bundle.get("causal_trace", []):
+        data = row.get("data", {})
+        detail = ", ".join(
+            f"{k}={data[k]}" for k in sorted(data) if k != "trace_id"
+        )
         lines.append(
-            f"  {event.get('at_ms', 0.0):>10.3f} ms  "
-            f"{event.get('component', ''):<9} {event.get('name', ''):<12} "
+            f"  {row.get('at_ms', 0.0):>10.3f} ms  "
+            f"{row.get('category', ''):<9} {row.get('event', ''):<12} "
             f"{detail}"
         )
     audit = incident.get("alert_audit", {})
@@ -414,8 +431,8 @@ def format_bench(bench: Dict[str, Any]) -> str:
         f"control: {det.get('control', {}).get('flight', {}).get('bundles', 0)}"
         " bundles frozen (healthy run), "
         f"{det.get('control', {}).get('page_alerts', 0)} page alerts",
-        f"shards: {det.get('shards', {}).get('merged', {}).get('events', 0)} "
-        "merged causal events across "
+        f"shards: {det.get('shards', {}).get('merged', {}).get('total', 0)} "
+        "merged spans across "
         f"{len(det.get('shards', {}).get('banks', []))} shards, "
         f"{len(det.get('shards', {}).get('merged_exemplars', []))} "
         "merged exemplars",

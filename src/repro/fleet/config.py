@@ -10,6 +10,7 @@ warm-session cost) are module constants beside their readers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,12 +66,14 @@ class FleetConfig:
     faults: Optional[FaultSchedule] = None
 
     def validate(self) -> None:
-        if self.admission_oversubscription <= 0:
-            raise ValueError("admission_oversubscription must be positive")
+        for name in ("admission_oversubscription", "serve_rate_hz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}"
+                )
         if self.max_wait_queue < 0:
             raise ValueError("max_wait_queue must be non-negative")
-        if self.serve_rate_hz <= 0:
-            raise ValueError("serve_rate_hz must be positive")
         if self.pipeline_depth < 1:
             raise ValueError("pipeline_depth must be at least 1")
         if self.faults is not None:

@@ -255,33 +255,18 @@ class FleetController:
             placeable=not self._pool_dark(),
         )
         self.sim.metrics.counter("fleet.admission", outcome=outcome).inc()
-        # Session-level trace identity (frame = -1): fleet decisions happen
-        # before any frame exists, but a breach exemplar must still resolve
-        # to the causal events behind it.
-        trace = (
-            self.sim.causal.session_trace(request.session_id)
-            if self.sim.causal is not None
-            else None
-        )
         if self.sim.telemetry is not None:
             # Each decision contributes one 0/1 sample: the reject-rate SLO
             # classifies them directly against its error budget.
             self.sim.telemetry.observe(
                 "fleet.rejected",
                 1.0 if outcome == "reject" else 0.0,
-                trace_id=trace.trace_id if trace is not None else None,
                 tier=request.tier,
             )
         self.sim.spans.mark(
             "fleet.admission", outcome, track="fleet",
             session=request.session_id, tier=request.tier,
         )
-        if trace is not None:
-            self.sim.causal.event(
-                "fleet", "admission", trace=trace,
-                session=request.session_id, outcome=outcome,
-                tier=request.tier,
-            )
         if outcome == "admit":
             self._start_session(request)
         elif outcome == "reject":
@@ -324,23 +309,11 @@ class FleetController:
             "fleet.placement", "place", track="fleet",
             session=session.session_id, node=node.name, tier=session.tier,
         )
-        trace = (
-            self.sim.causal.session_trace(session.session_id)
-            if self.sim.causal is not None
-            else None
-        )
-        if trace is not None:
-            self.sim.causal.event(
-                "fleet", "placement", trace=trace,
-                session=session.session_id, node=node.name,
-                tier=session.tier,
-            )
         session.start(node)
         if self.sim.telemetry is not None:
             self.sim.telemetry.observe(
                 "fleet.admission_wait_ms",
                 self.sim.now - request.arrival_ms,
-                trace_id=trace.trace_id if trace is not None else None,
                 tier=request.tier,
             )
         # Watch for the end, after a zero-time start hop.
@@ -491,13 +464,6 @@ class FleetController:
             "fleet.migration", reason, track="fleet",
             session=session.session_id, source=old, target=target.name,
         )
-        if self.sim.causal is not None:
-            self.sim.causal.event(
-                "fleet", "migration",
-                trace=self.sim.causal.session_trace(session.session_id),
-                session=session.session_id, source=old,
-                target=target.name, reason=reason,
-            )
         return target
 
     # -- the control loop ----------------------------------------------------

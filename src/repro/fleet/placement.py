@@ -72,16 +72,14 @@ class SessionPlacer:
         bias = plan_bias_ms or {}
         estimates = [
             DeviceEstimate(
-                name=n.name,
+                n.name,
                 # One second of committed session demand plus the live
                 # backlog: both in fill megapixels.
-                queued_workload=(
-                    committed_mp_per_ms.get(n.name, 0.0) * 1000.0
-                    + n.queued_workload_mp
-                ),
-                capability=n.capacity_mp_per_ms,
-                rtt_ms=rtt_ms.get(n.name, 0.0),
-                plan_bias_ms=bias.get(n.name, 0.0),
+                committed_mp_per_ms.get(n.name, 0.0) * 1000.0
+                + n.queued_workload_mp,
+                n.capacity_mp_per_ms,
+                rtt_ms.get(n.name, 0.0),
+                bias.get(n.name, 0.0),
             )
             for n in candidates
         ]

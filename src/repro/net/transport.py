@@ -189,11 +189,6 @@ class Transport:
             transport=self.name, seq=seq, attempt=attempt + 1,
             **({"trace_id": trace_id} if trace_id else {}),
         )
-        if self.sim.causal is not None and trace is not None:
-            self.sim.causal.event(
-                "net", "retransmit", trace=trace,
-                transport=self.name, seq=seq, attempt=attempt + 1,
-            )
         # The retransmission is the same wire message going out again, so
         # it keeps the original's id — trace records of repeated drops
         # all point at one message.
@@ -273,15 +268,6 @@ class Transport:
             kind=message.kind,
             **extra,
         )
-        if self.sim.causal is not None and trace is not None:
-            self.sim.causal.event(
-                "net", stage, trace=trace,
-                transport=self.name,
-                bytes=message.framed_bytes,
-                latency_ms=round(
-                    self.sim.now - message.metadata["transport_send_at"], 4
-                ),
-            )
 
     # -- introspection -------------------------------------------------------------------------
 

@@ -14,10 +14,10 @@ reports into:
   :class:`TimeSeries` windows on the sim clock, declarative
   :class:`SloSpec` objectives with multi-window burn-rate alerting, and
   ARMAX-residual drift detection (:class:`ResidualDriftDetector`);
-* :class:`CausalLog` (``sim.causal``, armed on demand) — deterministic
-  wire-propagated :class:`TraceContext` per frame plus cross-component
-  causal events, with :class:`ExemplarReservoir` tail exemplars feeding
-  histograms and SLO alerts;
+* :class:`CausalLog` (``sim.causal``, armed on demand) — stamps each
+  frame with a deterministic wire-propagated :class:`TraceContext` whose
+  id rides the frame's span-ring rows, with :class:`ExemplarReservoir`
+  tail exemplars feeding histograms and SLO alerts;
 * :class:`FlightRecorder` (``sim.flight``, armed on demand) — freezes
   schema-versioned postmortem bundles on page alerts, invariant
   violations and replans.
@@ -26,7 +26,6 @@ reports into:
 from repro.obs.anomaly import EwmaStats, ResidualDriftDetector
 from repro.obs.causal import (
     TRACE_WIRE_BYTES,
-    CausalEvent,
     CausalLog,
     ExemplarReservoir,
     TraceContext,
@@ -60,7 +59,6 @@ from repro.obs.timeseries import TimeSeries, TimeSeriesBank, series_key
 
 __all__ = [
     "Alert",
-    "CausalEvent",
     "CausalLog",
     "ExemplarReservoir",
     "FLIGHT_SCHEMA",

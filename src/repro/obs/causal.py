@@ -14,10 +14,12 @@ layers did to them at that moment*.  This module closes that gap:
   silently inflated by free metadata.
 
 * :class:`CausalLog` — armed on a simulator as ``sim.causal`` (mirroring
-  ``sim.telemetry``): every component on a frame's path records causal
-  events against the frame's trace, so one frame's end-to-end journey
-  (client intercept -> codec -> transport -> server -> replay/plan/
-  fleet -> present) reconstructs across components after the run.
+  ``sim.telemetry``): the per-session stamper.  Every component on a
+  frame's path puts the frame's trace id on the span-ring rows it
+  records, so one frame's end-to-end journey (intercept -> encode ->
+  transmit -> execute -> return -> present, plus the marks of the
+  layers that acted on it) reads back from the ring with
+  :meth:`~repro.obs.spans.SpanRecorder.trace_of`.
 
 * :class:`ExemplarReservoir` — a bounded, deterministic reservoir of
   ``(value, trace_id)`` samples.  Histograms and SLO trackers keep the
@@ -30,15 +32,14 @@ layers did to them at that moment*.  This module closes that gap:
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: bytes the trace context occupies in the codec wire header per frame
 TRACE_WIRE_BYTES = 8
 
-#: default causal-event ring capacity (a 60 s session emits ~10 events/frame)
-DEFAULT_CAPACITY = 131_072
+#: frame stamps kept for window witnesses (over an hour of frames at 30 FPS)
+MAX_STAMPS = 131_072
 
 #: default exemplar reservoir bound (OpenMetrics exemplars are small)
 DEFAULT_EXEMPLARS = 8
@@ -86,118 +87,42 @@ class TraceContext:
         )
 
 
-class CausalEvent(NamedTuple):
-    """One component's contribution to a frame's causal trace.
-
-    A named tuple, built positionally: a traced session records one per
-    component hop of every frame, so construction cost is paid often.
-    """
-
-    at_ms: float
-    component: str          # "client" | "net" | "server" | "replay" | ...
-    name: str
-    trace_id: str           # "" for session-scoped events
-    data: Dict[str, Any]
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "at_ms": round(self.at_ms, 4),
-            "component": self.component,
-            "name": self.name,
-            "trace_id": self.trace_id,
-            "data": {k: self.data[k] for k in sorted(self.data)},
-        }
-
-
 class CausalLog:
-    """Bounded per-simulator causal event log, keyed by trace id.
+    """The per-session trace stamper, armed as ``sim.causal``.
 
-    Arming is one line — the constructor attaches itself as
-    ``sim.causal`` — and every feed point is behind an
-    ``if sim.causal is not None`` guard, mirroring the telemetry hub.
+    The engine stamps each frame at intercept (:meth:`frame_trace`); the
+    components on the frame's path put its trace id on the span-ring rows
+    they record, so the ring holds one frame's whole journey and
+    :meth:`~repro.obs.spans.SpanRecorder.trace_of` reads it back.  The
+    stamper itself keeps only the newest context and the stamp history
+    the SLO window witnesses read.
     """
 
-    def __init__(
-        self,
-        sim,
-        session_id: str = "session",
-        capacity: int = DEFAULT_CAPACITY,
-    ):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+    def __init__(self, sim, session_id: str = "session"):
         self.sim = sim
         self.session_id = session_id
-        self.capacity = capacity
-        self._events: Deque[CausalEvent] = deque()
-        self._by_trace: Dict[str, List[CausalEvent]] = {}
         #: frame-stamp history ``(at_ms, trace_id)``, for window witnesses;
         #: entries before ``_stamps_head`` are evicted and compacted away
-        #: in one slice once they number ``capacity``
+        #: in one slice once they number ``MAX_STAMPS``
         self._stamps: List[Tuple[float, str]] = []
         self._stamps_head = 0
-        self.dropped = 0
-        #: the most recently stamped frame context; session-scoped events
-        #: (radio switches, replans) attach to the frame in flight when one
-        #: exists — "what the other layers did to it at that moment"
+        #: the most recently stamped frame context; session-scoped marks
+        #: (radio switches, plan commits) carry its trace id — "what the
+        #: other layers did to the frame in flight at that moment"
         self.last_trace: Optional[TraceContext] = None
         sim.causal = self
-
-    # -- stamping ------------------------------------------------------------
 
     def frame_trace(self, frame: int) -> TraceContext:
         """Derive and remember the trace context for one frame intercept."""
         trace = TraceContext.derive(self.sim.seed, self.session_id, frame)
         self.last_trace = trace
         self._stamps.append((self.sim.now, trace.trace_id))
-        if len(self._stamps) - self._stamps_head > self.capacity:
+        if len(self._stamps) - self._stamps_head > MAX_STAMPS:
             self._stamps_head += 1
-            if self._stamps_head >= self.capacity:
+            if self._stamps_head >= MAX_STAMPS:
                 del self._stamps[: self._stamps_head]
                 self._stamps_head = 0
         return trace
-
-    def session_trace(self, session: str) -> TraceContext:
-        """A session-level trace identity (fleet admission/placement)."""
-        return TraceContext.derive(self.sim.seed, session, -1)
-
-    # -- recording -----------------------------------------------------------
-
-    def event(
-        self,
-        component: str,
-        name: str,
-        trace: Optional[TraceContext] = None,
-        **data: Any,
-    ) -> CausalEvent:
-        """Record one causal event.
-
-        ``trace=None`` attaches the event to the most recently stamped
-        frame (session-scoped layers like switching and planning), or to
-        no trace when nothing has been stamped yet.
-        """
-        if trace is None:
-            trace = self.last_trace
-        trace_id = trace.trace_id if trace is not None else ""
-        rec = CausalEvent(self.sim.now, component, name, trace_id, data)
-        self._events.append(rec)
-        if trace_id:
-            self._by_trace.setdefault(trace_id, []).append(rec)
-        if len(self._events) > self.capacity:
-            old = self._events.popleft()
-            self.dropped += 1
-            if old.trace_id:
-                # The log's oldest event is also its trace's oldest, and
-                # one frame's trace holds a handful of events.
-                index = self._by_trace[old.trace_id]
-                del index[0]
-                if not index:
-                    del self._by_trace[old.trace_id]
-        return rec
-
-    # -- queries -------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._events)
 
     def witness(self, upto_ms: float) -> str:
         """The last frame trace stamped at or before ``upto_ms``.
@@ -217,32 +142,14 @@ class CausalLog:
                 hi = mid
         return self._stamps[lo - 1][1] if lo > head else ""
 
-    def trace_of(self, trace_id: str) -> List[CausalEvent]:
-        """Every event of one frame's causal trace, in time order."""
-        return list(self._by_trace.get(trace_id, ()))
 
-    def components_of(self, trace_id: str) -> List[str]:
-        """Distinct components on one trace, sorted."""
-        return sorted({e.component for e in self.trace_of(trace_id)})
-
-    def trace_ids(self) -> List[str]:
-        """Every trace id with at least one event, sorted."""
-        return sorted(self._by_trace)
-
-    def summary(self) -> Dict[str, Any]:
-        """Deterministic JSON-able digest of the log."""
-        by_component: Dict[str, int] = {}
-        for e in self._events:
-            by_component[e.component] = by_component.get(e.component, 0) + 1
-        return {
-            "session": self.session_id,
-            "events": len(self._events),
-            "dropped": self.dropped,
-            "traces": len(self._by_trace),
-            "by_component": {
-                k: by_component[k] for k in sorted(by_component)
-            },
-        }
+def trace_args(sim) -> Dict[str, str]:
+    """``{"trace_id": ...}`` of the frame in flight, for a session-scoped
+    mark; empty when tracing is off or nothing is stamped yet."""
+    causal = sim.causal
+    if causal is None or causal.last_trace is None:
+        return {}
+    return {"trace_id": causal.last_trace.trace_id}
 
 
 class ExemplarReservoir:

@@ -2,13 +2,14 @@
 
 A :class:`FlightRecorder` armed on a simulator (``sim.flight``) keeps no
 state of its own until something goes wrong — the *pre-trigger buffer* is
-the instrumentation the run already carries (the marks in the span ring,
-the causal log, the metrics registry, the telemetry hub).  The moment a
-page-level SLO alert fires, an invariant violation is recorded, or the
-planner re-plans mid-session, the recorder freezes a **postmortem
-bundle**: the newest marks of the span ring, a metrics snapshot, the
-registered evidence sources (admission ledger, plan decision log, replay
-store stats), and the triggering frame's full causal trace.
+the instrumentation the run already carries (the span ring, the metrics
+registry, the telemetry hub).  The moment a page-level SLO alert fires,
+an invariant violation is recorded, or the planner re-plans
+mid-session, the recorder freezes a **postmortem bundle**: the newest
+marks of the span ring, a metrics snapshot, the registered evidence
+sources (admission ledger, plan decision log, replay store stats), and,
+with causal tracing armed, the triggering frame's causal trace: the
+ring's rows that carry its trace id.
 
 Bundles are schema-versioned, JSON-able, and byte-identical per seed:
 every value is rounded deterministically and every key sorted, and the
@@ -25,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.obs.digest import digest_of
 
 #: bundle schema identifier, bumped on incompatible changes
-FLIGHT_SCHEMA = "repro.flight_bundle/1"
+FLIGHT_SCHEMA = "repro.flight_bundle/2"
 
 #: span-ring marks captured behind the trigger point
 DEFAULT_TRACE_TAIL = 256
@@ -45,6 +46,18 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return repr(value)
+
+
+def _row(span) -> Dict[str, Any]:
+    """A span-ring row as a bundle row."""
+    return {
+        "at_ms": round(span.start_ms, 4),
+        "category": span.category,
+        "event": span.name,
+        "track": span.track,
+        "frame_id": span.frame_id,
+        "data": _jsonable(span.args),
+    }
 
 
 class FlightRecorder:
@@ -145,24 +158,16 @@ class FlightRecorder:
                 "detail": _jsonable(detail),
             },
             "ring_tail": [
-                {
-                    "at_ms": round(mark.start_ms, 4),
-                    "category": mark.category,
-                    "event": mark.name,
-                    "track": mark.track,
-                    "frame_id": mark.frame_id,
-                    "data": _jsonable(mark.args),
-                }
-                for mark in sim.spans.tail_marks(self.trace_tail)
+                _row(mark) for mark in sim.spans.tail_marks(self.trace_tail)
             ],
             "metrics": sim.metrics.snapshot(),
         }
         if causal is not None:
-            bundle["causal"] = causal.summary()
             bundle["causal_trace"] = [
-                e.as_dict() for e in causal.trace_of(trace_id)
+                {**_row(span), "end_ms": round(span.end_ms, 4)}
+                for span in sim.spans.trace_of(trace_id)
             ]
-            bundle["causal_components"] = causal.components_of(trace_id)
+            bundle["causal_components"] = sim.spans.components_of(trace_id)
         telemetry = getattr(sim, "telemetry", None)
         if telemetry is not None:
             bundle["slos"] = {

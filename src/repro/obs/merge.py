@@ -21,9 +21,6 @@ Merge semantics per instrument:
   ``"approx": true``;
 * **span banks** — per-category and per-name counts summed, along with
   totals and drops;
-* **causal banks** — event/drop/trace counts summed and per-component
-  counts folded, with contributing sessions listed in sorted
-  ``(shard, session)`` order;
 * **exemplars** — per-shard exemplar lists are re-offered into one
   bounded reservoir in sorted ``(shard, session)`` order, so the merged
   tail exemplars are invariant to the order shards came back in.
@@ -113,48 +110,6 @@ def span_bank(recorder: SpanRecorder) -> Dict[str, Any]:
         "dropped": recorder.dropped,
         "by_category": {k: by_category[k] for k in sorted(by_category)},
         "by_name": {k: by_name[k] for k in sorted(by_name)},
-    }
-
-
-def causal_bank(log: Any, shard: int = 0) -> Dict[str, Any]:
-    """Compact, picklable summary of one shard's causal log.
-
-    Raw causal events stay shard-local like raw spans do; the bank
-    carries the counts fleet-level reporting needs plus the ``(shard,
-    session)`` identity the deterministic merge sorts on.
-    """
-    summary = log.summary()
-    return {
-        "shard": shard,
-        "session": summary["session"],
-        "events": summary["events"],
-        "dropped": summary["dropped"],
-        "traces": summary["traces"],
-        "by_component": summary["by_component"],
-    }
-
-
-def merge_causal_banks(banks: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
-    """Fold per-shard causal banks, sorted by ``(shard, session)``."""
-    ordered = sorted(
-        banks, key=lambda b: (b.get("shard", 0), b.get("session", ""))
-    )
-    by_component: Dict[str, int] = {}
-    events = dropped = traces = 0
-    for bank in ordered:
-        events += bank.get("events", 0)
-        dropped += bank.get("dropped", 0)
-        traces += bank.get("traces", 0)
-        for component, count in bank.get("by_component", {}).items():
-            by_component[component] = by_component.get(component, 0) + count
-    return {
-        "sessions": [
-            [b.get("shard", 0), b.get("session", "")] for b in ordered
-        ],
-        "events": events,
-        "dropped": dropped,
-        "traces": traces,
-        "by_component": {k: by_component[k] for k in sorted(by_component)},
     }
 
 

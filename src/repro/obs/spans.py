@@ -15,7 +15,10 @@ and trace viewers can group a frame's stages under its root span.
 
 Instant *marks* (a radio waking, a fault firing, a session admitted) ride
 the same ring, so it is the run's one event log: the flight recorder's
-and the invariant monitor's evidence tails are its newest marks.
+and the invariant monitor's evidence tails are its newest marks.  With
+causal tracing armed, a row of a frame's journey carries the frame's
+``trace_id`` arg, and :meth:`SpanRecorder.trace_of` reads the journey
+back.
 
 Storage is a bounded ring (newest kept, ``dropped`` counted) so tracing is
 safe to leave on for arbitrarily long sessions.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
+from operator import attrgetter
 from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional
 
 #: default span-ring size; a 60 s offload session emits ~15 k spans
@@ -245,6 +249,19 @@ class SpanRecorder:
 
     def stage_names(self) -> List[str]:
         return sorted({s.name for s in self.spans})
+
+    def trace_of(self, trace_id: str) -> List[Span]:
+        """One frame's causal trace: the rows whose ``trace_id`` arg is
+        ``trace_id``, in start-time order (ring order breaks ties)."""
+        if not trace_id:
+            return []
+        rows = [s for s in self.spans if s.args.get("trace_id") == trace_id]
+        rows.sort(key=attrgetter("start_ms"))
+        return rows
+
+    def components_of(self, trace_id: str) -> List[str]:
+        """The distinct categories on one frame's trace, sorted."""
+        return sorted({s.category for s in self.trace_of(trace_id)})
 
     def tail_marks(self, n: int) -> List[Span]:
         """The newest ``n`` instant marks in the ring, oldest first."""

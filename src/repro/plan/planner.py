@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.obs.anomaly import ResidualDriftDetector
+from repro.obs.causal import trace_args
 from repro.plan.candidates import (
     BACKEND_RADIO,
     PlanCandidate,
@@ -105,14 +106,8 @@ class SessionPlanner:
                 backend=backend, generation=generation,
                 score=round(scores[backend], 4),
                 probed=len(probes),
+                **trace_args(self.sim),
             )
-            if self.sim.causal is not None:
-                self.sim.causal.event(
-                    "plan", "commit",
-                    backend=backend, generation=generation,
-                    score=round(scores[backend], 4),
-                    probed=len(probes),
-                )
             if self.sim.telemetry is not None:
                 self.sim.telemetry.observe(
                     "plan.commits", 1.0, agg="count", backend=backend,
@@ -190,13 +185,8 @@ class ReplanController:
                 "plan", "replan", track="planner",
                 from_backend=previous, to_backend=decision.backend,
                 measured_ms=round(measured_ms, 3),
+                **trace_args(sim),
             )
-            if sim.causal is not None:
-                sim.causal.event(
-                    "plan", "replan",
-                    from_backend=previous, to_backend=decision.backend,
-                    measured_ms=round(measured_ms, 3),
-                )
             # A replan is the planner declaring its committed world model
             # wrong — exactly the moment a postmortem is worth freezing.
             if sim.flight is not None:

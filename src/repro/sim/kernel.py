@@ -172,8 +172,8 @@ class Simulator:
         #: optional repro.obs.telemetry.TelemetryHub; substrates stream
         #: labeled time-series observations here when armed
         self.telemetry: Optional[Any] = None
-        #: optional repro.obs.causal.CausalLog; components on a frame's
-        #: path record wire-propagated causal events here when armed
+        #: optional repro.obs.causal.CausalLog; stamps each frame's
+        #: wire-propagated trace context when armed
         self.causal: Optional[Any] = None
         #: optional repro.obs.flight.FlightRecorder; alert/violation/
         #: replan triggers freeze postmortem bundles here when armed

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.net.manager import NetworkManager
+from repro.obs.causal import trace_args
 from repro.sim.kernel import Simulator
 from repro.switching.policies import SwitchDecision, SwitchingPolicy
 
@@ -86,17 +87,13 @@ class SwitchingController:
                 telemetry.observe(
                     "switching.switches", 1.0, agg="count", to="wifi",
                 )
+            # Traced, the switch attaches to the frame in flight: "the
+            # radio came up underneath this frame".
             self.sim.spans.mark(
                 "switching", "switch", track="radio",
                 to="wifi", offered_mbps=round(mbps, 3),
+                **trace_args(self.sim),
             )
-            if self.sim.causal is not None:
-                # trace=None: the switch attaches to the frame in
-                # flight — "the radio came up underneath this frame".
-                self.sim.causal.event(
-                    "switching", "radio_up",
-                    to="wifi", offered_mbps=round(mbps, 3),
-                )
             if self.power_down_idle:
                 self.manager.power_down_idle()
         elif decision == SwitchDecision.BLUETOOTH:
@@ -110,11 +107,7 @@ class SwitchingController:
             self.sim.spans.mark(
                 "switching", "switch", track="radio",
                 to="bluetooth", offered_mbps=round(mbps, 3),
+                **trace_args(self.sim),
             )
-            if self.sim.causal is not None:
-                self.sim.causal.event(
-                    "switching", "radio_down",
-                    to="bluetooth", offered_mbps=round(mbps, 3),
-                )
             if self.power_down_idle:
                 self.manager.power_down_idle()

@@ -161,7 +161,8 @@ def _readout(result):
         sim.spans.tail_marks(len(sim.spans)),
         result.telemetry.report(),
         result.flight.summary(),
-        result.causal.summary(),
+        result.causal.witness(sim.now),
+        sim.spans.trace_of(result.causal.last_trace.trace_id),
         result.check.ok,
         result.check.violations,
         result.check.digests.summary(),

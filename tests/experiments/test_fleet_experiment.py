@@ -9,6 +9,7 @@ from repro.experiments.fleet import (
     run_fleet_point,
     run_fleet_sweep,
 )
+from repro.fleet.config import FleetConfig
 
 
 class TestPool:
@@ -119,6 +120,24 @@ class TestRejectedInputs:
             run_fleet_point(
                 n_sessions=4, n_devices=2, duration_ms=duration_ms,
                 crash=crash,
+            )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("serve_rate_hz", float("nan")),
+            ("serve_rate_hz", float("inf")),
+            ("serve_rate_hz", 0.0),
+            ("admission_oversubscription", float("nan")),
+            ("admission_oversubscription", float("inf")),
+            ("admission_oversubscription", -1.0),
+        ],
+    )
+    def test_bad_config_value(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            run_fleet_point(
+                n_sessions=8, n_devices=2, duration_ms=1_000.0,
+                config=FleetConfig(**{field: value}),
             )
 
 

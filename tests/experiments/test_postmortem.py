@@ -7,7 +7,6 @@ import pytest
 
 from repro.experiments.postmortem import (
     BENCH_POSTMORTEM_SCHEMA,
-    DECISION_COMPONENTS,
     MIN_TRACE_COMPONENTS,
     SPEC,
     format_bench,
@@ -41,12 +40,18 @@ class TestIncident:
         assert len(components) >= MIN_TRACE_COMPONENTS
         for required in ("client", "net", "server"):
             assert required in components
-        assert any(c in components for c in DECISION_COMPONENTS)
+        # The victim's replay hit is the decision layer: its codec
+        # encode row, not a row of its own.
+        assert any(
+            r["category"] == "codec" and r["data"].get("kind") == "replay_hit"
+            for r in bundle["causal_trace"]
+        )
         assert bundle["trigger"]["trace_id"]
         # The trigger's trace id resolves inside its own bundle.
+        assert bundle["causal_trace"]
         assert all(
-            e["trace_id"] == bundle["trigger"]["trace_id"]
-            for e in bundle["causal_trace"]
+            r["data"]["trace_id"] == bundle["trigger"]["trace_id"]
+            for r in bundle["causal_trace"]
         )
 
     def test_every_breach_alert_carries_resolvable_exemplars(self, incident):
@@ -79,7 +84,7 @@ class TestControl:
         assert control["flight"]["bundles"] == 0
         assert control["page_alerts"] == 0
         assert control["frames_presented"] > 0
-        assert control["causal"]["events"] > 0
+        assert control["causal"]["rows"] > 0
 
 
 class TestShardMerge:
@@ -87,7 +92,7 @@ class TestShardMerge:
         out = run_postmortem_shards(2_000.0, seed=0)
         banks = out["banks"]
         assert [b["shard"] for b in banks] == [0, 1]
-        assert out["merged"]["events"] == sum(b["events"] for b in banks)
+        assert out["merged"]["total"] == sum(b["total"] for b in banks)
         merged = out["merged_exemplars"]
         assert merged
         assert all("value" in e and e["trace_id"] for e in merged)
@@ -149,6 +154,16 @@ class TestBenchArtifact:
         assert any(
             "no exemplar trace ids" in p for p in SPEC.validate(broken)
         )
+
+    def test_validate_flags_a_trace_without_a_decision_layer(self, bench):
+        # The replay hit is read from the codec row; without it the
+        # trigger trace touches no decision layer.
+        broken = copy.deepcopy(bench)
+        for row in broken["deterministic"]["incident"]["bundle"][
+            "causal_trace"
+        ]:
+            row["data"].pop("kind", None)
+        assert any("no decision layer" in p for p in SPEC.validate(broken))
 
     def test_validate_flags_noisy_control(self, bench):
         broken = copy.deepcopy(bench)

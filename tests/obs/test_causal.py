@@ -1,19 +1,21 @@
-"""Causal trace context, the causal log, and deterministic exemplars."""
+"""Causal trace context, the trace stamper, the span ring's trace view,
+and deterministic exemplars."""
 
 import json
-import pickle
 
 import pytest
 
+import repro.obs.causal as causal_module
 from repro.obs.causal import (
     DEFAULT_EXEMPLARS,
     TRACE_WIRE_BYTES,
-    CausalEvent,
     CausalLog,
     ExemplarReservoir,
     TraceContext,
     derive_trace_id,
+    trace_args,
 )
+from repro.obs.spans import SpanRecorder
 from repro.sim.kernel import Simulator
 
 
@@ -45,82 +47,47 @@ class TestTraceContext:
             TraceContext.from_wire(b"\x00" * (TRACE_WIRE_BYTES - 1))
 
 
-class TestCausalEvent:
-    def _event(self):
+class TestCausalLog:
+    def test_stamps_the_frame_in_flight(self):
         sim = Simulator(seed=0)
         log = CausalLog(sim, session_id="s")
-        events = []
+        assert log.last_trace is None
+        assert trace_args(sim) == {}
+        trace = log.frame_trace(1)
+        assert log.last_trace == trace
+        assert trace == TraceContext.derive(0, "s", 1)
 
-        def send():
-            trace = log.frame_trace(3)
-            events.append(
-                log.event("net", "send", trace=trace, size=40, kind="frame")
-            )
-
-        sim.call_later(12.345678, send)
-        sim.run()
-        return events[0]
-
-    def test_fields_in_record_order(self):
-        assert CausalEvent._fields == (
-            "at_ms", "component", "name", "trace_id", "data",
-        )
-        event = self._event()
-        assert tuple(event) == (
-            12.345678, "net", "send", event.trace_id,
-            {"size": 40, "kind": "frame"},
-        )
-
-    def test_as_dict_rounds_time_and_sorts_data(self):
-        event = self._event()
-        assert event.as_dict() == {
-            "at_ms": 12.3457,
-            "component": "net",
-            "name": "send",
-            "trace_id": event.trace_id,
-            "data": {"kind": "frame", "size": 40},
-        }
-        assert list(event.as_dict()["data"]) == ["kind", "size"]
-
-    def test_pickle_round_trip(self):
-        event = self._event()
-        back = pickle.loads(pickle.dumps(event))
-        assert type(back) is CausalEvent
-        assert back == event
-        assert back.as_dict() == event.as_dict()
-
-    def test_fields_cannot_be_reassigned(self):
-        event = self._event()
-        with pytest.raises(AttributeError):
-            event.name = "recv"
-        with pytest.raises(AttributeError):
-            event.extra = 1
-
-
-class TestCausalLog:
     def test_events_attach_to_stamped_frame(self):
+        # A frame's rows carry its trace id; a session-scoped mark takes
+        # the id of the frame in flight through ``trace_args``.
         sim = Simulator(seed=0)
         log = CausalLog(sim, session_id="s")
         trace = log.frame_trace(1)
-        log.event("client", "intercept", trace=trace, frame=1)
-        # trace=None attaches to the frame in flight.
-        log.event("switching", "radio_up", to="wifi")
-        assert log.components_of(trace.trace_id) == ["client", "switching"]
-        assert [e.name for e in log.trace_of(trace.trace_id)] == [
-            "intercept", "radio_up",
+        sim.spans.add("app", "intercept", 0.0, 1.0, trace_id=trace.trace_id)
+        sim.spans.mark("switching", "switch", to="wifi", **trace_args(sim))
+        sim.spans.mark("radio", "awake")
+        assert sim.spans.components_of(trace.trace_id) == [
+            "app", "switching",
         ]
+        assert [s.name for s in sim.spans.trace_of(trace.trace_id)] == [
+            "intercept", "switch",
+        ]
+        assert sim.spans.trace_of("") == []
 
     def test_eviction_reconciles_trace_index(self):
+        # The trace view reads the bounded ring: a row the ring evicted
+        # is gone from its trace.
         sim = Simulator(seed=0)
-        log = CausalLog(sim, session_id="s", capacity=2)
+        sim.spans = SpanRecorder(clock=lambda: sim.now, capacity=2)
+        log = CausalLog(sim, session_id="s")
         t1 = log.frame_trace(1)
-        log.event("client", "a", trace=t1)
+        sim.spans.mark("client", "a", trace_id=t1.trace_id)
         t2 = log.frame_trace(2)
-        log.event("client", "b", trace=t2)
-        log.event("client", "c", trace=t2)   # evicts t1's only event
-        assert log.trace_of(t1.trace_id) == []
-        assert t1.trace_id not in log.trace_ids()
-        assert log.dropped == 1
+        sim.spans.mark("client", "b", trace_id=t2.trace_id)
+        sim.spans.mark("client", "c", trace_id=t2.trace_id)  # evicts "a"
+        assert sim.spans.trace_of(t1.trace_id) == []
+        assert [s.name for s in sim.spans.trace_of(t2.trace_id)] == ["b", "c"]
+        assert sim.spans.dropped == 1
 
     def test_witness_returns_last_stamp_before_cutoff(self):
         sim = Simulator(seed=0)
@@ -134,18 +101,6 @@ class TestCausalLog:
         assert log.witness(10.0) == t1.trace_id
         assert log.witness(49.0) == t1.trace_id
         assert log.witness(1000.0) == t2.trace_id
-
-    def test_summary_counts_by_component(self):
-        sim = Simulator(seed=0)
-        log = CausalLog(sim, session_id="s")
-        t = log.frame_trace(0)
-        log.event("client", "a", trace=t)
-        log.event("net", "b", trace=t)
-        log.event("net", "c", trace=t)
-        summary = log.summary()
-        assert summary["events"] == 3
-        assert summary["traces"] == 1
-        assert summary["by_component"] == {"client": 1, "net": 2}
 
 
 class TestExemplarReservoir:
@@ -198,7 +153,7 @@ class TestExemplarReservoir:
 
 
 def _traced_session(duration_ms, seed):
-    """One causal-traced session's exemplars + causal summary (picklable)."""
+    """One causal-traced session's exemplars + traced rows (picklable)."""
     from repro.apps.games import GAMES
     from repro.core.config import GBoosterConfig
     from repro.core.session import run_offload_session
@@ -215,7 +170,7 @@ def _traced_session(duration_ms, seed):
     hist = sim.metrics.histogram("client.frame_response_ms")
     return {
         "exemplars": hist.exemplar_summary(),
-        "causal": result.causal.summary(),
+        "traced": sum(1 for s in sim.spans.spans if "trace_id" in s.args),
     }
 
 
@@ -236,20 +191,24 @@ class TestSessionExemplarDeterminism:
 
 
 class TestCausalLogEvictionAtCapacity:
-    """The ring evicts in O(1); what it retains must not change.
+    """Past their bounds, what the stamp list and the ring retain must
+    not change.
 
-    A list-backed model of the log (evict with ``pop(0)``, drop the
-    oldest stamp with ``del [0]``) is driven alongside the real log past
-    its capacity many times over.
+    A list model (drop the oldest stamp and the oldest row with
+    ``del [0]``) is driven alongside the stamper and the span ring past
+    a capacity of four many times over.
     """
 
     CAPACITY = 4
 
-    def _drive(self, steps):
+    def _drive(self, steps, monkeypatch):
+        monkeypatch.setattr(causal_module, "MAX_STAMPS", self.CAPACITY)
         sim = Simulator(seed=3)
-        log = CausalLog(sim, session_id="s", capacity=self.CAPACITY)
-        events, stamps, dropped = [], [], 0
-        traces = []
+        sim.spans = SpanRecorder(
+            clock=lambda: sim.now, capacity=self.CAPACITY
+        )
+        log = CausalLog(sim, session_id="s")
+        rows, stamps, traces = [], [], []
         for step in range(steps):
             sim.now = float(step * 5)
             if step % 3 == 1:
@@ -258,30 +217,30 @@ class TestCausalLogEvictionAtCapacity:
                 stamps.append((sim.now, trace.trace_id))
                 if len(stamps) > self.CAPACITY:
                     del stamps[0]
-            # Mix the frame in flight (trace=None; no trace at all before
-            # the first stamp), the newest trace and the one before it.
+            # Mix untraced rows, the frame in flight and the one before it.
             if step % 4 == 0 or not traces:
-                trace = None
+                extra = {}
             else:
                 newest, before = traces[-1], traces[max(0, len(traces) - 2)]
-                trace = newest if step % 2 else before
-            rec = log.event("net", f"e{step}", trace=trace, step=step)
-            events.append(rec)
-            if len(events) > self.CAPACITY:
-                events.pop(0)
-                dropped += 1
-            yield log, events, stamps, dropped, traces
+                extra = {"trace_id": (newest if step % 2 else before).trace_id}
+            rows.append(sim.spans.mark("net", f"e{step}", step=step, **extra))
+            if len(rows) > self.CAPACITY:
+                del rows[0]
+            yield log, sim.spans, rows, stamps, traces
 
-    def test_retained_events_dropped_witness_and_traces_match(self):
-        for log, events, stamps, dropped, traces in self._drive(40):
-            assert len(log) == len(events)
-            assert log.dropped == dropped
-            assert log.summary()["events"] == len(events)
+    def test_retained_events_dropped_witness_and_traces_match(
+        self, monkeypatch
+    ):
+        for step, (log, spans, rows, stamps, traces) in enumerate(
+            self._drive(40, monkeypatch)
+        ):
+            assert list(spans.spans) == rows
+            assert spans.dropped == max(0, step + 1 - self.CAPACITY)
             for trace in traces:
-                expected = [e for e in events if e.trace_id == trace.trace_id]
-                assert log.trace_of(trace.trace_id) == expected
-            traced = {e.trace_id for e in events} - {""}
-            assert log.trace_ids() == sorted(traced)
+                expected = [
+                    r for r in rows if r.args.get("trace_id") == trace.trace_id
+                ]
+                assert spans.trace_of(trace.trace_id) == expected
             for probe in range(-5, 5 * 41, 5):
                 older = [tid for at, tid in stamps if at <= probe]
                 expected = older[-1] if older else ""

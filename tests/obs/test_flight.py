@@ -51,12 +51,18 @@ class TestTriggers:
         sim = make_sim()
         log = CausalLog(sim, session_id="s")
         trace = log.frame_trace(5)
-        log.event("client", "intercept", trace=trace, frame=5)
+        sim.spans.add(
+            "app", "intercept", 0.0, 2.0, frame_id=5, trace_id=trace.trace_id,
+        )
         flight = FlightRecorder(sim, session_id="s")
         bundle = flight.trigger("manual", source="test")
         assert bundle["trigger"]["trace_id"] == trace.trace_id
-        assert bundle["causal_components"] == ["client"]
-        assert [e["name"] for e in bundle["causal_trace"]] == ["intercept"]
+        assert bundle["causal_components"] == ["app"]
+        assert bundle["causal_trace"] == [{
+            "at_ms": 0.0, "end_ms": 2.0, "category": "app",
+            "event": "intercept", "track": "main", "frame_id": 5,
+            "data": {"trace_id": trace.trace_id},
+        }]
 
     def test_suppression_after_max_bundles(self):
         sim = make_sim()
@@ -138,8 +144,7 @@ class TestBundleDigest:
             sim = Simulator(seed=11)
             log = CausalLog(sim, session_id="s")
             trace = log.frame_trace(1)
-            log.event("client", "intercept", trace=trace, frame=1)
-            sim.spans.mark("cat", "evt", i=1)
+            sim.spans.mark("cat", "evt", i=1, trace_id=trace.trace_id)
             flight = FlightRecorder(sim, session_id="s")
             return flight.trigger("manual", source="test")
 

@@ -2,13 +2,17 @@
 
 Fleet admissions, placements and migrations, and the client's
 re-dispatches, are each marked exactly once, and a flight bundle's
-evidence tail is the newest marks of the ring.
+evidence tail is the newest marks of the ring.  Causal tracing adds no
+row: it puts the frame's trace id on the rows already there, and a
+frame's trace and a bundle's ``causal_trace`` read back from the ring.
 """
 
 from collections import Counter
 
+import pytest
+
 from repro import GBoosterConfig, run_offload_session
-from repro.apps.games import GAMES, GTA_SAN_ANDREAS
+from repro.apps.games import GAMES, GTA_SAN_ANDREAS, STAR_WARS_KOTOR
 from repro.devices.profiles import (
     DELL_OPTIPLEX_9010,
     LG_G5,
@@ -17,6 +21,7 @@ from repro.devices.profiles import (
 )
 from repro.experiments.fleet import run_fleet_point
 from repro.faults import FaultSchedule
+from repro.obs.causal import derive_trace_id
 from repro.sim.kernel import Simulator
 
 
@@ -73,7 +78,8 @@ def test_a_flight_bundles_ring_tail_is_the_newest_marks():
     )
     flight = result.flight
     assert flight.bundles
-    marks = [s for s in result.engine.sim.spans.spans if s.instant]
+    ring = list(result.engine.sim.spans.spans)
+    marks = [s for s in ring if s.instant]
     triggers = [
         i for i, m in enumerate(marks)
         if (m.category, m.name) == ("flight", "trigger")
@@ -88,3 +94,61 @@ def test_a_flight_bundles_ring_tail_is_the_newest_marks():
         assert [(r["category"], r["event"], r["at_ms"]) for r in tail] == [
             (m.category, m.name, round(m.start_ms, 4)) for m in expected
         ]
+        # The causal trace is the trigger frame's rows of the ring as it
+        # stood before the trigger mark, in start-time order.
+        trace_id = bundle["trigger"]["trace_id"]
+        before = [
+            s for s in ring[:ring.index(marks[at])]
+            if s.args.get("trace_id") == trace_id
+        ]
+        assert before
+        assert [
+            (r["category"], r["event"], r["at_ms"], r["end_ms"])
+            for r in bundle["causal_trace"]
+        ] == [
+            (s.category, s.name, round(s.start_ms, 4), round(s.end_ms, 4))
+            for s in sorted(before, key=lambda s: s.start_ms)
+        ]
+
+
+def _kotor(seed: int, **switches: bool):
+    return run_offload_session(
+        STAR_WARS_KOTOR, LG_G5, [NVIDIA_SHIELD],
+        config=GBoosterConfig(**switches), duration_ms=2_000.0, seed=seed,
+    )
+
+
+def _shape(span):
+    """A row without its times and its trace id: what tracing must keep."""
+    return (
+        span.category, span.name, span.track, span.frame_id, span.parent,
+        span.depth, span.instant,
+        tuple(sorted(k for k in span.args if k != "trace_id")),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tracing_adds_no_row_only_trace_ids(seed):
+    plain = _kotor(seed).engine.sim.spans
+    traced = _kotor(seed, causal_tracing=True).engine.sim.spans
+    assert not any("trace_id" in s.args for s in plain.spans)
+    # The trace header makes every uplink 8 bytes longer, so times may
+    # shift; the rows themselves must not change.
+    assert Counter(map(_shape, traced.spans)) == Counter(
+        map(_shape, plain.spans)
+    )
+    assert sum(1 for s in traced.spans if "trace_id" in s.args) > 0
+
+
+def test_every_presented_frame_traces_client_net_and_server_in_order():
+    result = _kotor(0, causal_tracing=True)
+    spans = result.engine.sim.spans
+    presented = result.engine.presented_frames()
+    assert presented
+    for frame in presented:
+        trace_id = derive_trace_id(0, result.causal.session_id, frame.frame_id)
+        rows = spans.trace_of(trace_id)
+        assert {"client", "net", "server"} <= set(spans.components_of(trace_id))
+        starts = [s.start_ms for s in rows]
+        assert starts == sorted(starts)
+        assert all(s.args["trace_id"] == trace_id for s in rows)
